@@ -291,8 +291,7 @@ def character_table(name: str, data=None, use_file_cache: bool = True) -> Charac
             from .symmchar import sn_table
             table = sn_table(int(m.group(1)))
         else:
-            _, chain = load_group(name, data)
-            table = dixon_table(conjugacy_classes(chain), name)
+            table = dixon_table(class_system(name, data), name)
     _table_cache[name] = table
     return table
 

@@ -19,8 +19,10 @@ import numpy as np
 import sympy
 
 from .cyclotomic import Cyclotomic, zeta
-from .fflinalg import SplitFailure, modp_charpoly, modp_kernel, modp_matvec, modp_roots, modp_rref
-from .permgroup import GroupClasses, conjugacy_classes
+from .fflinalg import SplitFailure, simultaneous_eigenspaces_modp
+# not used here: the layer spans of perfbench/tracing.py patch these names on this module
+from .fflinalg import modp_charpoly, modp_kernel, modp_matvec, modp_roots, modp_rref  # noqa: F401
+from .permgroup import ClassSystem, GroupClasses, conjugacy_classes
 
 __all__ = ["ClassInfo", "CharacterTable", "dixon_table", "class_mult_coeff",
            "indicator", "tables_equivalent", "TableInvariantError"]
@@ -37,13 +39,8 @@ class ClassInfo:
     rep_order: int
     power_map: dict  # t -> class index, for 0 <= t < rep_order
 
-    def inverse_class(self) -> int:
-        if self.rep_order == 1:
-            return self.power_map[0]
-        return self.power_map[self.rep_order - 1]
 
-
-class CharacterTable:
+class CharacterTable(ClassSystem):
     """Matrix of exact character values, rows = irreducibles, cols = classes."""
 
     def __init__(self, group_name: str, order: int, classes: list,
@@ -71,38 +68,8 @@ class CharacterTable:
                 return i
         raise TableInvariantError("no identity class present")
 
-    def exponent(self) -> int:
-        from math import gcd
-        e = 1
-        for c in self.classes:
-            e = e * c.rep_order // gcd(e, c.rep_order)
-        return e
-
-    def class_named(self, name: str) -> int:
-        for i, c in enumerate(self.classes):
-            if c.name == name:
-                return i
-        # order-letter fallback ("7a" = first class of representative order
-        # 7 in canonical order), so both naming schemes resolve everywhere
-        import re
-        m = re.fullmatch(r"(\d+)([a-z])", name)
-        if m:
-            order, letter = int(m.group(1)), m.group(2)
-            idx = [i for i, c in enumerate(self.classes) if c.rep_order == order]
-            pos = ord(letter) - ord("a")
-            if pos < len(idx):
-                return idx[pos]
-        raise KeyError(f"no class named {name!r} in table {self.group_name}")
-
     def value(self, char_index: int, class_index: int) -> Cyclotomic:
         return self.values[char_index][class_index]
-
-    def inverse_class(self, k: int) -> int:
-        return self.classes[k].inverse_class()
-
-    def power_class(self, k: int, a: int) -> int:
-        c = self.classes[k]
-        return c.power_map[a % c.rep_order if c.rep_order > 1 else 0]
 
     def linear_characters(self) -> list:
         ic = self._identity_col()
@@ -242,13 +209,12 @@ def dixon_table(source, group_name: str | None = None,
     gc = source if isinstance(source, GroupClasses) else conjugacy_classes(source)
     name = group_name or f"G{gc.order}"
     e = gc.exponent()
-    k = len(gc.classes)
     last_err = None
     for attempt in range(max_prime_retries):
         p = dixon_prime(gc.order, e, skip=attempt)
         try:
             return _dixon_with_prime(gc, name, e, p)
-        except SplitFailure as err:  # pragma: no cover - retry path
+        except SplitFailure as err:
             last_err = err
     raise SplitFailure(f"Dixon splitting failed for {name}: {last_err}")
 
@@ -257,26 +223,21 @@ def _dixon_with_prime(gc: GroupClasses, name: str, e: int, p: int) -> CharacterT
     k = len(gc.classes)
     order = gc.order
     # split the commuting family, feeding class-sum matrices of the
-    # cheapest (smallest) classes first and stopping as soon as all common
-    # eigenspaces are one-dimensional
-    spaces = [([_unit_vec(k, i) for i in range(k)], list(range(k)))]
+    # cheapest (smallest) nontrivial classes first; the splitter builds the
+    # next one only while some common eigenspace is still not a line
     by_size = sorted(range(k), key=lambda i: (gc.classes[i].size, i))
-    for i in by_size:
-        if gc.classes[i].size == 1 and gc.classes[i].rep_order == 1:
-            continue
-        if all(len(b) == 1 for b, _ in spaces):
-            break
-        M = _class_sum_matrix_modp(gc, i, p)
-        spaces = _refine_spaces(spaces, M, p)
-    if not all(len(b) == 1 for b, _ in spaces):
+    mats = (_class_sum_matrix_modp(gc, i, p) for i in by_size
+            if gc.classes[i].rep_order > 1)
+    spaces = simultaneous_eigenspaces_modp(k, mats, p)
+    if not all(len(b) == 1 for b in spaces):
         raise SplitFailure(f"family did not split into 1-dim spaces over GF({p})")
-    vectors = [b[0] for b, _ in spaces]
+    vectors = [b[0] for b in spaces]
     if len(vectors) != k:
         raise SplitFailure("wrong number of common eigenvectors")
 
     sizes = [c.size for c in gc.classes]
     inv_sizes = [pow(s, -1, p) for s in sizes]
-    inv_class = [gc.classes[j].inverse_class() for j in range(k)]
+    inv_class = [gc.inverse_class(j) for j in range(k)]
     g0 = sympy.primitive_root(p)
     z_e = pow(g0, (p - 1) // e, p)
 
@@ -340,62 +301,6 @@ def _lift_row(gc: GroupClasses, chi_mod, d: int, e: int, z_e: int, p: int):
                 value = value + m * zeta(o, l)
         row.append(value)
     return row
-
-
-def _unit_vec(n, i):
-    v = [0] * n
-    v[i] = 1
-    return v
-
-
-def _refine_spaces(spaces, M, p):
-    new_spaces = []
-    for basis, pivots in spaces:
-        if len(basis) == 1:
-            new_spaces.append((basis, pivots))
-            continue
-        A = _restrict(M, basis, pivots, p)
-        cp = modp_charpoly(A, p)
-        roots = modp_roots(cp, p)
-        total = 0
-        for lam in roots:
-            Ash = [[(A[r][c] - (lam if r == c else 0)) % p
-                    for c in range(len(A))] for r in range(len(A))]
-            ker = modp_kernel(Ash, p)
-            if not ker:
-                continue
-            total += len(ker)
-            sub = [_combine_basis(basis, coords, p) for coords in ker]
-            new_spaces.append(modp_rref(sub, p))
-        if total != len(basis):
-            raise SplitFailure("class-sum matrix failed to split completely")
-    return new_spaces
-
-
-def _restrict(M, basis, pivots, p):
-    cols = []
-    for b in basis:
-        img = modp_matvec(M, b, p)
-        coords = [0] * len(basis)
-        v = list(img)
-        for i, pc in enumerate(pivots):
-            if v[pc]:
-                coords[i] = v[pc] % p
-                v = [(x - coords[i] * y) % p for x, y in zip(v, basis[i])]
-        if any(v):
-            raise SplitFailure("subspace not invariant (unexpected)")
-        cols.append(coords)
-    return [list(r) for r in zip(*cols)]
-
-
-def _combine_basis(basis, coords, p):
-    n = len(basis[0])
-    out = [0] * n
-    for c, vec in zip(coords, basis):
-        if c:
-            for i in range(n):
-                out[i] = (out[i] + c * vec[i]) % p
-    return out
 
 
 def indicator(table: CharacterTable, i: int) -> int:

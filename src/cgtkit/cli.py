@@ -24,16 +24,6 @@ from .zsigmondy import ZsigmondyReport, phi_star, scan_reports
 from .verify import SUITES, run_suite
 
 
-def _parallel_map(fn, items, threads):
-    """Map a pure function over items with a capped thread pool; the
-    result order and values are independent of the thread count."""
-    if threads and threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _emit(args, obj, human: str | None = None):
     if args.json:
         print(json.dumps(obj))
@@ -45,8 +35,6 @@ def _add_common(p):
     p.add_argument("--json", action="store_true", help="machine output (JSON lines)")
     p.add_argument("--data-dir", default=None,
                    help="override the data directory (or set CGT_DATA_DIR)")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="cap parallelism (results are independent of this)")
 
 
 def build_parser():
@@ -253,7 +241,7 @@ def cmd_scott(args) -> int:
 
 def cmd_neumann(args) -> int:
     table = catalog.character_table(args.group)
-    res = neumann_scan(table)  # pure reads; cheap enough single-threaded
+    res = neumann_scan(table)
     human = f"{args.group}: ok={res['ok']}"
     for i, cls in sorted(res["witness"].items()):
         human += f"\n  character {i} (degree {table.degrees[i]}): witness {cls}"
@@ -284,7 +272,7 @@ def cmd_tensorpower(args) -> int:
 
 def cmd_macbeath(args) -> int:
     table = catalog.character_table(f"L2({args.q})")
-    reports = macbeath_cover(table, args.q, threads=args.threads)
+    reports = macbeath_cover(table, args.q)
     if args.order is not None:
         reports = [r for r in reports if r.element_order == args.order]
     rows = []

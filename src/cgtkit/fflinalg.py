@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .finitefield import FiniteField
+from .finitefield import FiniteField, _pdivmod, _pgcd, _ppowmod, _psub, _ptrim
 
 __all__ = ["FFMatrix", "ff_rank", "ff_nullity", "ff_simultaneous_eigenspaces"]
 
@@ -392,70 +392,24 @@ def modp_charpoly(A, p):
         M = [[(AM[i][j] + (c if i == j else 0)) % p for j in range(n)] for i in range(n)]
     return coeffs[::-1]  # little-endian
 
-def _modp_pmod(f, g, p):
-    f = list(f)
-    dg = max(i for i, c in enumerate(g) if c % p)
-    inv = pow(g[dg], -1, p)
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] % p
-        if c:
-            c = c * inv % p
-            for j in range(dg + 1):
-                f[i - dg + j] = (f[i - dg + j] - c * g[j]) % p
-    out = f[:dg]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def modp_roots(f, p):
+    """All roots in GF(p) of f (assumed to split), by Cantor-Zassenhaus.
 
-def _modp_pgcd(f, g, p):
-    f = [c % p for c in f]
-    g = [c % p for c in g]
-    while g and any(g):
-        f, g = g, _modp_pmod(f, g, p)
-    while f and f[-1] == 0:
-        f.pop()
-    if f:
-        inv = pow(f[-1], -1, p)
-        f = [c * inv % p for c in f]
-    return f
-
-def _modp_pmulmod(f, g, mod, p):
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-    return _modp_pmod(out, mod, p) if len(out) >= len(mod) else out
-
-def _modp_ppowmod(f, n, mod, p):
-    r = [1]
-    b = _modp_pmod(f, mod, p) if len(f) >= len(mod) else list(f)
-    while n:
-        if n & 1:
-            r = _modp_pmulmod(r, b, mod, p)
-        b = _modp_pmulmod(b, b, mod, p)
-        n >>= 1
-    return r
-
-def modp_roots(f, p, rng: random.Random | None = None):
-    """All roots in GF(p) of f (assumed to split), by Cantor-Zassenhaus."""
-    rng = rng or random.Random(0x5EED)
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
+    The roots come back sorted, so the seeded random splitting choices
+    never show in the result.
+    """
+    rng = random.Random(0x5EED)
+    f = _ptrim([c % p for c in f])
     if len(f) <= 1:
         return []
     # strip multiplicities
     deriv = [(i * c) % p for i, c in enumerate(f)][1:]
-    g = _modp_pgcd(f, deriv, p)
+    g = _pgcd(f, deriv, p)
     if len(g) > 1:
-        f = _modp_pdiv(f, g, p)
+        f = _pdivmod(f, g, p)[0]
     # keep only the part that splits into linears: gcd with x^p - x
-    xp = _modp_ppowmod([0, 1], p, f, p)
-    xp_minus_x = [(a - b) % p for a, b in
-                  zip(xp + [0] * 2, [0, 1] + [0] * len(xp))]
-    f = _modp_pgcd(f, xp_minus_x, p)
+    xp = _ppowmod([0, 1], p, f, p)
+    f = _pgcd(f, _psub(xp, [0, 1], p), p)
     roots = []
     stack = [f]
     while stack:
@@ -467,48 +421,36 @@ def modp_roots(f, p, rng: random.Random | None = None):
             continue
         while True:
             c = rng.randrange(p)
-            probe = _modp_ppowmod([c, 1], (p - 1) // 2, h, p)
-            probe = [(x - (1 if i == 0 else 0)) % p for i, x in enumerate(probe)] or [0]
-            d = _modp_pgcd(h, probe, p)
+            probe = _psub(_ppowmod([c, 1], (p - 1) // 2, h, p), [1], p)
+            d = _pgcd(h, probe, p)
             if 1 < len(d) < len(h):
                 stack.append(d)
-                stack.append(_modp_pdiv(h, d, p))
+                stack.append(_pdivmod(h, d, p)[0])
                 break
     return sorted(roots)
-
-def _modp_pdiv(f, g, p):
-    dg = max(i for i, c in enumerate(g) if c % p)
-    inv = pow(g[dg], -1, p)
-    f = list(f)
-    q = [0] * (len(f) - dg)
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] % p
-        if c:
-            c = c * inv % p
-            q[i - dg] = c
-            for j in range(dg + 1):
-                f[i - dg + j] = (f[i - dg + j] - c * g[j]) % p
-    return q
 
 
 class SplitFailure(RuntimeError):
     """The commuting family did not split over this prime."""
 
 
-def simultaneous_eigenspaces_modp(mats, p, rng: random.Random | None = None):
-    """Common eigenspace decomposition of commuting matrices over GF(p).
+def simultaneous_eigenspaces_modp(n, mats, p):
+    """Common eigenspace decomposition of commuting n x n matrices over GF(p).
 
-    Returns a list of bases (each a list of vectors).  Raises SplitFailure
-    when some restricted matrix fails to split into eigenspaces over GF(p).
+    `mats` may be any iterable, a lazy one included: the next matrix is
+    drawn only while some space still has dimension above 1.  Returns a
+    list of bases (each a list of vectors); they are all lines exactly when
+    the family split completely.  Raises SplitFailure when some restricted
+    matrix fails to split into eigenspaces over GF(p).
     """
-    rng = rng or random.Random(0xD1C0)
-    if not mats:
-        raise ValueError("empty matrix family")
-    n = len(mats[0])
     # every stored basis is kept in rref form so coordinates fall out of the
     # pivot columns directly
     spaces = [([_unit(n, i) for i in range(n)], list(range(n)))]
-    for M in mats:
+    mats = iter(mats)
+    while any(len(basis) > 1 for basis, _ in spaces):
+        M = next(mats, None)
+        if M is None:
+            break
         new_spaces = []
         for basis, pivots in spaces:
             if len(basis) == 1:
@@ -516,7 +458,7 @@ def simultaneous_eigenspaces_modp(mats, p, rng: random.Random | None = None):
                 continue
             A = _restriction(M, basis, pivots, p)
             cp = modp_charpoly(A, p)
-            roots = modp_roots(cp, p, rng)
+            roots = modp_roots(cp, p)
             total = 0
             for lam in roots:
                 Ashift = [[(A[i][j] - (lam if i == j else 0)) % p
@@ -532,8 +474,6 @@ def simultaneous_eigenspaces_modp(mats, p, rng: random.Random | None = None):
                     f"matrix failed to split over GF({p}) "
                     f"(recovered {total} of {len(basis)} dimensions)")
         spaces = new_spaces
-        if all(len(b) == 1 for b, _ in spaces):
-            break
     return [basis for basis, _ in spaces]
 
 
@@ -597,5 +537,5 @@ def ff_simultaneous_eigenspaces(mats):
             if mats[i] * mats[j] != mats[j] * mats[i]:
                 raise ValueError("matrices do not commute")
     ints = [[list(row) for row in M.data] for M in mats]
-    spaces = simultaneous_eigenspaces_modp(ints, F.p)
+    spaces = simultaneous_eigenspaces_modp(n, ints, F.p)
     return [FFMatrix(F, basis) for basis in spaces]

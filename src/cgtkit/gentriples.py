@@ -8,7 +8,8 @@ character-formula triple_count with the matching z-slot whenever a table
 is supplied, which is the central cross-oracle of the whole artifact.
 
 Class systems are duck-typed: both permgroup.GroupClasses (element-indexed
-small groups) and symmchar.AnClassSystem (combinatorial A_n classes) work.
+small groups) and symmchar.AnClassSystem (combinatorial A_n classes) work;
+their shared lookups come from permgroup.ClassSystem.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
                          f"{ENUMERATION_BOUND}; use search_triple")
     # accept y iff x*y lies in C^a ("xy conjugate to x^a"); equivalently
     # z := (xy)^-1 lies in (C^a)^-1
-    target = cls.power_map[a % cls.rep_order if cls.rep_order > 1 else 0]
+    target = cs.power_class(ci, a)
     order = cs.group_order
     x = cls.representative
     x_img = x.images
@@ -110,22 +111,13 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
                 witness = (x, Permutation(y_img), Permutation(tuple(z_img)))
     if table is not None:
         from .classalg import triple_count
-        i = _table_class(table, cls.name)
-        k = table.inverse_class(_table_power(table, cls.name, a))
+        i = table.class_named(cls.name)
+        k = table.inverse_class(table.power_class(i, a))
         want = triple_count(table, i, i, k)
         if want != total:
             raise AssertionError(
                 f"enumerate_triples total {total} != character formula {want}")
     return TripleReport(group_name, cls.name, a, total, generating, hist, witness)
-
-
-def _table_class(table, name):
-    return table.class_named(name)
-
-
-def _table_power(table, name, a):
-    i = table.class_named(name)
-    return table.power_class(i, a)
 
 
 def search_triple(chain: StabilizerChain, cs, class_spec, a: int,
@@ -138,7 +130,7 @@ def search_triple(chain: StabilizerChain, cs, class_spec, a: int,
     rng = random.Random(seed)
     ci = _resolve_class(cs, class_spec)
     cls = cs.classes[ci]
-    target = cls.power_map[a % cls.rep_order if cls.rep_order > 1 else 0]
+    target = cs.power_class(ci, a)
     order = cs.group_order
     x = cls.representative
     for _ in range(budget):

@@ -11,15 +11,16 @@ element-to-class index, which also yields complete power maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import lcm
 import random
+import re
 
 import numpy as np
 
 from .perms import Permutation
 
 __all__ = [
-    "StabilizerChain", "build_chain", "ConjClassData", "GroupClasses",
+    "StabilizerChain", "build_chain", "ClassSystem", "ConjClassData", "GroupClasses",
     "conjugacy_classes", "GroupTooLargeError", "orbits", "is_transitive",
     "is_primitive", "minimal_block_system",
 ]
@@ -312,7 +313,42 @@ def _np_dtype(degree: int):
     return np.uint8 if degree <= 255 else np.uint16
 
 
-class GroupClasses:
+class ClassSystem:
+    """Lookups shared by every class system and character table.
+
+    Subclasses set `self.classes`, a list whose entries carry `name`,
+    `rep_order` and a complete `power_map` (t -> class index for
+    0 <= t < rep_order).
+    """
+
+    classes: list
+
+    def class_named(self, name: str) -> int:
+        for i, c in enumerate(self.classes):
+            if c.name == name:
+                return i
+        # order-letter fallback ("7a" = first class of representative order
+        # 7 in canonical order), so both naming schemes resolve everywhere
+        m = re.fullmatch(r"(\d+)([a-z])", name)
+        if m:
+            order, pos = int(m.group(1)), ord(m.group(2)) - ord("a")
+            idx = [i for i, c in enumerate(self.classes) if c.rep_order == order]
+            if pos < len(idx):
+                return idx[pos]
+        raise KeyError(f"no class named {name!r}")
+
+    def power_class(self, k: int, a: int) -> int:
+        c = self.classes[k]
+        return c.power_map[a % c.rep_order]
+
+    def inverse_class(self, k: int) -> int:
+        return self.power_class(k, -1)
+
+    def exponent(self) -> int:
+        return lcm(*(c.rep_order for c in self.classes))
+
+
+class GroupClasses(ClassSystem):
     """Conjugacy classes with a full element-to-class index."""
 
     def __init__(self, chain: StabilizerChain, bound: int = DEFAULT_CLASS_BOUND):
@@ -443,26 +479,10 @@ class GroupClasses:
     def class_of_array(self, arr) -> int:
         return int(self.class_of_idx[self.index[arr.tobytes()]])
 
-    def class_named(self, name: str) -> int:
-        for i, c in enumerate(self.classes):
-            if c.name == name:
-                return i
-        raise KeyError(f"no class named {name!r}")
-
     def elements_of_class(self, k: int):
         """Arrays of all elements in class k."""
         idxs = np.nonzero(self.class_of_idx == k)[0]
         return [self.elements[int(i)] for i in idxs]
-
-    def power_class(self, k: int, a: int) -> int:
-        c = self.classes[k]
-        return c.power_map[a % c.rep_order if c.rep_order > 1 else 0]
-
-    def exponent(self) -> int:
-        e = 1
-        for c in self.classes:
-            e = e * c.rep_order // gcd(e, c.rep_order)
-        return e
 
     @property
     def group_order(self) -> int:

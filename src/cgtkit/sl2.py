@@ -153,27 +153,20 @@ class MacbeathReport:
     missed: list
 
 
-def macbeath_cover(table, q: int, threads: int = 1) -> list:
+def macbeath_cover(table, q: int) -> list:
     """Coverage reports for every nontrivial class of the L2(q) table.
 
     The hypothesis is the rank-1 coverage theorem: q odd needs x
     non-unipotent of order > 2; q even needs o(x) not dividing q + 1.
     Unipotent detection: element order equals the characteristic.
-    Coverage checks are pure reads on the table, so the per-class scan may
-    run under a capped thread pool; results are independent of it.
     """
     from .classalg import covers
     p = is_prime_power(q)[0]
-    nontrivial = [(i, c) for i, c in enumerate(table.classes) if c.rep_order > 1]
-    if threads and threads > 1 and len(nontrivial) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reps = list(pool.map(lambda ic: covers(table, ic[0], ic[0]),
-                                 nontrivial))
-    else:
-        reps = [covers(table, i, i) for i, _ in nontrivial]
     out = []
-    for (i, c), rep in zip(nontrivial, reps):
+    for i, c in enumerate(table.classes):
+        if c.rep_order == 1:
+            continue
+        rep = covers(table, i, i)
         if q % 2:
             hyp = (c.rep_order != p) and (c.rep_order > 2)
         else:

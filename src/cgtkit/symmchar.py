@@ -24,6 +24,7 @@ import itertools
 
 from .chartab import CharacterTable, ClassInfo
 from .cyclotomic import Cyclotomic, sqrt_int
+from .permgroup import ClassSystem
 from .perms import Permutation
 
 __all__ = [
@@ -178,7 +179,7 @@ class CombClass:
     split_letter: str = ""  # "", "a" or "b"
 
 
-class SnClassSystem:
+class SnClassSystem(ClassSystem):
     def __init__(self, n: int):
         if n > SN_BUDGET:
             raise ValueError(f"n = {n} beyond the n <= {SN_BUDGET} budget")
@@ -215,7 +216,7 @@ def _power_type(mu: tuple, t: int) -> tuple:
     return tuple(sorted(out, reverse=True))
 
 
-class AnClassSystem:
+class AnClassSystem(ClassSystem):
     """Conjugacy classes of A_n described by cycle types with splitting."""
 
     def __init__(self, n: int):
@@ -256,31 +257,6 @@ class AnClassSystem:
             return self._index[(mu, "")]
         letter = "a" if align_sign(p, mu) == 1 else "b"
         return self._index[(mu, letter)]
-
-    def class_named(self, name: str) -> int:
-        for i, c in enumerate(self.classes):
-            if c.name == name:
-                return i
-        # order-letter fallback ("7a" = first class of rep order 7)
-        import re
-        m = re.fullmatch(r"(\d+)([a-z]+)", name)
-        if m:
-            order, letter = int(m.group(1)), m.group(2)
-            idx = [i for i, c in enumerate(self.classes) if c.rep_order == order]
-            pos = ord(letter) - ord("a") if len(letter) == 1 else None
-            if pos is not None and pos < len(idx):
-                return idx[pos]
-        raise KeyError(f"no class named {name!r} in A{self.n}")
-
-    def power_class(self, k: int, a: int) -> int:
-        c = self.classes[k]
-        return c.power_map[a % c.rep_order if c.rep_order > 1 else 0]
-
-    def exponent(self) -> int:
-        e = 1
-        for c in self.classes:
-            e = e * c.rep_order // gcd(e, c.rep_order)
-        return e
 
     def iter_class_images(self, k: int):
         """All elements of class k as image tuples (combinatorial)."""
@@ -451,8 +427,7 @@ def an_pair_covers(n: int, name1: str, name2: str):
     for k, ck in enumerate(cs.classes):
         if ck.rep_order == 1:
             continue
-        kinv = cs.power_class(k, ck.rep_order - 1)
-        ckinv = cs.classes[kinv]
+        ckinv = cs.classes[cs.inverse_class(k)]
         total = Cyclotomic.zero()
         for kind, lam, vi, vj, deg in rows:
             vk = an_character_value(kind, lam, ckinv)

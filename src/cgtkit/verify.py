@@ -54,7 +54,7 @@ class VerifyReport:
         expected_s, got_s = str(expected), str(got)
         status = "pass" if expected_s == got_s else "fail"
         self.checks.append(CheckResult(check_id, expected_s, got_s, status,
-                                       time.time() - t0))
+                                       time.perf_counter() - t0))
 
     def skip(self, check_id: str, reason: str):
         self.checks.append(CheckResult(check_id, "", reason,
@@ -85,20 +85,20 @@ def _cs(name):
 
 def suite_zsigmondy() -> VerifyReport:
     rep = VerifyReport("zsigmondy")
-    t0 = time.time()
+    t0 = time.perf_counter()
     found = classify_small_zsigmondy(64, 30)
     ones = sorted((r.q, r.e) for r in found if r.category == "one")
     eplus = sorted((r.q, r.e) for r in found if r.category == "e_plus_1")
     twoe = sorted((r.q, r.e) for r in found if r.category == "two_e_plus_1")
     rep.add("zsig.one", [(2, 6)], ones, t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep.add("zsig.e_plus_1",
             [(2, 4), (2, 10), (2, 12), (2, 18), (3, 4), (3, 6), (5, 6)],
             eplus, t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep.add("zsig.two_e_plus_1",
             [(2, 3), (2, 8), (2, 20), (4, 3), (4, 6)], twoe, t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     for r in scan_reports(64, 30):
         for p in prime_divisors(r.phi_star):
@@ -122,13 +122,13 @@ TABLE5 = [
 def suite_table5() -> VerifyReport:
     rep = VerifyReport("table5")
     for name, cname, want1, want2 in TABLE5:
-        t0 = time.time()
+        t0 = time.perf_counter()
         chain = _chain(name)
         gc = _cs(name)
-        table = dixon_table(gc, name)
+        table = _table(name)
         f = (n_a(table, cname, 1), n_a(table, cname, -2))
         rep.add(f"table5.{name}.formula", (want1, want2), f, t0)
-        t0 = time.time()
+        t0 = time.perf_counter()
         b1 = enumerate_triples(chain, gc, cname, 1, classify=False,
                                table=table, group_name=name).total_pairs
         b2 = enumerate_triples(chain, gc, cname, 2, classify=False,
@@ -137,11 +137,11 @@ def suite_table5() -> VerifyReport:
     # overgroup columns reproducible from catalog tables: the L2(11)
     # contribution 2|14 (M11/M12/M22 rows) and the U3(3) contribution 397
     # (J2 row; total over the two fused 7-classes)
-    t0 = time.time()
+    t0 = time.perf_counter()
     t11 = _table("L2(11)")
     rep.add("table5.overgroup.L2(11)", (2, 14),
             (n_a(t11, "11a", 1), n_a(t11, "11a", -2)), t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     tu = _table("U3(3)")
     from .classalg import triple_count
     i7a, i7b = tu.class_named("7a"), tu.class_named("7b")
@@ -155,16 +155,19 @@ def suite_table5() -> VerifyReport:
 
 def suite_a10() -> VerifyReport:
     rep = VerifyReport("a10")
-    t0 = time.time()
+    t0 = time.perf_counter()
     chain = _chain("A10")
     cs = _cs("A10")
     table = _table("A10")
     r = enumerate_triples(chain, cs, "7a", 1, classify=True, table=table,
                           group_name="A10")
     rep.add("a10.total", 7446, r.total_pairs, t0)
+    t0 = time.perf_counter()
     rep.add("a10.generating", 42, r.generating_pairs, t0)
     hist = r.subgroup_histogram
+    t0 = time.perf_counter()
     rep.add("a10.A9_pairs", 2856, hist.get((181440, (9, 1)), 0), t0)
+    t0 = time.perf_counter()
     rep.add("a10.A8_pairs", 3717, hist.get((20160, (8, 1, 1)), 0), t0)
     return rep
 
@@ -175,13 +178,13 @@ def suite_lemmas() -> VerifyReport:
     rep = VerifyReport("lemmas")
     from math import factorial
     for n in range(11, 30, 2):
-        t0 = time.time()
+        t0 = time.perf_counter()
         c = build_lemma42(n)
         rep.add(f"lemma42.n{n}",
                 (factorial(n) // 2, 8),
                 (c.chain.order(), c.involution.support_size()), t0)
     for n in range(12, 31, 2):
-        t0 = time.time()
+        t0 = time.perf_counter()
         c = build_lemma43(n)
         rep.add(f"lemma43.n{n}",
                 (factorial(n) // 2, 12),
@@ -196,7 +199,7 @@ def suite_smalln(seed: int = DEFAULT_SEED) -> VerifyReport:
     targets = [("A5", "5a"), ("A6", "5a"), ("A7", "7a"), ("A8", "7a"),
                ("A9", "7a"), ("A10", "7a")]
     for name, cname in targets:
-        t0 = time.time()
+        t0 = time.perf_counter()
         chain = _chain(name)
         cs = _cs(name)
         # a = -1: the witness triple (x, y, (xy)^-1) lies entirely inside C
@@ -207,13 +210,14 @@ def suite_smalln(seed: int = DEFAULT_SEED) -> VerifyReport:
             ok = (x * y * z).is_identity() and \
                 cs.class_of_images(z.images) == cs.class_of_images(x.images)
         rep.add(f"smalln.{name}", True, ok, t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     chain = _chain("L2(7)")
     gc = _cs("L2(7)")
     table = _table("L2(7)")
     r1 = enumerate_triples(chain, gc, "7a", 1, table=table, group_name="L2(7)")
-    r2 = enumerate_triples(chain, gc, "7a", -2, table=table, group_name="L2(7)")
     rep.add("smalln.L2(7).a1_fails", 0, r1.generating_pairs, t0)
+    t0 = time.perf_counter()
+    r2 = enumerate_triples(chain, gc, "7a", -2, table=table, group_name="L2(7)")
     rep.add("smalln.L2(7).am2_succeeds", True, r2.generating_pairs > 0, t0)
     return rep
 
@@ -227,12 +231,12 @@ MACBEATH_EVEN = [8, 16, 32]
 def suite_macbeath() -> VerifyReport:
     rep = VerifyReport("macbeath")
     for q in MACBEATH_ODD + MACBEATH_EVEN:
-        t0 = time.time()
+        t0 = time.perf_counter()
         table = _table(f"L2({q})")
         reports = macbeath_cover(table, q)
         bad = [r.class_name for r in reports if r.in_hypothesis and not r.covered]
         rep.add(f"macbeath.q{q}", [], bad, t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     table = _table("U3(3)")
     bad = []
     for cname in ("7a", "7b", "8a", "8b"):
@@ -246,11 +250,11 @@ def suite_macbeath() -> VerifyReport:
 
 def suite_sz8() -> VerifyReport:
     rep = VerifyReport("sz8")
-    t0 = time.time()
+    t0 = time.perf_counter()
     table = _table("Sz(8)")
     got = n_a(table, "13a", 1)
     rep.add("sz8.n1_13a", 273, got, t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     # closed form at q = sqrt(8), exactly in Q(sqrt 2) inside Q(zeta_8)
     s2 = sqrt_int(2)
     q = 2 * s2
@@ -259,7 +263,7 @@ def suite_sz8() -> VerifyReport:
     eps_formula = num / den
     eps_table = eps_a(table, "13a", 1)
     rep.add("sz8.eps_closed_form", str(eps_formula.rational()), str(eps_table), t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     bound = Fraction(29120, 13 * 13)
     rep.add("sz8.lower_bound", True, Fraction(got) >= bound, t0)
     return rep
@@ -279,10 +283,10 @@ SCOTT_REPS = ["A5:std4", "SL2(4):nat", "SL2(8):nat", "SL3(2):nat"]
 def suite_neumann(seed: int = DEFAULT_SEED) -> VerifyReport:
     rep = VerifyReport("neumann", seed)
     for name in NEUMANN_GROUPS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         table = _table(name)
         rep.add(f"neumann.{name}", True, neumann_scan(table)["ok"], t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = 0
     per_rep = 25
     for spec in SCOTT_REPS:
@@ -301,22 +305,22 @@ def suite_tensor() -> VerifyReport:
     rep = VerifyReport("tensor")
     t5 = _table("A5")
     deg5 = next(i for i, d in enumerate(t5.degrees) if d == 5)
-    t0 = time.time()
+    t0 = time.perf_counter()
     r1 = tensor_power_min_ratio(t5, deg5, 1)
     rep.add("tensor.A5.m1_min", Fraction(1, 5), r1["min_ratio"], t0)
     inv_name = next(c.name for c in t5.classes if c.rep_order == 2)
     for m in range(1, 6):
-        t0 = time.time()
+        t0 = time.perf_counter()
         got = diagonal_tuple_fixed_dim(t5, deg5, inv_name, m)
         rep.add(f"tensor.A5.diag_inv_m{m}", (5 ** m + 1) // 2, got, t0)
     for m in range(1, 6):
-        t0 = time.time()
+        t0 = time.perf_counter()
         r = tensor_power_min_ratio(t5, deg5, m)
         rep.add(f"tensor.A5.m{m}_ge_1_50", True, r["min_ratio"] >= Fraction(1, 50), t0)
     t4 = _table("A4")
     deg3 = next(i for i, d in enumerate(t4.degrees) if d == 3)
     for m in range(1, 5):
-        t0 = time.time()
+        t0 = time.perf_counter()
         r = tensor_power_min_ratio(t4, deg3, m)
         rep.add(f"tensor.A4.m{m}_ge_1_9", True, r["min_ratio"] >= Fraction(1, 9), t0)
     return rep
@@ -332,13 +336,13 @@ PROP77_ORDERS = {7: (5, 7), 8: (3, 7), 9: (3, 7), 10: (5, 7), 11: (5, 11),
 def suite_crosscheck() -> VerifyReport:
     rep = VerifyReport("crosscheck")
     for n in (5, 6, 7, 8):
-        t0 = time.time()
+        t0 = time.perf_counter()
         ta = an_table(n)
         td = dixon_table(conjugacy_classes(_chain(f"A{n}")), f"A{n}")
         rep.add(f"crosscheck.A{n}_tables", True, tables_equivalent(ta, td), t0)
     from .symmchar import AnClassSystem
     for n, (o1, o2) in PROP77_ORDERS.items():
-        t0 = time.time()
+        t0 = time.perf_counter()
         cs = AnClassSystem(n)
         c1s = [c.name for c in cs.classes if c.rep_order == o1]
         c2s = [c.name for c in cs.classes if c.rep_order == o2]
@@ -357,14 +361,14 @@ def suite_crosscheck() -> VerifyReport:
             # (e.g. 5+5 * 7+1+1+1 misses 2+2+1^6 and 3+1^7), while the
             # statement itself holds via other odd coprime orders
             rep.add("prop77.A10.orders5_7_erratum", None, found, t0)
-            t0 = time.time()
+            t0 = time.perf_counter()
             ok15, _ = an_pair_covers(10, "7+1+1+1", "5+3+1+1")
             ok9, _ = an_pair_covers(10, "5+5", "9+1a")
             rep.add("prop77.A10.odd_coprime_pair_exists", (True, True),
                     (ok15, ok9), t0)
             continue
         rep.add(f"prop77.A{n}.orders{o1}_{o2}", True, found is not None, t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     cs18 = AnClassSystem(18)
     seventeens = [c.name for c in cs18.classes if c.rep_order == 17]
     ok, missed = an_pair_covers(18, seventeens[0], seventeens[1])
@@ -382,7 +386,7 @@ def suite_powers() -> VerifyReport:
     rep = VerifyReport("powers")
     for name in POWER_GROUPS:
         gc = _cs(name)
-        t0 = time.time()
+        t0 = time.perf_counter()
         bad = [m for m in POWER_EXPONENTS if not two_mth_powers(gc, m).ok]
         rep.add(f"powers.{name}", [], bad, t0)
     return rep
@@ -393,13 +397,13 @@ def suite_powers() -> VerifyReport:
 def suite_section8(seed: int = DEFAULT_SEED) -> VerifyReport:
     rep = VerifyReport("section8", seed)
     for name, cname in [("A5", "5a"), ("A7", "7a"), ("M11", "11a")]:
-        t0 = time.time()
+        t0 = time.perf_counter()
         chain = _chain(name)
         cs = _cs(name)
         ok, failing = spread_class_check(chain, cs, cname)
         rep.add(f"spread.{name}.{cname}", (True, []), (ok, failing), t0)
     for name in ("A5", "A6", "L2(7)"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         chain = _chain(name)
         cs = _cs(name)
         maximals = catalog.maximal_subgroup_generators(name)
@@ -410,7 +414,7 @@ def suite_section8(seed: int = DEFAULT_SEED) -> VerifyReport:
             if not two_subgroup_cover(chain, cs, k, list(maximals.values())):
                 bad.append(cls.name)
         rep.add(f"cover2.{name}", [], bad, t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     chain = _chain("SL3(2)")
     cs = _cs("SL3(2)")
     stabs = catalog.sl32_transvection_cover_subgroups()
@@ -423,11 +427,11 @@ def suite_section8(seed: int = DEFAULT_SEED) -> VerifyReport:
         for i in range(3) for j in range(i + 1, 3))
     rep.add("cover2.SL3(2).three_subgroups", (True, False),
             (covered3, pair_covered), t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     got = beauville_search(_chain("A5"), _cs("A5"), seed=seed)
     rep.add("beauville.A5_none", None, got, t0)
     for name in ("A6", "L2(7)"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         got = beauville_search(_chain(name), _cs(name), seed=seed)
         ok = got is not None
         if ok:

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from cgtkit import catalog
+from cgtkit import catalog, chartab
 from cgtkit.chartab import (CharacterTable, TableInvariantError,
                             class_mult_coeff, dixon_table, indicator,
                             tables_equivalent)
 from cgtkit.cyclotomic import Cyclotomic, sqrt_int
+from cgtkit.fflinalg import SplitFailure
 from cgtkit.perms import parse_perm
 from cgtkit.permgroup import build_chain, conjugacy_classes
 
@@ -29,6 +30,28 @@ def test_a5_dixon_degrees_and_golden_values():
     golden = {((1 + sqrt_int(5)) / 2).sort_key(), ((1 - sqrt_int(5)) / 2).sort_key()}
     got = {t.values[i][i5a].sort_key() for i in range(5) if t.degrees[i] == 3}
     assert got == golden
+
+
+def test_dixon_retries_with_the_next_prime(monkeypatch):
+    gc = _gc("A5")
+    want = dixon_table(gc, "A5").to_json()
+    real = chartab.dixon_prime
+    tried = []
+
+    def prime(order, exponent, skip=0):
+        tried.append(skip)
+        # sqrt(5) is not in GF(7), so the first attempt cannot split
+        return 7 if skip == 0 else real(order, exponent, skip)
+
+    monkeypatch.setattr(chartab, "dixon_prime", prime)
+    assert dixon_table(gc, "A5").to_json() == want
+    assert tried == [0, 1]
+
+
+def test_dixon_gives_up_after_max_prime_retries(monkeypatch):
+    monkeypatch.setattr(chartab, "dixon_prime", lambda order, exponent, skip=0: 7)
+    with pytest.raises(SplitFailure, match="Dixon splitting failed for A5"):
+        dixon_table(_gc("A5"), "A5", max_prime_retries=3)
 
 
 def test_class_mult_coeff_patterns():

@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgtkit.finitefield import FiniteField
-from cgtkit.fflinalg import FFMatrix, ff_rank, ff_simultaneous_eigenspaces
+from cgtkit.fflinalg import (FFMatrix, SplitFailure, ff_rank, ff_simultaneous_eigenspaces,
+                             simultaneous_eigenspaces_modp)
 
 F2 = FiniteField(2, 1)
 F7 = FiniteField(7, 1)
@@ -55,6 +56,34 @@ def test_simultaneous_eigenspaces_s3_class_sums():
     assert M_trans * M_3cyc == M_3cyc * M_trans
     spaces = ff_simultaneous_eigenspaces([M_trans, M_3cyc])
     assert sorted(s.rows for s in spaces) == [1, 1, 1]
+
+
+def _family(*mats):
+    """Yield mats, then fail: drawing past them means the splitter was not lazy."""
+    yield from mats
+    raise AssertionError("matrix drawn after the family split into lines")
+
+
+def test_simultaneous_eigenspaces_modp_draws_only_what_it_needs():
+    # a 1-dimensional space is split before any matrix is drawn
+    assert simultaneous_eigenspaces_modp(1, _family(), 7) == [[[1]]]
+    # diag(1, 1, 2) leaves a plane; diag(1, 2, 3) splits it, and the
+    # generator is not pulled again
+    spaces = simultaneous_eigenspaces_modp(
+        3, _family([[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+                   [[1, 0, 0], [0, 2, 0], [0, 0, 3]]), 7)
+    assert sorted(spaces) == [[[0, 0, 1]], [[0, 1, 0]], [[1, 0, 0]]]
+
+
+def test_simultaneous_eigenspaces_modp_returns_unsplit_spaces_when_family_ends():
+    spaces = simultaneous_eigenspaces_modp(3, iter([[[1, 0, 0], [0, 1, 0], [0, 0, 2]]]), 7)
+    assert sorted(len(b) for b in spaces) == [1, 2]
+
+
+def test_simultaneous_eigenspaces_modp_split_failure():
+    # x^2 - 3 has no root mod 7 (3 is not a square)
+    with pytest.raises(SplitFailure):
+        simultaneous_eigenspaces_modp(2, [[[0, 1], [3, 0]]], 7)
 
 
 def test_non_commuting_rejected():
