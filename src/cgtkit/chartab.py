@@ -159,33 +159,25 @@ class CharacterTable(ClassSystem):
                 f"classes={self.n_classes})")
 
 
+# For x in C_i, z x^-1 runs over w z with w in the inverse class of C_i
+# (apply w, then z), whose base images are z[w[base]]; the counts below
+# run over those w, one batched lookup per representative z.
+
 def class_mult_coeff(gc: GroupClasses, i: int, j: int, k: int) -> int:
     """a_{ijk} = #{(x,y) in C_i x C_j : xy = z} for a fixed z in C_k."""
-    z = np.array(gc.classes[k].representative.images, dtype=gc.elements[0].dtype)
-    count = 0
-    for x in gc.elements_of_class(i):
-        x_inv = np.argsort(x)
-        y = z[x_inv]
-        if gc.class_of_array(y) == j:
-            count += 1
-    return count
+    w = gc.base_images_of_class(gc.inverse_class(i))
+    z = np.array(gc.classes[k].representative.images)
+    return int(np.count_nonzero(gc.classes_of_base_images(z[w]) == j))
 
 
 def _class_sum_matrix_modp(gc: GroupClasses, i: int, p: int):
-    """(M_i)[j][k] = a_{ijk} mod p, computed in one pass over C_i."""
+    """(M_i)[j][k] = a_{ijk} mod p, one bincount over C_i per column k."""
     k = len(gc.classes)
-    reps = [np.array(c.representative.images, dtype=gc.elements[0].dtype)
+    w = gc.base_images_of_class(gc.inverse_class(i))
+    cols = [np.bincount(gc.classes_of_base_images(np.array(c.representative.images)[w]),
+                        minlength=k)
             for c in gc.classes]
-    M = [[0] * k for _ in range(k)]
-    class_of_idx = gc.class_of_idx
-    index = gc.index
-    for x in gc.elements_of_class(i):
-        x_inv = np.argsort(x)
-        for k2 in range(k):
-            y = reps[k2][x_inv]
-            j = int(class_of_idx[index[y.tobytes()]])
-            M[j][k2] += 1
-    return [[v % p for v in row] for row in M]
+    return (np.stack(cols, axis=1) % p).tolist()
 
 
 def dixon_prime(order: int, exponent: int, skip: int = 0) -> int:

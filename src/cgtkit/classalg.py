@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .chartab import CharacterTable, TableInvariantError
 from .cyclotomic import Cyclotomic
 from .permgroup import GroupClasses
@@ -180,27 +182,27 @@ def two_mth_powers(gc: GroupClasses, m: int) -> PowerReport:
     if gc.order > TWO_MTH_POWER_BOUND:
         raise ValueError(
             f"group order {gc.order} exceeds the {TWO_MTH_POWER_BOUND} brute-force bound")
-    import numpy as np
     k = len(gc.classes)
     power_classes = sorted({gc.power_class(i, m) for i in range(k)})
-    in_p = [False] * k
+    in_p = np.zeros(k, dtype=bool)
+    in_p[power_classes] = True
+    covered = np.zeros(k, dtype=bool)
+    reps = np.array([c.representative.images for c in gc.classes])
+    # t is covered once z_t x^-1 lies in P for some x in P; x^-1 runs over
+    # the inverse class w, and w z_t has base images z_t[w[base]].  Chunks
+    # grow from one row, so a cover found early ends the scan early; each
+    # chunk is one lookup for every class not yet covered.
     for i in power_classes:
-        in_p[i] = True
-    covered = [False] * k
-    dtype = gc.elements[0].dtype
-    reps = [np.array(c.representative.images, dtype=dtype) for c in gc.classes]
-    for i in power_classes:
-        for x in gc.elements_of_class(i):
-            x_inv = np.argsort(x).astype(dtype)
-            for t in range(k):
-                if covered[t]:
-                    continue
-                y = reps[t][x_inv]
-                if in_p[gc.class_of_array(y)]:
-                    covered[t] = True
-            if all(covered):
-                break
-        if all(covered):
+        w = gc.base_images_of_class(gc.inverse_class(i))
+        lo, step = 0, 1
+        while lo < len(w) and not covered.all():
+            todo = np.flatnonzero(~covered)
+            chunk = w[lo:lo + step]
+            found = gc.classes_of_base_images(
+                reps[todo[:, None, None], chunk].reshape(len(todo) * len(chunk), -1))
+            covered[todo] = in_p[found].reshape(len(todo), -1).any(axis=1)
+            lo, step = lo + step, 2 * step
+        if covered.all():
             break
     missing = [gc.classes[t].name for t in range(k) if not covered[t]]
     return PowerReport(not missing, missing)

@@ -92,13 +92,11 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
     generating = 0
     hist: dict = {}
     witness = None
-    for y_img in cs.iter_class_images(ci):
-        xy = tuple(y_img[v] for v in x_img)
-        if cs.class_of_images(xy) != target:
-            continue
+    for y_img in cs.iter_class_images_with_product(ci, x_img, target):
         total += 1
         if not classify:
             continue
+        xy = tuple(y_img[v] for v in x_img)
         sub = build_chain([x_img, y_img], n)
         key = _subgroup_key(sub)
         hist[key] = hist.get(key, 0) + 1

@@ -3,9 +3,20 @@
 The stabilizer chain is built with the deterministic Schreier-Sims
 algorithm (every Schreier generator is processed), followed by an explicit
 verification pass; group order and membership are exact.  Conjugacy
-classes of groups up to a configured bound (default 2^21 elements) are
-enumerated by breadth-first conjugation orbits with a full
-element-to-class index, which also yields complete power maps.
+classes come from a full element-to-class index, built in numpy passes:
+breadth-first element enumeration one frontier at a time, conjugation by
+each generator as one index permutation, and classes as its orbits by
+min-label propagation.  The index also yields complete power maps.
+
+Bounds of the index (`GroupTooLargeError` beyond either):
+- order: at most `DEFAULT_CLASS_BOUND` = 2^21 elements, by default;
+- keys: an element's key packs its images of the chain's base points in
+  radix n (the degree), so n^len(base) must stay below 2^63.  J2 (100
+  points, base of 5) is the largest catalog case.
+Memory: about N*(n*itemsize + 16) bytes for N elements of degree n
+(itemsize 1 up to degree 255, else 2): the image rows plus an int64 key,
+an int32 key order and an int32 class per element.  J2 holds 67 MiB;
+building it peaks about 60 % higher.
 """
 
 from __future__ import annotations
@@ -347,91 +358,143 @@ class ClassSystem:
     def exponent(self) -> int:
         return lcm(*(c.rep_order for c in self.classes))
 
+    def iter_class_images_with_product(self, k: int, x_images, target: int):
+        """Images of the y in class k with x*y in class `target`, in the
+        order of `iter_class_images(k)`; x*y has images y[x[i]]."""
+        for y in self.iter_class_images(k):
+            if self.class_of_images(tuple(y[v] for v in x_images)) == target:
+                yield y
+
 
 class GroupClasses(ClassSystem):
-    """Conjugacy classes with a full element-to-class index."""
+    """Conjugacy classes with a full element-to-class index.
+
+    The index is one N x n array of element images (`_rows`), in the
+    breadth-first order of right multiplication by the generators, plus a
+    sorted int64 key per element.  The key packs the element's images of
+    the chain's base points in radix `degree`; it is exact, not a hash,
+    because the base of a verified chain determines an element of the
+    group.  Lookups are `searchsorted` over the sorted keys; the public
+    ones also compare the whole row, so a non-member raises KeyError.
+    """
 
     def __init__(self, chain: StabilizerChain, bound: int = DEFAULT_CLASS_BOUND):
         order = chain.order()
         if order > bound:
             raise GroupTooLargeError(
                 f"group order {order} exceeds the class enumeration bound {bound}")
+        base = chain.base
+        if chain.degree ** len(base) >= 1 << 63:
+            raise GroupTooLargeError(
+                f"element keys pack {len(base)} base images in radix {chain.degree}; "
+                f"{chain.degree}^{len(base)} >= 2^63 does not fit an int64 key")
         self.chain = chain
         self.degree = chain.degree
         self.order = order
+        self.base = np.array(base, dtype=np.intp)
+        self._base_points = base
         self._enumerate_elements()
         self._find_classes()
         self._order_and_name_classes()
         self._power_maps()
 
-    # element enumeration: BFS closure under right multiplication
+    # -- keys ----------------------------------------------------------------
+
+    def _keys(self, base_images) -> np.ndarray:
+        """int64 keys of the elements whose base images are the rows given."""
+        keys = np.zeros(len(base_images), dtype=np.int64)
+        for col in np.asarray(base_images).T:
+            keys *= self.degree
+            keys += col
+        return keys
+
+    def _index_of_keys(self, keys) -> np.ndarray:
+        pos = np.searchsorted(self._sorted_keys, keys)
+        pos[pos == len(self._sorted_keys)] = 0
+        if not np.array_equal(self._sorted_keys[pos], keys):
+            raise KeyError("not an element of the group")
+        return self._key_order[pos]
+
+    # element enumeration: BFS closure under right multiplication, one
+    # frontier at a time; candidates come in (x, g) order and the first new
+    # occurrence of each key is kept, which is the one-at-a-time order
     def _enumerate_elements(self):
         n = self.degree
         dtype = _np_dtype(n)
-        gens = [np.array(g.images, dtype=dtype) for g in self.chain.generators]
-        ident = np.arange(n, dtype=dtype)
-        elems = [ident]
-        index = {ident.tobytes(): 0}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = g[x]
-                    key = y.tobytes()
-                    if key not in index:
-                        index[key] = len(elems)
-                        elems.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        if len(elems) != self.order:
+        gens = np.array([g.images for g in self.chain.generators],
+                        dtype=dtype).reshape(-1, n)
+        base = self.base
+        # filled level by level; the order is known, so no block is copied
+        rows = np.empty((self.order, n), dtype=dtype)
+        keys = np.empty(self.order, dtype=np.int64)
+        rows[0] = np.arange(n)
+        keys[0] = self._keys(rows[:1, base])[0]
+        seen = keys[:1].copy()
+        lo, hi = 0, 1
+        while lo < hi:
+            frontier = rows[lo:hi]
+            # row j * len(gens) + s of the candidates is gens[s][frontier[j]]
+            cand_keys = self._keys(gens[:, frontier[:, base]].transpose(1, 0, 2)
+                                   .reshape(len(frontier) * len(gens), len(base)))
+            uniq, first = np.unique(cand_keys, return_index=True)
+            pos = np.minimum(np.searchsorted(seen, uniq), len(seen) - 1)
+            fresh = seen[pos] != uniq
+            first = np.sort(first[fresh])
+            if hi + len(first) > self.order:
+                raise AssertionError("element enumeration exceeds the group order")
+            j, s = np.divmod(first, len(gens))
+            rows[hi:hi + len(first)] = gens[s[:, None], frontier[j]]
+            keys[hi:hi + len(first)] = cand_keys[first]
+            seen = np.sort(np.concatenate([seen, uniq[fresh]]), kind="stable")
+            lo, hi = hi, hi + len(first)
+        if hi != self.order:
             raise AssertionError("element enumeration does not match group order")
-        self.elements = elems
-        self.index = index
-        self._gen_arrays = gens
-        self._gen_inv_arrays = [np.argsort(g).astype(dtype) for g in gens]
+        self._rows = rows
+        self._key_order = np.argsort(keys).astype(np.int32)
+        self._sorted_keys = seen
+        self._gens = gens
 
     def _find_classes(self):
-        n_elems = self.order
-        class_of = np.full(n_elems, -1, dtype=np.int32)
-        reps = []
-        sizes = []
-        gens = self._gen_arrays
-        gen_invs = self._gen_inv_arrays
-        elems = self.elements
-        index = self.index
-        cid = 0
-        for start in range(n_elems):
-            if class_of[start] >= 0:
-                continue
-            class_of[start] = cid
-            min_elem = elems[start]
-            size = 1
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for idx in frontier:
-                    x = elems[idx]
-                    for g, gi in zip(gens, gen_invs):
-                        y = g[x[gi]]
-                        j = index[y.tobytes()]
-                        if class_of[j] < 0:
-                            class_of[j] = cid
-                            size += 1
-                            nxt.append(j)
-                            ye = elems[j]
-                            if _lex_less(ye, min_elem):
-                                min_elem = ye
-                frontier = nxt
-            reps.append(min_elem)
-            sizes.append(size)
-            cid += 1
-        self._raw_class_of = class_of
-        self._raw_reps = reps
-        self._raw_sizes = sizes
+        rows, base = self._rows, self.base
+        # conjugation by each generator g, as an index permutation:
+        # x -> g^-1 x g, whose base images are g[x[g^-1[base]]]
+        conj = [self._index_of_keys(self._keys(g[rows[:, np.argsort(g)[base]]]))
+                for g in self._gens]
+        # min-label propagation: label[i] stays an element of i's class and
+        # at most i, so at the fixed point it is the class's first element
+        label = np.arange(len(rows), dtype=np.int32)
+        while True:
+            before = label.copy()
+            for c in conj:
+                np.minimum(label, label[c], out=label)
+                label[c] = np.minimum(label[c], label)
+            label = label[label]
+            if np.array_equal(label, before):
+                break
+        _, raw_class_of = np.unique(label, return_inverse=True)
+        sizes = np.bincount(raw_class_of)
+        # lex-min representative: compare the rows of each class a few points
+        # at a time, packed into one int64, and keep only the rows that tie
+        # with their class's minimum; rows are distinct, so this ends with
+        # one row per class, mostly after the first few points
+        n = self.degree
+        width = 1
+        while width < n and n ** (width + 1) < 1 << 63:
+            width += 1
+        cand = np.arange(len(rows))
+        for lo in range(0, n, width):
+            if len(cand) == len(sizes):
+                break
+            packed = self._keys(rows[cand, lo:lo + width])
+            low = np.full(len(sizes), np.iinfo(np.int64).max)
+            np.minimum.at(low, raw_class_of[cand], packed)
+            cand = cand[packed == low[raw_class_of[cand]]]
+        self._raw_class_of = raw_class_of
+        self._raw_reps = rows[cand[np.argsort(raw_class_of[cand])]]
+        self._raw_sizes = [int(s) for s in sizes]
 
     def _order_and_name_classes(self):
-        reps = [Permutation(tuple(int(i) for i in r)) for r in self._raw_reps]
+        reps = [Permutation(r) for r in self._raw_reps.tolist()]
         orders = [r.order() for r in reps]
         perm = sorted(range(len(reps)),
                       key=lambda i: (orders[i], self._raw_sizes[i], reps[i].images))
@@ -460,49 +523,64 @@ class GroupClasses(ClassSystem):
                 raise AssertionError("class size does not divide group order")
 
     def _power_maps(self):
+        powers = []
         for c in self.classes:
-            rep = c.representative
-            o = c.rep_order
-            pm = {}
             cur = Permutation.identity(self.degree)
-            for t in range(o):
-                pm[t] = self.class_of(cur)
-                cur = cur * rep
-            c.power_map = pm
+            for _ in range(c.rep_order):
+                powers.append(cur.images)
+                cur = cur * c.representative
+        found = iter(self.classes_of_base_images(np.array(powers)[:, self.base]).tolist())
+        for c in self.classes:
+            c.power_map = {t: next(found) for t in range(c.rep_order)}
 
     # -- lookups -----------------------------------------------------------
 
+    def classes_of_base_images(self, base_images) -> np.ndarray:
+        """Classes of the group elements whose images of `self.base` are the
+        rows given.  The rows must come from elements of the group (products
+        of members, say): the base images alone are not checked further."""
+        return self.class_of_idx[self._index_of_keys(self._keys(base_images))]
+
     def class_of(self, p: Permutation) -> int:
-        arr = np.array(p.images, dtype=_np_dtype(self.degree))
-        return int(self.class_of_idx[self.index[arr.tobytes()]])
+        return self.class_of_images(p.images)
 
-    def class_of_array(self, arr) -> int:
-        return int(self.class_of_idx[self.index[arr.tobytes()]])
+    def class_of_images(self, images) -> int:
+        """Class of one element, given as its image tuple or array; raises
+        KeyError unless it is an element of the group."""
+        # one row: the key in plain Python is several times faster than _keys
+        images = [int(v) for v in images]
+        if len(images) == self.degree:
+            key = 0
+            for b in self._base_points:
+                key = key * self.degree + images[b]
+            pos = int(np.searchsorted(self._sorted_keys, key))
+            if pos < len(self._sorted_keys) and self._sorted_keys[pos] == key:
+                i = self._key_order[pos]
+                if self._rows[i].tolist() == images:
+                    return int(self.class_of_idx[i])
+        raise KeyError("not an element of the group")
 
-    def elements_of_class(self, k: int):
-        """Arrays of all elements in class k."""
-        idxs = np.nonzero(self.class_of_idx == k)[0]
-        return [self.elements[int(i)] for i in idxs]
+    def elements_of_class(self, k: int) -> np.ndarray:
+        """The elements of class k, one row each, in element order."""
+        return self._rows[self.class_of_idx == k]
+
+    def base_images_of_class(self, k: int) -> np.ndarray:
+        """Images of the base points under the elements of class k."""
+        return self.elements_of_class(k)[:, self.base]
 
     @property
     def group_order(self) -> int:
         return self.order
 
     def iter_class_images(self, k: int):
-        for arr in self.elements_of_class(k):
-            yield tuple(int(i) for i in arr)
+        return map(tuple, self.elements_of_class(k).tolist())
 
-    def class_of_images(self, images) -> int:
-        arr = np.array(images, dtype=_np_dtype(self.degree))
-        return int(self.class_of_idx[self.index[arr.tobytes()]])
-
-
-def _lex_less(a, b) -> bool:
-    neq = np.nonzero(a != b)[0]
-    if len(neq) == 0:
-        return False
-    i = neq[0]
-    return a[i] < b[i]
+    def iter_class_images_with_product(self, k: int, x_images, target: int):
+        # x*y has images y[x[i]], so its base images are y[x[base]]
+        rows = self.elements_of_class(k)
+        xb = np.asarray(x_images, dtype=np.intp)[self.base]
+        hit = self.classes_of_base_images(rows[:, xb]) == target
+        return map(tuple, rows[hit].tolist())
 
 
 def conjugacy_classes(chain: StabilizerChain,

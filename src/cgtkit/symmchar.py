@@ -398,6 +398,12 @@ def an_table(n: int) -> CharacterTable:
     return CharacterTable(f"A{n}", cs.group_order, classes, rows, verify=True)
 
 
+@lru_cache(maxsize=None)
+def _an_class_system(n: int) -> AnClassSystem:
+    """One A_n class system per n, shared by the repeated sparse checks."""
+    return AnClassSystem(n)
+
+
 def an_pair_covers(n: int, name1: str, name2: str):
     """Does C1 * C2 cover all of A_n except possibly 1?  (sparse check)
 
@@ -405,7 +411,7 @@ def an_pair_covers(n: int, name1: str, name2: str):
     value vanishes on C1 or C2 contribute nothing and are skipped before
     their k-columns are ever evaluated.
     """
-    cs = AnClassSystem(n)
+    cs = _an_class_system(n)
     i = cs.class_named(name1)
     j = cs.class_named(name2)
     ci, cj = cs.classes[i], cs.classes[j]

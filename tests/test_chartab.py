@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -88,16 +89,14 @@ def test_indicator_a5_all_real():
 
 
 def test_inverse_formula_oracle_equivalence():
-    # a_{ijk} reconstructed from the table equals the brute count (|G|<=1e4)
+    # a_{ijk} reconstructed from the table equals the brute count (|G|<=1e4),
+    # for every (i, j, k)
     for name in ("A5", "L2(7)"):
         gc = _gc(name)
         t = catalog.character_table(name)
         order = t.order
-        import random
-        rng = random.Random(2)
         k = len(gc.classes)
-        for _ in range(12):
-            i, j, kk = rng.randrange(k), rng.randrange(k), rng.randrange(k)
+        for i, j, kk in itertools.product(range(k), repeat=3):
             total = Cyclotomic.zero()
             for row in t.values:
                 vi, vj, vk = row[i], row[j], row[kk].conj()

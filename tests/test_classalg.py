@@ -77,7 +77,7 @@ def test_covers_a4_brute_force():
     hit = set()
     for x in gc.elements_of_class(i3a):
         for y in gc.elements_of_class(i3b):
-            hit.add(gc.class_of_array(y[x]))
+            hit.add(gc.class_of_images(y[x]))
     brute_covered = set(range(len(gc.classes))) <= hit
     names = [gc.classes[i3a].name, gc.classes[i3b].name]
     rep = covers(t, t.class_named(names[0]), t.class_named(names[1]))

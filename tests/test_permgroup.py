@@ -1,5 +1,7 @@
+import random
 from math import factorial, gcd
 
+import numpy as np
 import pytest
 
 from cgtkit.perms import Permutation, parse_perm
@@ -115,3 +117,103 @@ def test_random_element_uniform_support():
     a5 = A(5)
     seen = {a5.random_element(rng).images for _ in range(400)}
     assert len(seen) == 60  # all elements reachable
+
+
+def _padded_a5(degree):
+    return build_chain([parse_perm("(1,2,3)", degree), parse_perm("(1,2,3,4,5)", degree)])
+
+
+def test_dtype_edge_255_and_256_points_agree():
+    narrow = conjugacy_classes(_padded_a5(255))
+    wide = conjugacy_classes(_padded_a5(256))
+    assert narrow.elements_of_class(0).dtype == np.uint8
+    assert wide.elements_of_class(0).dtype == np.uint16
+
+    def data(gc):
+        return [(c.name, c.size, c.rep_order, c.power_map,
+                 c.representative.images[:5]) for c in gc.classes]
+
+    assert data(narrow) == data(wide)
+    assert np.array_equal(narrow.class_of_idx, wide.class_of_idx)
+    for k in range(len(narrow.classes)):
+        assert np.array_equal(narrow.elements_of_class(k)[:, :5],
+                              wide.elements_of_class(k)[:, :5])
+
+
+def _brute_classes(chain):
+    """Conjugation closures of every element under the generators, in
+    plain Python on image tuples."""
+    gens = [(g.images, g.inverse().images) for g in chain.generators]
+    todo = {p.images for p in chain.elements()}
+    classes = []
+    while todo:
+        start = todo.pop()
+        cls, frontier = {start}, [start]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g, gi in gens:
+                    y = tuple(g[x[gi[i]]] for i in range(len(x)))
+                    if y not in cls:
+                        cls.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        todo -= cls
+        classes.append(frozenset(cls))
+    return classes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_classes_match_brute_force_closures(seed):
+    rng = random.Random(seed)
+    n = 7 + seed % 2
+    gens = []
+    for _ in range(2):
+        moved = rng.sample(range(n), rng.randrange(2, n + 1))
+        images = list(range(n))
+        for a, b in zip(moved, rng.sample(moved, len(moved))):
+            images[a] = b
+        gens.append(Permutation(images))
+    chain = build_chain(gens, n)
+    gc = conjugacy_classes(chain)
+    brute = _brute_classes(chain)
+    assert len(gc.classes) == len(brute)
+    by_rep = {min(c): c for c in brute}
+    for k, c in enumerate(gc.classes):
+        members = frozenset(gc.iter_class_images(k))
+        assert by_rep[c.representative.images] == members
+        assert c.size == len(members)
+        for p in list(members)[:5]:
+            assert gc.class_of_images(p) == k
+        for t, j in c.power_map.items():
+            assert (c.representative ** t).images in by_rep[gc.classes[j].representative.images]
+
+
+def test_lookup_of_a_non_member_raises_key_error():
+    gc = conjugacy_classes(A(5))
+    # (4,5) fixes the base points 1, 2, 3, so it shares the identity's key
+    assert sorted(gc.chain.base) == [0, 1, 2]
+    with pytest.raises(KeyError):
+        gc.class_of(parse_perm("(4,5)", 5))
+    with pytest.raises(KeyError):
+        gc.class_of(parse_perm("(1,2)", 5))
+    with pytest.raises(KeyError):
+        gc.class_of_images((0, 1, 2, 3))
+    assert gc.class_of(parse_perm("(1,2)(4,5)", 5)) == gc.class_named("2a")
+
+
+def test_key_bound_raises_group_too_large():
+    # 16 disjoint transpositions on 32 points: order 2^16, a base of 16
+    # points, and 32^16 = 2^80 keys do not fit an int64
+    chain = build_chain([Permutation.from_cycles(32, [[2 * i, 2 * i + 1]])
+                         for i in range(16)])
+    assert chain.order() == 1 << 16 and len(chain.base) == 16
+    with pytest.raises(GroupTooLargeError, match="2\\^63"):
+        conjugacy_classes(chain)
+
+
+@pytest.mark.parametrize("gens, degree", [([], 4), ([(0,)], 1), ([(0, 1, 2)], 3)])
+def test_trivial_group_classes(gens, degree):
+    gc = conjugacy_classes(build_chain([Permutation(g) for g in gens], degree))
+    assert [(c.name, c.size, c.power_map) for c in gc.classes] == [("1a", 1, {0: 0})]
+    assert gc.class_of(Permutation.identity(degree)) == 0
