@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 import sympy
 
-from .cyclotomic import Cyclotomic, zeta
+from .cyclotomic import Cyclotomic, sum_of_products
 from .fflinalg import SplitFailure, simultaneous_eigenspaces_modp
 # not used here: the layer spans of perfbench/tracing.py patch these names on this module
 from .fflinalg import modp_charpoly, modp_kernel, modp_matvec, modp_roots, modp_rref  # noqa: F401
@@ -83,7 +83,6 @@ class CharacterTable(ClassSystem):
             raise TableInvariantError("table is not square")
         if sum(c.size for c in self.classes) != self.order:
             raise TableInvariantError("class sizes do not sum to the group order")
-        e = self.exponent()
         ic = self._identity_col()
         degs = []
         for row in self.values:
@@ -95,9 +94,9 @@ class CharacterTable(ClassSystem):
             degs.append(d.integer())
             if self.order % d.integer():
                 raise TableInvariantError("degree does not divide the group order")
-            for v in row:
-                if e % v.e:
-                    raise TableInvariantError("value outside Q(zeta_exponent)")
+            for v, c in zip(row, self.classes):
+                if c.rep_order % v.e:
+                    raise TableInvariantError("value outside Q(zeta_o) of its class order o")
         if sum(d * d for d in degs) != self.order:
             raise TableInvariantError("sum of squared degrees != group order")
         for c in self.classes:
@@ -105,25 +104,31 @@ class CharacterTable(ClassSystem):
                 raise TableInvariantError("class size does not divide the group order")
             if c.power_map.get(1 if c.rep_order > 1 else 0) not in (self.classes.index(c),):
                 raise TableInvariantError("power_map(1) is not the class itself")
-        # row orthogonality (full, exact)
-        sizes = [c.size for c in self.classes]
         conj_rows = [[v.conj() for v in row] for row in self.values]
-        for i in range(k):
-            for j in range(i, k):
-                s = Cyclotomic.zero()
-                for t in range(k):
-                    s = s + self.values[i][t] * conj_rows[j][t] * sizes[t]
+        self._row_orthogonality(conj_rows)
+        self._column_orthogonality(conj_rows)
+
+    def _row_orthogonality(self, conj_rows: list):
+        """Full, exact: sum_t chi_i(t) conj(chi_j(t)) |C_t| = |G| delta_ij."""
+        e = self.exponent()
+        sizes = [c.size for c in self.classes]
+        for i, row in enumerate(self.values):
+            for j in range(i, len(self.values)):
+                s = sum_of_products(e, zip(row, conj_rows[j], sizes))
                 expected = self.order if i == j else 0
                 if s != Cyclotomic.from_rational(expected):
                     raise TableInvariantError(
                         f"row orthogonality fails at ({i},{j}): {s}")
-        # column orthogonality (exact)
+
+    def _column_orthogonality(self, conj_rows: list):
+        """Exact: sum_i chi_i(a) conj(chi_i(b)) = |C_G(a)| delta_ab."""
+        k = self.n_classes
         for a in range(k):
             for b in range(a, k):
-                s = Cyclotomic.zero()
-                for i in range(k):
-                    s = s + self.values[i][a] * conj_rows[i][b]
-                expected = Fraction(self.order, sizes[a]) if a == b else Fraction(0)
+                e_ab = lcm(self.classes[a].rep_order, self.classes[b].rep_order)
+                s = sum_of_products(e_ab, ((row[a], conj[b], 1)
+                                           for row, conj in zip(self.values, conj_rows)))
+                expected = Fraction(self.order, self.classes[a].size) if a == b else 0
                 if s != Cyclotomic.from_rational(expected):
                     raise TableInvariantError(
                         f"column orthogonality fails at ({a},{b}): {s}")
@@ -277,7 +282,7 @@ def _lift_row(gc: GroupClasses, chi_mod, d: int, e: int, z_e: int, p: int):
         z_o_inv = pow(z_o, -1, p)
         inv_o = pow(o, -1, p)
         chis = [chi_mod[pm[t]] for t in range(o)]
-        value = Cyclotomic.zero()
+        coeffs = {}
         for l in range(o):
             zpow = 1
             zstep = pow(z_o_inv, l, p)
@@ -290,8 +295,8 @@ def _lift_row(gc: GroupClasses, chi_mod, d: int, e: int, z_e: int, p: int):
                 raise SplitFailure(
                     f"eigenvalue multiplicity {m} exceeds degree {d} (bad lift)")
             if m:
-                value = value + m * zeta(o, l)
-        row.append(value)
+                coeffs[l] = m
+        row.append(Cyclotomic(o, coeffs))
     return row
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .chartab import CharacterTable, TableInvariantError
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, sum_of_products
 from .permgroup import GroupClasses
 
 __all__ = ["triple_count", "triple_counts_all_k", "n_a", "eps_a", "covers",
@@ -31,14 +32,17 @@ def _resolve(table: CharacterTable, c) -> int:
 def triple_count(table: CharacterTable, i, j, k) -> int:
     """#{(y,z) in C_j x C_k : xyz = 1} for fixed x in C_i (exact integer)."""
     i, j, k = _resolve(table, i), _resolve(table, j), _resolve(table, k)
-    total = Cyclotomic.zero()
-    for row in table.values:
-        vi, vj, vk = row[i], row[j], row[k]
-        if vi.is_zero() or vj.is_zero() or vk.is_zero():
-            continue
-        deg = row[table._identity_col()].integer()
-        total = total + vi * vj * vk / deg
+    ic = table._identity_col()
+    terms = [(row[i] * row[j], row[k], Fraction(1, row[ic].integer()))
+             for row in table.values
+             if not (row[i].is_zero() or row[j].is_zero() or row[k].is_zero())]
+    total = sum_of_products(_conductor(table, i, j, k), terms)
     return _scale_count(table, j, k, total)
+
+
+def _conductor(table: CharacterTable, *cols) -> int:
+    """A conductor holding every value of the given columns."""
+    return lcm(*(table.classes[c].rep_order for c in cols))
 
 
 def _scale_count(table: CharacterTable, j: int, k: int, total: Cyclotomic) -> int:
@@ -57,19 +61,13 @@ def triple_counts_all_k(table: CharacterTable, i, j) -> list:
     """[triple_count(i, j, k) for all k], sharing the chi(i)chi(j)/deg part."""
     i, j = _resolve(table, i), _resolve(table, j)
     ic = table._identity_col()
-    partial = []
-    for row in table.values:
-        vi, vj = row[i], row[j]
-        if vi.is_zero() or vj.is_zero():
-            continue
-        partial.append((vi * vj / row[ic].integer(), row))
+    partial = [(row[i] * row[j], Fraction(1, row[ic].integer()), row)
+               for row in table.values
+               if not (row[i].is_zero() or row[j].is_zero())]
     out = []
     for k in range(table.n_classes):
-        total = Cyclotomic.zero()
-        for pij, row in partial:
-            vk = row[k]
-            if not vk.is_zero():
-                total = total + pij * vk
+        total = sum_of_products(_conductor(table, i, j, k),
+                                ((pij, row[k], scale) for pij, scale, row in partial))
         out.append(_scale_count(table, j, k, total))
     return out
 
@@ -109,14 +107,10 @@ def eps_a(table: CharacterTable, c, a: int) -> Fraction:
             raise ValueError(
                 "class is not inside the derived subgroup "
                 "(a linear character is nontrivial on it)")
-    total = Cyclotomic.zero()
-    for idx, row in enumerate(table.values):
-        if idx in linear:
-            continue
-        vi, vk = row[i], row[k]
-        if vi.is_zero() or vk.is_zero():
-            continue
-        total = total + vi * vi * vk / row[ic].integer()
+    terms = [(row[i] * row[i], row[k], Fraction(1, row[ic].integer()))
+             for idx, row in enumerate(table.values)
+             if idx not in linear and not (row[i].is_zero() or row[k].is_zero())]
+    total = sum_of_products(_conductor(table, i, k), terms)
     if not total.is_real():
         raise TableInvariantError(f"eps_a value is not real: {total}")
     if not total.is_rational():

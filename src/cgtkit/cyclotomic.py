@@ -1,11 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_e).
 
-Values are stored as rational coefficient vectors over a fixed integral
-basis of Q(zeta_e), so equality is decidable structurally and there are no
-tolerances anywhere.  The basis at conductor e = prod p^a is the tensor
-product of the power bases of the Q(zeta_{p^a}): an exponent j in [0, e)
-is a basis exponent iff (j mod p^a) < phi(p^a) for every prime power
-p^a || e.  Out-of-basis exponents are rewritten with the relation
+A value is stored as integer coefficients over one positive common
+denominator on a fixed integral basis of Q(zeta_e), with the denominator
+and the coefficients kept coprime.  Equality is therefore decidable
+structurally and there are no tolerances anywhere; character values are
+algebraic integers, so they always carry the denominator 1.  The basis at
+conductor e = prod p^a is the tensor product of the power bases of the
+Q(zeta_{p^a}): an exponent j in [0, e) is a basis exponent iff
+(j mod p^a) < phi(p^a) for every prime power p^a || e.  Out-of-basis
+exponents are rewritten with the relation
 zeta^{(p-1)p^{a-1}} = -(1 + zeta^{p^{a-1}} + ... + zeta^{(p-2)p^{a-1}})
 applied to the p-component only.
 
@@ -13,18 +16,20 @@ After every operation the conductor is reduced to the minimal one: the
 value lies in Q(zeta_{e/p}) iff every basis exponent in its support is
 divisible by p, in which case exponents divide through by p.  Rationals
 therefore always end up at conductor 1, and conductors 2 mod 4 never
-survive reduction.
+survive reduction.  Sums of many products are best formed with
+``sum_of_products``, which accumulates raw integer coefficients at one
+conductor and canonicalizes once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from math import gcd, lcm
 
 BigRational = Fraction
 
-__all__ = ["BigRational", "Cyclotomic", "zeta", "sqrt_int"]
+__all__ = ["BigRational", "Cyclotomic", "zeta", "sqrt_int", "sum_of_products"]
 
 
 @lru_cache(maxsize=None)
@@ -58,84 +63,116 @@ def _conductor_data(e: int):
     return tuple(data)
 
 
-def _canonicalize(e: int, coeffs: dict) -> tuple[int, dict]:
-    """Rewrite onto the basis at conductor e, then minimize the conductor."""
-    if e < 1:
-        raise ValueError("conductor must be positive")
-    cur = {}
-    for j, c in coeffs.items():
-        if c:
-            j %= e
-            cur[j] = cur.get(j, 0) + c
-    # basis rewriting, one prime at a time
+def _rewrite(e: int, num: dict) -> dict:
+    """Rewrite integer coefficients (exponents in [0, e)) onto the basis at
+    conductor e, one prime at a time; zero coefficients are dropped."""
     for p, pa, phi_pa, cp in _conductor_data(e):
-        step = pa // p
+        if all(j % pa < phi_pa for j in num):
+            continue
+        shift = cp * (pa // p)
         nxt: dict = {}
-        for j, c in cur.items():
+        for j, c in num.items():
             if not c:
                 continue
             s = j % pa
             if s < phi_pa:
                 nxt[j] = nxt.get(j, 0) + c
                 continue
-            u = s - phi_pa
-            for i in range(p - 1):
-                jj = (j + cp * (u + i * step - s)) % e
+            # p-component s = phi + u becomes u + i*p^{a-1}, i < p-1
+            jj = j - cp * phi_pa
+            for _ in range(p - 1):
+                jj %= e
                 nxt[jj] = nxt.get(jj, 0) - c
-        cur = nxt
-    cur = {j: c for j, c in cur.items() if c}
-    # minimal conductor descent
-    changed = True
-    while changed and e > 1:
-        changed = False
-        for p, _, _, _ in _conductor_data(e):
-            if all(j % p == 0 for j in cur):
-                e //= p
-                cur = {j // p: c for j, c in cur.items()}
-                # re-express on the basis of the smaller conductor
-                if e > 1:
-                    e, cur = _canonicalize(e, cur)
-                changed = True
-                break
-    if not cur:
+                jj += shift
+        num = nxt
+    return {j: c for j, c in num.items() if c}
+
+
+def _canonicalize(e: int, num: dict) -> tuple[int, dict]:
+    """Rewrite onto the basis at conductor e, then minimize the conductor."""
+    return _descend(e, _rewrite(e, num))
+
+
+def _descend(e: int, num: dict) -> tuple[int, dict]:
+    """Minimize the conductor of nonzero coefficients on the basis at e."""
+    if not num:
         return 1, {}
-    return e, cur
+    while e > 1:
+        for p, _, _, _ in _conductor_data(e):
+            if not any(j % p for j in num):
+                e //= p
+                # re-express on the basis of the smaller conductor
+                num = _rewrite(e, {j // p: c for j, c in num.items()})
+                break
+        else:
+            break
+    return e, num
+
+
+def _new(e: int, num: dict, den: int) -> "Cyclotomic":
+    """A Cyclotomic from parts already canonical; reduces num/den by their gcd."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {j: c // g for j, c in num.items()}
+    x = object.__new__(Cyclotomic)
+    x.e = e
+    x.num = num
+    x.den = den
+    return x
+
+
+def _from_raw(e: int, num: dict, den: int = 1) -> "Cyclotomic":
+    """A Cyclotomic from integer coefficients at conductor e (exponents in
+    [0, e), any basis) over the denominator den > 0."""
+    e, num = _canonicalize(e, num)
+    return _new(e, num, den if num else 1)
 
 
 class Cyclotomic:
-    """An element of Q(zeta_e), exact and in canonical form."""
+    """An element of Q(zeta_e), exact and in canonical form: the value is
+    sum(num[j] * zeta_e^j) / den."""
 
-    __slots__ = ("e", "coeffs")
+    __slots__ = ("e", "num", "den")
 
-    def __init__(self, e: int, coeffs: dict | None = None, _canonical: bool = False):
-        if coeffs is None:
-            coeffs = {}
-        coeffs = {j: Fraction(c) for j, c in coeffs.items() if c}
-        if _canonical:
-            self.e = e
-            self.coeffs = coeffs
-        else:
-            self.e, self.coeffs = _canonicalize(e, coeffs)
+    def __init__(self, e: int, coeffs: dict | None = None):
+        if e < 1:
+            raise ValueError("conductor must be positive")
+        terms: dict = {}
+        for j, c in (coeffs or {}).items():
+            if c:
+                terms[j % e] = terms.get(j % e, 0) + (c if type(c) is int else Fraction(c))
+        # ints and Fractions alike have .numerator and .denominator
+        den = lcm(*(c.denominator for c in terms.values()))
+        num = {j: c.numerator * (den // c.denominator) for j, c in terms.items()}
+        x = _from_raw(e, num, den)
+        self.e, self.num, self.den = x.e, x.num, x.den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, x) -> "Cyclotomic":
         x = Fraction(x)
-        return cls(1, {0: x} if x else {}, _canonical=True)
+        return _new(1, {0: x.numerator} if x else {}, x.denominator)
 
     @classmethod
     def zero(cls) -> "Cyclotomic":
-        return cls(1, {}, _canonical=True)
+        return _new(1, {}, 1)
 
     @classmethod
     def one(cls) -> "Cyclotomic":
-        return cls.from_rational(1)
+        return _new(1, {0: 1}, 1)
 
     # -- predicates / extractors ------------------------------------------
 
+    @property
+    def coeffs(self) -> dict:
+        """The coefficients as {exponent: Fraction}."""
+        return {j: Fraction(c, self.den) for j, c in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_rational(self) -> bool:
         return self.e == 1
@@ -143,16 +180,17 @@ class Cyclotomic:
     def rational(self) -> Fraction:
         if self.e != 1:
             raise ValueError(f"not a rational value: {self}")
-        return self.coeffs.get(0, Fraction(0))
+        return Fraction(self.num.get(0, 0), self.den)
 
     def is_integer(self) -> bool:
-        return self.e == 1 and self.coeffs.get(0, Fraction(0)).denominator == 1
+        return self.e == 1 and self.den == 1
 
     def integer(self) -> int:
-        r = self.rational()
-        if r.denominator != 1:
+        if self.e != 1:
+            raise ValueError(f"not a rational value: {self}")
+        if self.den != 1:
             raise ValueError(f"not an integer: {self}")
-        return r.numerator
+        return self.num.get(0, 0)
 
     def is_real(self) -> bool:
         return self.conj() == self
@@ -170,23 +208,28 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero():
+        if not self.num:
             return o
-        if o.is_zero():
+        if not o.num:
             return self
-        e = _lcm(self.e, o.e)
-        m1, m2 = e // self.e, e // o.e
-        out: dict = {}
-        for j, c in self.coeffs.items():
-            out[j * m1 % e] = out.get(j * m1 % e, 0) + c
-        for j, c in o.coeffs.items():
-            out[j * m2 % e] = out.get(j * m2 % e, 0) + c
-        return Cyclotomic(e, out)
+        den = self.den
+        if o.den == den:
+            s1 = s2 = 1
+        else:
+            den = lcm(den, o.den)
+            s1, s2 = den // self.den, den // o.den
+        e = lcm(self.e, o.e)
+        out = _lifted(self, e, s1)
+        for j, c in _lifted(o, e, s2).items():
+            out[j] = out.get(j, 0) + c
+        # both parts are on the basis at e; only the conductor can drop
+        e, out = _descend(e, {j: c for j, c in out.items() if c})
+        return _new(e, out, den if out else 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.e, {j: -c for j, c in self.coeffs.items()}, _canonical=True)
+        return _new(self.e, {j: -c for j, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -199,27 +242,29 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if not f:
+            if not other or not self.num:
                 return Cyclotomic.zero()
-            return Cyclotomic(self.e, {j: c * f for j, c in self.coeffs.items()}, _canonical=True)
+            f = Fraction(other)
+            return _new(self.e, {j: c * f.numerator for j, c in self.num.items()},
+                        self.den * f.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if not self.num or not other.num:
             return Cyclotomic.zero()
         if other.e == 1:
             return self * other.rational()
         if self.e == 1:
             return other * self.rational()
-        e = _lcm(self.e, other.e)
+        e = lcm(self.e, other.e)
         m1, m2 = e // self.e, e // other.e
         out: dict = {}
-        for j1, c1 in self.coeffs.items():
+        b = [(j2 * m2, c2) for j2, c2 in other.num.items()]
+        for j1, c1 in self.num.items():
             b1 = j1 * m1
-            for j2, c2 in other.coeffs.items():
-                j = (b1 + j2 * m2) % e
+            for j2, c2 in b:
+                j = (b1 + j2) % e
                 out[j] = out.get(j, 0) + c1 * c2
-        return Cyclotomic(e, out)
+        return _from_raw(e, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -237,12 +282,13 @@ class Cyclotomic:
 
     def galois(self, a: int) -> "Cyclotomic":
         """Apply the automorphism zeta_e -> zeta_e^a (a coprime to e)."""
-        if self.e == 1:
+        e = self.e
+        if e == 1:
             return self
-        a %= self.e
-        if _gcd(a, self.e) != 1:
-            raise ValueError(f"galois exponent {a} not coprime to conductor {self.e}")
-        return Cyclotomic(self.e, {j * a % self.e: c for j, c in self.coeffs.items()})
+        a %= e
+        if gcd(a, e) != 1:
+            raise ValueError(f"galois exponent {a} not coprime to conductor {e}")
+        return _from_raw(e, {j * a % e: c for j, c in self.num.items()}, self.den)
 
     def conj(self) -> "Cyclotomic":
         """Complex conjugation: zeta_e -> zeta_e^{-1}."""
@@ -257,7 +303,7 @@ class Cyclotomic:
             return Cyclotomic.from_rational(1 / self.rational())
         prod = Cyclotomic.one()
         for a in range(2, self.e):
-            if _gcd(a, self.e) == 1:
+            if gcd(a, self.e) == 1:
                 prod = prod * self.galois(a)
         norm = self * prod
         if not norm.is_rational():
@@ -277,13 +323,28 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.e == o.e and self.coeffs == o.coeffs
+        return self.e == o.e and self.den == o.den and self.num == o.num
 
     def __hash__(self):
+        if self.den == 1:  # hash(Fraction(c)) == hash(c)
+            return hash((self.e, frozenset(self.num.items())))
         return hash((self.e, frozenset(self.coeffs.items())))
 
+    def _terms(self):
+        """(j, numerator, denominator) of each coefficient in lowest terms,
+        j ascending."""
+        den = self.den
+        if den == 1:
+            return [(j, self.num[j], 1) for j in sorted(self.num)]
+        out = []
+        for j in sorted(self.num):
+            c = self.num[j]
+            g = gcd(c, den)
+            out.append((j, c // g, den // g))
+        return out
+
     def sort_key(self):
-        return (self.e, tuple(sorted((j, c.numerator, c.denominator) for j, c in self.coeffs.items())))
+        return (self.e, tuple(self._terms()))
 
     def __repr__(self):
         return f"Cyclotomic({self})"
@@ -292,8 +353,8 @@ class Cyclotomic:
         if self.is_zero():
             return "0"
         parts = []
-        for j in sorted(self.coeffs):
-            c = self.coeffs[j]
+        for j, n, d in self._terms():
+            c = Fraction(n, d)
             if j == 0:
                 parts.append(str(c))
             else:
@@ -310,12 +371,9 @@ class Cyclotomic:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        """Spec wire format: {"e": int, "coeffs": [[j, num, den], ...]}, j ascending."""
-        return {
-            "e": self.e,
-            "coeffs": [[j, self.coeffs[j].numerator, self.coeffs[j].denominator]
-                       for j in sorted(self.coeffs)],
-        }
+        """Spec wire format: {"e": int, "coeffs": [[j, num, den], ...]}, j ascending,
+        each coefficient in lowest terms."""
+        return {"e": self.e, "coeffs": [list(t) for t in self._terms()]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Cyclotomic":
@@ -326,22 +384,53 @@ class Cyclotomic:
         return cls(int(e), coeffs)
 
 
+def _lifted(x: Cyclotomic, e: int, scale: int) -> dict:
+    """x's numerator times scale, on the basis at conductor e (x.e | e)."""
+    m = e // x.e
+    num = {j * m: c * scale for j, c in x.num.items()}
+    return num if m == 1 else _rewrite(e, num)
+
+
+def sum_of_products(e: int, terms) -> Cyclotomic:
+    """The sum of a * b * scale over (a, b, scale) terms, canonicalized once.
+
+    a and b are Cyclotomics whose conductors divide e; scale is an int or a
+    Fraction.  Raw integer coefficients accumulate at conductor e over one
+    common denominator, so the result equals the operator fold
+    sum(a * b * scale) at the cost of a single canonicalization.
+    """
+    out: dict = {}
+    den = 1
+    for a, b, scale in terms:
+        if not a.num or not b.num or not scale:
+            continue
+        if e % a.e or e % b.e:
+            raise ValueError(f"conductors {a.e}, {b.e} do not divide {e}")
+        d = a.den * b.den
+        if type(scale) is not int:
+            scale = Fraction(scale)
+            d *= scale.denominator
+            scale = scale.numerator
+        if d != den:
+            new = lcm(den, d)
+            if new != den:
+                grow = new // den
+                out = {j: c * grow for j, c in out.items()}
+                den = new
+            scale *= den // d
+        ma, mb = e // a.e, e // b.e
+        bt = [(jb * mb, cb * scale) for jb, cb in b.num.items()]
+        for ja, ca in a.num.items():
+            base = ja * ma
+            for jb, cb in bt:
+                j = (base + jb) % e
+                out[j] = out.get(j, 0) + ca * cb
+    return _from_raw(e, out, den)
+
+
 def zeta(e: int, j: int = 1) -> Cyclotomic:
     """The root of unity zeta_e^j."""
-    return Cyclotomic(e, {j % e: Fraction(1)})
-
-
-def cyclo_arith(a: Cyclotomic, b: Cyclotomic | None, op: str) -> Cyclotomic:
-    """Dispatch form of the basic field operations (CLI surface)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "conj":
-        return a.conj()
-    if op == "inv":
-        return a.inv()
-    raise ValueError(f"unknown op {op!r}")
+    return Cyclotomic(e, {j % e: 1})
 
 
 def sqrt_int(n: int) -> Cyclotomic:
@@ -401,20 +490,3 @@ def sqrt_int(n: int) -> Cyclotomic:
     elif i_factors == 3:
         out = out * zeta(4)
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // _gcd(a, b) * b
-
-
-def cyclo_sum(values: Iterable[Cyclotomic]) -> Cyclotomic:
-    total = Cyclotomic.zero()
-    for v in values:
-        total = total + v
-    return total

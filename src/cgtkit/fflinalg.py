@@ -187,9 +187,6 @@ class FFMatrix:
             basis.append(v)
         return FFMatrix(F, basis) if basis else FFMatrix(F, [])
 
-    def column_space_rank(self) -> int:
-        return self.rank()
-
     # -- minimal polynomial --------------------------------------------------
 
     def minimal_polynomial(self):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .chartab import CharacterTable, TableInvariantError
-from .cyclotomic import Cyclotomic, zeta
+from .cyclotomic import Cyclotomic, sum_of_products, zeta
 from .fflinalg import FFMatrix
 from .perms import Permutation
 from .permgroup import StabilizerChain, build_chain
@@ -198,13 +198,13 @@ def eigdims_from_character(table: CharacterTable, char_index: int,
         return [(0, deg)]
     pm = table.classes[class_index].power_map
     values = [table.values[char_index][pm[t]] for t in range(o)]
+    roots = [zeta(o, s) for s in range(o)]
+    scale = Fraction(1, o)
     out = []
     total = 0
     for l in range(o):
-        m = Cyclotomic.zero()
-        for t in range(o):
-            m = m + values[t] * zeta(o, (-l * t) % o)
-        m = m / o
+        m = sum_of_products(o, ((values[t], roots[-l * t % o], scale)
+                                for t in range(o)))
         if not m.is_integer() or m.integer() < 0:
             raise TableInvariantError(
                 f"non-integral eigenvalue multiplicity {m} (corrupt table)")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
+from operator import itemgetter
 import random
 import re
 
@@ -61,7 +62,9 @@ class _Level:
 
 
 def _mul(p: tuple, q: tuple) -> tuple:
-    return tuple(q[x] for x in p)
+    if len(p) < 2:  # itemgetter of one index returns a scalar, not a tuple
+        return tuple(q[x] for x in p)
+    return itemgetter(*p)(q)
 
 
 def _inv(p: tuple) -> tuple:

@@ -122,9 +122,6 @@ class Permutation:
     def sign(self) -> int:
         return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
 
-    def moved_points(self):
-        return [i for i, j in enumerate(self.images) if i != j]
-
     def support_size(self) -> int:
         return sum(1 for i, j in enumerate(self.images) if i != j)
 

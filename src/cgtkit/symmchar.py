@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 import itertools
 
 from .chartab import CharacterTable, ClassInfo
-from .cyclotomic import Cyclotomic, sqrt_int
+from .cyclotomic import Cyclotomic, sqrt_int, sum_of_products
 from .permgroup import ClassSystem
 from .perms import Permutation
 
@@ -428,18 +428,16 @@ def an_pair_covers(n: int, name1: str, name2: str):
         deg = hook_degree(lam)
         if kind != "whole":
             deg //= 2
-        rows.append((kind, lam, vi, vj, deg))
+        rows.append((kind, lam, vi * vj, Fraction(1, deg)))
     missed = []
     for k, ck in enumerate(cs.classes):
         if ck.rep_order == 1:
             continue
         ckinv = cs.classes[cs.inverse_class(k)]
-        total = Cyclotomic.zero()
-        for kind, lam, vi, vj, deg in rows:
-            vk = an_character_value(kind, lam, ckinv)
-            if vk.is_zero():
-                continue
-            total = total + vi * vj * vk / deg
+        total = sum_of_products(
+            lcm(ci.rep_order, cj.rep_order, ckinv.rep_order),
+            ((vij, an_character_value(kind, lam, ckinv), scale)
+             for kind, lam, vij, scale in rows))
         count = Fraction(cj.size * ckinv.size, order) * _as_fraction(total)
         if count.denominator != 1 or count < 0:
             raise AssertionError(f"non-integral structure constant for {ck.name}")

@@ -8,7 +8,7 @@ from cgtkit import catalog, chartab
 from cgtkit.chartab import (CharacterTable, TableInvariantError,
                             class_mult_coeff, dixon_table, indicator,
                             tables_equivalent)
-from cgtkit.cyclotomic import Cyclotomic, sqrt_int
+from cgtkit.cyclotomic import Cyclotomic, sqrt_int, zeta
 from cgtkit.fflinalg import SplitFailure
 from cgtkit.perms import parse_perm
 from cgtkit.permgroup import build_chain, conjugacy_classes
@@ -123,6 +123,30 @@ def test_roundtrip_and_corruption_detection():
     del obj["classes"]
     with pytest.raises((KeyError, ValueError, TypeError)):
         CharacterTable.from_json(obj)
+
+
+def test_irrational_corruption_caught_by_both_orthogonality_paths():
+    # zeta5 - zeta5^2 keeps the value in Q(zeta_5), the field of its 5-class,
+    # and leaves every degree alone, so only orthogonality can see it
+    good = catalog.character_table("A5")
+    j = good.class_named("5a")
+    values = [list(row) for row in good.values]
+    i = next(i for i, row in enumerate(values) if row[j].e == 5)
+    values[i][j] = values[i][j] + zeta(5) - zeta(5, 2)
+    bad = CharacterTable("A5", good.order, good.classes, values, verify=False)
+    conj_rows = [[v.conj() for v in row] for row in bad.values]
+    with pytest.raises(TableInvariantError, match="row orthogonality"):
+        bad._row_orthogonality(conj_rows)
+    with pytest.raises(TableInvariantError, match="column orthogonality"):
+        bad._column_orthogonality(conj_rows)
+    with pytest.raises(TableInvariantError):
+        bad.verify()
+
+
+def test_table_values_are_algebraic_integers():
+    for name in ("A5", "L2(7)", "M11"):
+        t = catalog.character_table(name)
+        assert all(v.den == 1 for row in t.values for v in row)
 
 
 def test_structure_constant_integrality_small():

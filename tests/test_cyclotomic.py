@@ -4,19 +4,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cgtkit.cyclotomic import Cyclotomic, cyclo_arith, sqrt_int, zeta
+from cgtkit.cyclotomic import Cyclotomic, sqrt_int, sum_of_products, zeta
 
 CONDUCTORS = [1, 3, 4, 5, 7, 8, 9, 12, 15]
 
 
 def rand_cyclo(e, coeffs):
-    return Cyclotomic(e, {j % e: Fraction(c) for j, c in coeffs})
+    return Cyclotomic(e, {j % e: c for j, c in coeffs})
 
 
+# rational coefficients with small denominators, so sums and products run
+# through the common-denominator path
+coeffs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
 cyclos = st.builds(
     rand_cyclo,
     st.sampled_from(CONDUCTORS),
-    st.lists(st.tuples(st.integers(0, 14), st.integers(-4, 4)), max_size=4),
+    st.lists(st.tuples(st.integers(0, 14), coeffs), max_size=4),
 )
 
 
@@ -26,12 +29,12 @@ def test_sum_of_nontrivial_fifth_roots():
 
 
 def test_conjugation_of_cube_root():
-    assert cyclo_arith(zeta(3), None, "conj") == zeta(3, 2)
+    assert zeta(3).conj() == zeta(3, 2)
 
 
 def test_product_expansion_hand_oracle():
     # (1+z5)(1+z5^4) = 1 + z5 + z5^4 + z5^5 = 2 + z5 + z5^4
-    lhs = cyclo_arith(1 + zeta(5), 1 + zeta(5, 4), "mul")
+    lhs = (1 + zeta(5)) * (1 + zeta(5, 4))
     assert lhs == 2 + zeta(5) + zeta(5, 4)
 
 
@@ -44,7 +47,7 @@ def test_minimal_conductor_reduction():
 
 def test_inverse_and_division():
     x = 1 + zeta(7) + zeta(7, 3)
-    assert cyclo_arith(x, None, "inv") * x == Cyclotomic.one()
+    assert x.inv() * x == Cyclotomic.one()
     with pytest.raises(ZeroDivisionError):
         Cyclotomic.zero().inv()
 
@@ -107,3 +110,31 @@ def test_rational_extraction():
     assert v.is_rational() and v.rational() == -1
     with pytest.raises(ValueError):
         zeta(5).rational()
+
+
+@given(st.lists(st.tuples(cyclos, cyclos, st.one_of(st.integers(-5, 5), coeffs)),
+                max_size=6))
+@settings(max_examples=60)
+def test_sum_of_products_matches_operator_fold(terms):
+    fold = Cyclotomic.zero()
+    for a, b, scale in terms:
+        fold = fold + a * b * scale
+    assert sum_of_products(2 ** 3 * 3 ** 2 * 5 * 7, terms) == fold
+
+
+def test_sum_of_products_rejects_a_conductor_outside_e():
+    with pytest.raises(ValueError):
+        sum_of_products(15, [(zeta(7), zeta(3), 1)])
+
+
+def test_mixed_denominators_to_json():
+    # 1/2 + z3/3 = (3 + 2 z3)/6 on one denominator; the wire format keeps
+    # each coefficient in lowest terms
+    v = Fraction(1, 2) + zeta(3) / 3
+    assert (v.e, v.num, v.den) == (3, {0: 3, 1: 2}, 6)
+    assert v.to_json() == {"e": 3, "coeffs": [[0, 1, 2], [1, 1, 3]]}
+    # z3^2 is rewritten as -1 - z3: 1/2 + z3^2/3 = 1/6 - z3/3
+    w = Fraction(1, 2) + zeta(3, 2) / 3
+    assert w.to_json() == {"e": 3, "coeffs": [[0, 1, 6], [1, -1, 3]]}
+    assert Cyclotomic.from_json(w.to_json()) == w
+    assert str(w) == "1/6-1/3*z3"
