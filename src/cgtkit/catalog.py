@@ -24,6 +24,7 @@ from .chartab import CharacterTable, dixon_table
 from .perms import Permutation, parse_perm, parse_perm_file
 from .permgroup import StabilizerChain, build_chain, conjugacy_classes
 from .sl2 import l2_order, projective_line_rep, sl2_generators, sl2_order, gf
+from .zsigmondy import is_prime_power
 
 __all__ = ["GroupSpec", "load_group", "character_table", "class_system",
            "save_table", "load_table", "maximal_subgroup_generators",
@@ -102,33 +103,11 @@ def data_dir(override: str | os.PathLike | None = None) -> Path:
 
 def catalog_names():
     names = [f"A{n}" for n in range(5, 21)] + [f"S{n}" for n in range(3, 19)]
-    names += [f"L2({q})" for q in _prime_powers(4, 32)]
-    names += [f"SL2({q})" for q in _prime_powers(4, 32)]
+    qs = [q for q in range(4, 33) if is_prime_power(q)]
+    names += [f"L2({q})" for q in qs]
+    names += [f"SL2({q})" for q in qs]
     names += list(STORED_GROUPS)
     return names
-
-
-def _prime_powers(lo, hi):
-    out = []
-    for q in range(lo, hi + 1):
-        m = q
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                while m % p == 0:
-                    m //= p
-                break
-            p += 1
-        if m > 1:
-            p = m
-        k = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            k += 1
-        if m == 1:
-            out.append(q)
-    return out
 
 
 def _normalize(name: str) -> str:

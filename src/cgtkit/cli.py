@@ -20,7 +20,7 @@ from .gentriples import (beauville_search, build_lemma42, build_lemma43,
 from .fixspace import (catalog_module_rep, neumann_scan, random_scott_tuples,
                        scott_check, tensor_power_min_ratio)
 from .sl2 import macbeath_cover, trace_image
-from .zsigmondy import ZsigmondyReport, phi_star, scan_reports
+from .zsigmondy import ZsigmondyReport, _categorize, phi_star, scan_reports
 from .verify import SUITES, run_suite
 
 
@@ -119,7 +119,6 @@ def build_parser():
 
     p = sub.add_parser("beauville", help="unmixed Beauville structure search")
     p.add_argument("--group", required=True)
-    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
 
     p = sub.add_parser("verify-paper", help="run the verification suites")
@@ -144,10 +143,7 @@ def cmd_zsigmondy(args) -> int:
         print("zsigmondy needs --q and --e (or --scan)", file=sys.stderr)
         return 2
     val = phi_star(args.q, args.e)
-    r = ZsigmondyReport(args.q, args.e, val,
-                        "one" if val == 1 else
-                        "e_plus_1" if val == args.e + 1 else
-                        "two_e_plus_1" if val == 2 * args.e + 1 else "generic")
+    r = ZsigmondyReport(args.q, args.e, val, _categorize(val, args.e))
     _emit(args, r.to_json(),
           f"phi_star({args.q}, {args.e}) = {val}  [{r.category}]")
     return 0
@@ -315,13 +311,13 @@ def cmd_spread(args) -> int:
 def cmd_beauville(args) -> int:
     chain = catalog.load_group(args.group)[1]
     cs = catalog.class_system(args.group)
-    got = beauville_search(chain, cs, seed=args.seed)
+    got = beauville_search(chain, cs)
     if got is None:
-        _emit(args, {"group": args.group, "seed": args.seed, "found": None},
+        _emit(args, {"group": args.group, "found": None},
               f"{args.group}: no unmixed Beauville structure (exhaustive)")
         return 0
     (x1, y1), (x2, y2) = got
-    obj = {"group": args.group, "seed": args.seed,
+    obj = {"group": args.group,
            "found": {"pair1": [str(x1), str(y1)], "pair2": [str(x2), str(y2)]}}
     _emit(args, obj,
           f"{args.group}: ({x1}, {y1}) and ({x2}, {y2})")

@@ -16,9 +16,14 @@ After every operation the conductor is reduced to the minimal one: the
 value lies in Q(zeta_{e/p}) iff every basis exponent in its support is
 divisible by p, in which case exponents divide through by p.  Rationals
 therefore always end up at conductor 1, and conductors 2 mod 4 never
-survive reduction.  Sums of many products are best formed with
-``sum_of_products``, which accumulates raw integer coefficients at one
-conductor and canonicalizes once.
+survive reduction.
+
+The operators ``a + b`` and ``a * b`` are the two- and one-term cases of
+one kernel, ``sum_of_products`` (a*1 + b*1 and a*b, at the lcm of the
+conductors), which accumulates raw integer coefficients at one conductor
+and canonicalizes once.  Only multiplication by an int or a Fraction
+bypasses it, scaling the numerator and the denominator directly.  Sums of
+many products are best formed with one ``sum_of_products`` call.
 """
 
 from __future__ import annotations
@@ -90,11 +95,7 @@ def _rewrite(e: int, num: dict) -> dict:
 
 def _canonicalize(e: int, num: dict) -> tuple[int, dict]:
     """Rewrite onto the basis at conductor e, then minimize the conductor."""
-    return _descend(e, _rewrite(e, num))
-
-
-def _descend(e: int, num: dict) -> tuple[int, dict]:
-    """Minimize the conductor of nonzero coefficients on the basis at e."""
+    num = _rewrite(e, num)
     if not num:
         return 1, {}
     while e > 1:
@@ -212,19 +213,7 @@ class Cyclotomic:
             return o
         if not o.num:
             return self
-        den = self.den
-        if o.den == den:
-            s1 = s2 = 1
-        else:
-            den = lcm(den, o.den)
-            s1, s2 = den // self.den, den // o.den
-        e = lcm(self.e, o.e)
-        out = _lifted(self, e, s1)
-        for j, c in _lifted(o, e, s2).items():
-            out[j] = out.get(j, 0) + c
-        # both parts are on the basis at e; only the conductor can drop
-        e, out = _descend(e, {j: c for j, c in out.items() if c})
-        return _new(e, out, den if out else 1)
+        return sum_of_products(lcm(self.e, o.e), ((self, _ONE, 1), (o, _ONE, 1)))
 
     __radd__ = __add__
 
@@ -255,16 +244,7 @@ class Cyclotomic:
             return self * other.rational()
         if self.e == 1:
             return other * self.rational()
-        e = lcm(self.e, other.e)
-        m1, m2 = e // self.e, e // other.e
-        out: dict = {}
-        b = [(j2 * m2, c2) for j2, c2 in other.num.items()]
-        for j1, c1 in self.num.items():
-            b1 = j1 * m1
-            for j2, c2 in b:
-                j = (b1 + j2) % e
-                out[j] = out.get(j, 0) + c1 * c2
-        return _from_raw(e, out, self.den * other.den)
+        return sum_of_products(lcm(self.e, other.e), ((self, other, 1),))
 
     __rmul__ = __mul__
 
@@ -384,13 +364,6 @@ class Cyclotomic:
         return cls(int(e), coeffs)
 
 
-def _lifted(x: Cyclotomic, e: int, scale: int) -> dict:
-    """x's numerator times scale, on the basis at conductor e (x.e | e)."""
-    m = e // x.e
-    num = {j * m: c * scale for j, c in x.num.items()}
-    return num if m == 1 else _rewrite(e, num)
-
-
 def sum_of_products(e: int, terms) -> Cyclotomic:
     """The sum of a * b * scale over (a, b, scale) terms, canonicalized once.
 
@@ -426,6 +399,9 @@ def sum_of_products(e: int, terms) -> Cyclotomic:
                 j = (base + jb) % e
                 out[j] = out.get(j, 0) + ca * cb
     return _from_raw(e, out, den)
+
+
+_ONE = Cyclotomic.one()
 
 
 def zeta(e: int, j: int = 1) -> Cyclotomic:

@@ -19,7 +19,7 @@ import random
 
 from .finitefield import FiniteField, _pdivmod, _pgcd, _ppowmod, _psub, _ptrim
 
-__all__ = ["FFMatrix", "ff_rank", "ff_nullity", "ff_simultaneous_eigenspaces"]
+__all__ = ["FFMatrix", "ff_rank", "ff_simultaneous_eigenspaces"]
 
 
 class FFMatrix:
@@ -251,39 +251,16 @@ def _poly_apply(M: FFMatrix, poly, v):
     return out
 
 def _dependency(F, basis, vec):
-    """If vec is in span(basis), return its coordinates, else None."""
-    n = len(vec)
-    target = list(vec)
-    tcoef = [0] * len(basis)
-    # echelonize the basis while tracking coordinates in the original rows
-    work2 = []
-    coeff2 = []
-    for bi in range(len(basis)):
-        row = list(basis[bi])
-        cf = [1 if j == bi else 0 for j in range(len(basis))]
-        for (prow, pcf) in zip(work2, coeff2):
-            pc = next(c for c in range(n) if prow[c])
-            if row[pc]:
-                f = row[pc]
-                row = [F.sub(x, F.mul(f, y)) for x, y in zip(row, prow)]
-                cf = [F.sub(x, F.mul(f, y)) for x, y in zip(cf, pcf)]
-        pc = next((c for c in range(n) if row[c]), None)
-        if pc is None:
-            continue
-        inv = F.inv(row[pc])
-        row = [F.mul(inv, x) for x in row]
-        cf = [F.mul(inv, x) for x in cf]
-        work2.append(row)
-        coeff2.append(cf)
-    for (prow, pcf) in zip(work2, coeff2):
-        pc = next(c for c in range(n) if prow[c])
-        if target[pc]:
-            f = target[pc]
-            target = [F.sub(x, F.mul(f, y)) for x, y in zip(target, prow)]
-            tcoef = [F.sub(x, F.mul(f, y)) for x, y in zip(tcoef, pcf)]
-    if any(target):
+    """Coordinates c with vec = sum c_i basis_i if vec is in span(basis),
+    else None; solved by row reducing the matrix [basis | vec] of columns."""
+    k = len(basis)
+    red, pivots = FFMatrix(F, list(zip(*basis, vec))).rref()
+    if pivots and pivots[-1] == k:
         return None
-    return [F.neg(c) for c in tcoef]
+    coords = [0] * k
+    for row, pc in zip(red, pivots):
+        coords[pc] = row[k]
+    return coords
 
 def _pmul(F, f, g):
     out = [0] * (len(f) + len(g) - 1)
@@ -323,10 +300,6 @@ def _pgcd_field(F, f, g):
 def ff_rank(m: FFMatrix) -> int:
     """Rank via exact row reduction."""
     return m.rank()
-
-
-def ff_nullity(m: FFMatrix) -> int:
-    return m.nullity()
 
 
 # -- mod-p dense helpers (k = 1, large p) -----------------------------------

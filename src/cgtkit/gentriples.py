@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from math import gcd
 
-from .perms import Permutation
+from .perms import Permutation, _inv, _mul
 from .permgroup import StabilizerChain, build_chain, orbits
 
 __all__ = ["TripleReport", "enumerate_triples", "search_triple",
@@ -96,17 +96,14 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
         total += 1
         if not classify:
             continue
-        xy = tuple(y_img[v] for v in x_img)
         sub = build_chain([x_img, y_img], n)
         key = _subgroup_key(sub)
         hist[key] = hist.get(key, 0) + 1
         if sub.order() == order:
             generating += 1
             if witness is None:
-                z_img = [0] * n
-                for idx, v in enumerate(xy):
-                    z_img[v] = idx
-                witness = (x, Permutation(y_img), Permutation(tuple(z_img)))
+                z_img = _inv(_mul(x_img, y_img))
+                witness = (x, Permutation(y_img), Permutation(z_img))
     if table is not None:
         from .classalg import triple_count
         i = table.class_named(cls.name)
@@ -377,7 +374,7 @@ def two_subgroup_cover(chain: StabilizerChain, cs, class_spec,
 
 # -- Beauville structures --------------------------------------------------------
 
-def beauville_search(chain: StabilizerChain, cs=None, seed: int = 0):
+def beauville_search(chain: StabilizerChain, cs=None):
     """Unmixed Beauville structure by exhaustive order-triple scan.
 
     Scans generating pairs (x, y) with x a class representative (every

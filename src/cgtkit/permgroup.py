@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
-from operator import itemgetter
 import random
 import re
 
 import numpy as np
 
-from .perms import Permutation
+from .perms import Permutation, _inv, _mul
 
 __all__ = [
     "StabilizerChain", "build_chain", "ClassSystem", "ConjClassData", "GroupClasses",
@@ -59,19 +58,6 @@ class _Level:
         self.base = base
         self.gens: list[tuple] = []
         self.transversal: dict[int, tuple] = {}
-
-
-def _mul(p: tuple, q: tuple) -> tuple:
-    if len(p) < 2:  # itemgetter of one index returns a scalar, not a tuple
-        return tuple(q[x] for x in p)
-    return itemgetter(*p)(q)
-
-
-def _inv(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
 
 
 class StabilizerChain:
@@ -365,7 +351,7 @@ class ClassSystem:
         """Images of the y in class k with x*y in class `target`, in the
         order of `iter_class_images(k)`; x*y has images y[x[i]]."""
         for y in self.iter_class_images(k):
-            if self.class_of_images(tuple(y[v] for v in x_images)) == target:
+            if self.class_of_images(_mul(x_images, y)) == target:
                 yield y
 
 

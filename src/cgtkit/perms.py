@@ -10,10 +10,26 @@ from __future__ import annotations
 
 import re
 from math import gcd
+from operator import itemgetter
 
-__all__ = ["Permutation", "compose", "parse_perm", "parse_perm_file", "format_perm"]
+__all__ = ["Permutation", "parse_perm", "parse_perm_file", "format_perm"]
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def _mul(p: tuple, q: tuple) -> tuple:
+    """Images of "p, then q": the tuple q[p[i]]."""
+    if len(p) < 2:  # itemgetter of one index returns a scalar, not a tuple
+        return tuple(q[x] for x in p)
+    return itemgetter(*p)(q)
+
+
+def _inv(p: tuple) -> tuple:
+    """Images of the inverse of p."""
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
 
 
 class Permutation:
@@ -53,14 +69,10 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
-        q = other.images
-        return Permutation(tuple(q[x] for x in self.images))
+        return Permutation(_mul(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(inv)
+        return Permutation(_inv(self.images))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -139,11 +151,6 @@ class Permutation:
 
     def __str__(self):
         return format_perm(self)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Left-to-right composition: compose(p, q)(i) = q(p(i))."""
-    return p * q
 
 
 def format_perm(p: Permutation) -> str:

@@ -234,10 +234,10 @@ class AnClassSystem(ClassSystem):
             rep = canonical_rep(mu, n)
             size = class_size_sn(n, mu)
             if splits_in_an(mu):
-                tau = _swap_for(mu, n)
                 entries.append(CombClass(type_name(mu) + "a", mu, rep,
                                          size // 2, cycle_type_order(mu), {}, "a"))
-                entries.append(CombClass(type_name(mu) + "b", mu, rep.conj(tau),
+                entries.append(CombClass(type_name(mu) + "b", mu,
+                                         rep.conj(Permutation.from_cycles(n, [[0, 1]])),
                                          size // 2, cycle_type_order(mu), {}, "b"))
             else:
                 entries.append(CombClass(type_name(mu), mu, rep, size,
@@ -272,10 +272,6 @@ class AnClassSystem(ClassSystem):
 
     def class_of_images(self, images) -> int:
         return self.class_of(Permutation(images))
-
-
-def _swap_for(mu: tuple, n: int) -> Permutation:
-    return Permutation.from_cycles(n, [[0, 1]])
 
 
 def _type_elements(n: int, mu: tuple):
@@ -324,8 +320,6 @@ def sn_table(n: int) -> CharacterTable:
                      for c in cs.classes])
     classes = [ClassInfo(c.name, c.size, c.rep_order, dict(c.power_map))
                for c in cs.classes]
-    rows.sort(key=lambda row: (row[0].integer(), tuple(v.sort_key() for v in row)))
-    # identity column: the all-ones type is first iff sorted that way; locate it
     ident = next(i for i, c in enumerate(cs.classes) if c.rep_order == 1)
     rows.sort(key=lambda row: (row[ident].integer(), tuple(v.sort_key() for v in row)))
     return CharacterTable(f"S{n}", cs.group_order, classes, rows, verify=True)

@@ -67,37 +67,30 @@ def _categorize(value: int, e: int) -> str:
     return "generic"
 
 
+def _grid_reports(q_max: int, e_max: int, qe_bound: int):
+    """Reports for prime powers q <= q_max and 3 <= e <= e_max with
+    q^e - 1 <= qe_bound, q ascending, then e ascending."""
+    for q in range(2, q_max + 1):
+        if is_prime_power(q) is None:
+            continue
+        for e in range(3, e_max + 1):
+            if q ** e - 1 > qe_bound:
+                break
+            val = phi_star(q, e)
+            yield ZsigmondyReport(q, e, val, _categorize(val, e))
+
+
 def classify_small_zsigmondy(q_max: int, e_max: int, qe_bound: int = FACTORIZATION_BOUND):
     """Scan prime powers q <= q_max, 3 <= e <= e_max; report the exceptional
     (q, e) with phi_star in {1, e+1, 2e+1}."""
     if e_max < 3:
         raise ValueError("e_max must be at least 3")
-    out = []
-    for q in range(2, q_max + 1):
-        if is_prime_power(q) is None:
-            continue
-        for e in range(3, e_max + 1):
-            if q ** e - 1 > qe_bound:
-                break
-            val = phi_star(q, e)
-            cat = _categorize(val, e)
-            if cat != "generic":
-                out.append(ZsigmondyReport(q, e, val, cat))
-    return out
+    return [r for r in _grid_reports(q_max, e_max, qe_bound) if r.category != "generic"]
 
 
 def scan_reports(q_max: int, e_max: int, qe_bound: int = FACTORIZATION_BOUND):
     """All reports (generic included) on the same grid."""
-    out = []
-    for q in range(2, q_max + 1):
-        if is_prime_power(q) is None:
-            continue
-        for e in range(3, e_max + 1):
-            if q ** e - 1 > qe_bound:
-                break
-            val = phi_star(q, e)
-            out.append(ZsigmondyReport(q, e, val, _categorize(val, e)))
-    return out
+    return list(_grid_reports(q_max, e_max, qe_bound))
 
 
 def prime_divisors(n: int) -> list:

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -138,3 +140,39 @@ def test_mixed_denominators_to_json():
     assert w.to_json() == {"e": 3, "coeffs": [[0, 1, 6], [1, -1, 3]]}
     assert Cyclotomic.from_json(w.to_json()) == w
     assert str(w) == "1/6-1/3*z3"
+
+
+# -- an oracle that shares no code with the canonical form -------------------
+
+X = sympy.Symbol("X")
+ORACLE_CONDUCTORS = [1, 3, 4, 5, 7, 8, 9, 12, 15, 20, 21, 24]
+oracle_cyclos = st.builds(
+    rand_cyclo,
+    st.sampled_from(ORACLE_CONDUCTORS),
+    st.lists(st.tuples(st.integers(0, 23), st.one_of(st.integers(-5, 5), coeffs)),
+             max_size=5),
+)
+
+
+def _phi(E):
+    return sympy.Poly(sympy.cyclotomic_poly(E, X), X, domain="QQ")
+
+
+def _residue(x, E):
+    """x as a polynomial in zeta_E read off its stored coefficients, reduced
+    mod the E-th cyclotomic polynomial; equal residues mean equal values."""
+    m = E // x.e
+    f = sympy.Poly(sum((sympy.Rational(c, x.den) * X ** (j * m) for j, c in x.num.items()),
+                       sympy.Integer(0)), X, domain="QQ")
+    return f.rem(_phi(E))
+
+
+@given(oracle_cyclos, oracle_cyclos, st.one_of(st.integers(-5, 5), coeffs))
+@settings(max_examples=200, deadline=None)
+def test_operators_and_sum_of_products_match_sympy(a, b, scale):
+    E = lcm(a.e, b.e)
+    ra, rb = _residue(a, E), _residue(b, E)
+    assert _residue(a + b, E) == ra + rb
+    assert _residue(a * b, E) == (ra * rb).rem(_phi(E))
+    got = sum_of_products(E, [(a, b, scale), (b, b, 1)])
+    assert _residue(got, E) == (ra * rb * sympy.Rational(scale) + rb * rb).rem(_phi(E))

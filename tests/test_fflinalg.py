@@ -105,3 +105,32 @@ def test_minimal_polynomial_distinct_eigenvalues():
     assert FFMatrix(F7, [[2, 0], [0, 3]]).has_distinct_eigenvalues()
     assert not FFMatrix(F7, [[2, 1], [0, 2]]).has_distinct_eigenvalues()
     assert not FFMatrix(F7, [[2, 0], [0, 2]]).has_distinct_eigenvalues()
+
+
+def _poly_at(M, poly):
+    """poly(M) by Horner's rule; poly is little-endian."""
+    F, n = M.field, M.rows
+    out = FFMatrix.zero(F, n, n)
+    for c in reversed(poly):
+        out = out * M + FFMatrix(F, [[c if i == j else 0 for j in range(n)]
+                                     for i in range(n)])
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 2), (2, 3)])
+@given(st.integers(1, 5), st.integers(0, 10 ** 6))
+@settings(max_examples=30)
+def test_minimal_polynomial_is_the_least_annihilator(p, k, n, seed):
+    import random
+    rng = random.Random(seed)
+    F = FiniteField(p, k)
+    # sparse entries make repeated eigenvalues and small minimal polynomials common
+    M = FFMatrix(F, [[rng.randrange(F.q) if rng.random() < 0.4 else 0 for _ in range(n)]
+                     for _ in range(n)])
+    mp = M.minimal_polynomial()
+    assert mp[-1] == 1
+    assert _poly_at(M, mp) == FFMatrix.zero(F, n, n)
+    # deg = dim span(I, M, ..., M^n), read off the flattened powers
+    powers = [M ** i for i in range(n + 1)]
+    flat = FFMatrix(F, [[x for row in P.data for x in row] for P in powers])
+    assert len(mp) - 1 == flat.rank()

@@ -91,3 +91,17 @@ def test_perm_file_format():
     assert format_perm(gens[0]) == "(1,2)(3,4)"
     with pytest.raises(ValueError):
         parse_perm_file("(1,2)\n")
+
+
+@pytest.mark.parametrize("images", [(), (0,), (0, 1), (1, 0)])
+def test_product_and_inverse_at_small_degrees(images):
+    # below degree 2, itemgetter would return a scalar instead of a tuple
+    p = Permutation(images)
+    assert (p * p).images == tuple(images[i] for i in images)
+    assert p.inverse().images == images  # every permutation of degree <= 2 is an involution
+    assert (p * p.inverse()).images == tuple(range(len(images)))
+
+
+def test_product_degree_mismatch():
+    with pytest.raises(ValueError):
+        Permutation((1, 0)) * Permutation((0, 1, 2))
