@@ -13,6 +13,13 @@ triple reports.  The outputs covered:
   engine on the groups the combinatorial one also covers;
 - ``triples``: ``enumerate_triples(...).to_json()`` (totals, histograms,
   witnesses) on a few small groups;
+- ``chain``: every level's base point, strong generators and transversal
+  items, in order, of the ``catalog.load_group`` chain of every
+  ``verify.NEUMANN_GROUPS`` group and of the Lemma 4.2/4.3 chains for
+  n = 11..30;
+- ``triples-an``: ``enumerate_triples(..., classify=True).to_json()`` on
+  ``symmchar.AnClassSystem``, split classes (A7 7a, A9 9a) included;
+- ``search``: the witness of a seeded ``search_triple``;
 - ``verify-paper`` (with ``--verify-paper``): ``verify-paper --json`` with
   every ``elapsed`` field masked.
 
@@ -31,14 +38,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cgtkit import catalog, cli, verify
 from cgtkit.chartab import dixon_table
-from cgtkit.gentriples import enumerate_triples
+from cgtkit.gentriples import (build_lemma42, build_lemma43, enumerate_triples,
+                               search_triple)
 from cgtkit.permgroup import conjugacy_classes
+from cgtkit.symmchar import AnClassSystem, an_table
 
 DIXON_GROUPS = ["A5", "A6", "A7", "A8"]
 # (group, class, a, classify)
 TRIPLES = [("A5", "5a", 1, True), ("A5", "3a", -2, True),
            ("L2(7)", "7a", 1, True), ("L2(7)", "7a", -2, True),
            ("A7", "7a", 1, True), ("M11", "11a", 1, True), ("M11", "11a", 2, False)]
+# (n, class, a) on AnClassSystem(n), classified
+AN_TRIPLES = [(7, "7a", 1), (7, "7b", -2), (9, "9a", 1), (10, "7a", 1)]
+LEMMA_NS = range(11, 31)
+# (group, class, a, seed); A_n (n >= 9) uses AnClassSystem through the catalog
+SEARCHES = [("A7", "7a", 1, 1), ("M11", "11a", 1, 2), ("A10", "7a", 1, 3),
+            ("A12", "11a", 1, 4)]
 
 
 def sha(obj) -> str:
@@ -49,6 +64,12 @@ def sha(obj) -> str:
 def class_data(cs) -> list:
     return [[c.name, list(c.representative.images), c.size, c.rep_order,
              sorted(c.power_map.items())] for c in cs.classes]
+
+
+def chain_data(chain) -> list:
+    return [[lv.base, [list(g) for g in lv.gens],
+             [[beta, list(u)] for beta, u in lv.transversal.items()]]
+            for lv in chain.levels]
 
 
 def main() -> int:
@@ -70,6 +91,21 @@ def main() -> int:
                               classify=classify, table=catalog.character_table(name),
                               group_name=name)
         print("triples", f"{name}:{cname}:{a}", sha(r.to_json()), flush=True)
+    for name in verify.NEUMANN_GROUPS:
+        print("chain", name, sha(chain_data(catalog.load_group(name)[1])), flush=True)
+    for n in LEMMA_NS:
+        c = build_lemma42(n) if n % 2 else build_lemma43(n)
+        print("chain", f"lemma:A{n}", sha(chain_data(c.chain)), flush=True)
+    for n, cname, a in AN_TRIPLES:
+        name = f"A{n}"
+        r = enumerate_triples(catalog.load_group(name)[1], AnClassSystem(n), cname, a,
+                              table=an_table(n), group_name=name)
+        print("triples-an", f"{name}:{cname}:{a}", sha(r.to_json()), flush=True)
+    for name, cname, a, seed in SEARCHES:
+        w = search_triple(catalog.load_group(name)[1], catalog.class_system(name),
+                          cname, a, seed=seed)
+        print("search", f"{name}:{cname}:{a}:{seed}", sha([str(p) for p in w]),
+              flush=True)
     if args.verify_paper:
         out = io.StringIO()
         with redirect_stdout(out):

@@ -74,7 +74,13 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
 
     cs is a class system for the group of `chain`.  When `classify` is
     set, every accepted pair is sorted into the (order, orbit-structure)
-    histogram of the subgroup it generates.
+    histogram of the subgroup it generates.  The accepted set is closed
+    under conjugation by the centralizer C_G(x) (from
+    `cs.centralizer_generators`), and <x, y^c> = <x, y>^c has the same
+    order and orbit lengths, so one stabilizer chain per C_G(x)-orbit is
+    built, from the orbit's first member in scan order, and its key and
+    generating count are weighted by the orbit's size.  The witness is the
+    first generating y in scan order, which opens its orbit.
     """
     ci = _resolve_class(cs, class_spec)
     cls = cs.classes[ci]
@@ -92,18 +98,25 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
     generating = 0
     hist: dict = {}
     witness = None
+    if classify:
+        conjugators = [(c, _inv(c)) for c in cs.centralizer_generators(x_img)]
+        classified: set = set()
     for y_img in cs.iter_class_images_with_product(ci, x_img, target):
         total += 1
-        if not classify:
+        if not classify or y_img in classified:
             continue
+        orbit = _conjugation_orbit(y_img, conjugators)
+        classified |= orbit
         sub = build_chain([x_img, y_img], n)
         key = _subgroup_key(sub)
-        hist[key] = hist.get(key, 0) + 1
+        hist[key] = hist.get(key, 0) + len(orbit)
         if sub.order() == order:
-            generating += 1
+            generating += len(orbit)
             if witness is None:
                 z_img = _inv(_mul(x_img, y_img))
                 witness = (x, Permutation(y_img), Permutation(z_img))
+    if classify and len(classified) != total:
+        raise AssertionError("the accepted y are not closed under conjugation by C_G(x)")
     if table is not None:
         from .classalg import triple_count
         i = table.class_named(cls.name)
@@ -113,6 +126,23 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
             raise AssertionError(
                 f"enumerate_triples total {total} != character formula {want}")
     return TripleReport(group_name, cls.name, a, total, generating, hist, witness)
+
+
+def _conjugation_orbit(y_img: tuple, conjugators) -> set:
+    """The orbit of y under conjugation by the group the (c, c^-1) pairs
+    generate; y^c = c^-1 y c has images c[y[c^-1[i]]]."""
+    orbit = {y_img}
+    frontier = [y_img]
+    while frontier:
+        new = []
+        for p in frontier:
+            for c, c_inv in conjugators:
+                q = _mul(_mul(c_inv, p), c)
+                if q not in orbit:
+                    orbit.add(q)
+                    new.append(q)
+        frontier = new
+    return orbit
 
 
 def search_triple(chain: StabilizerChain, cs, class_spec, a: int,

@@ -2,7 +2,10 @@
 
 The stabilizer chain is built with the deterministic Schreier-Sims
 algorithm (every Schreier generator is processed), followed by an explicit
-verification pass; group order and membership are exact.  Conjugacy
+verification pass; group order and membership are exact.  Each level keeps
+its transversal u_beta, the inverse u_beta^-1 of every entry (computed once,
+when the entry is made, so sifting only multiplies) and the list of its
+orbit points (what `random_element` draws from).  Conjugacy
 classes come from a full element-to-class index, built in numpy passes:
 breadth-first element enumeration one frontier at a time, conjugation by
 each generator as one index permutation, and classes as its orbits by
@@ -52,12 +55,14 @@ class GroupTooLargeError(RuntimeError):
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal")
+    __slots__ = ("base", "gens", "transversal", "inverse", "points")
 
     def __init__(self, base: int):
         self.base = base
         self.gens: list[tuple] = []
         self.transversal: dict[int, tuple] = {}
+        self.inverse: dict[int, tuple] = {}  # beta -> transversal[beta]^-1
+        self.points: list[int] = []  # list(transversal), in its order
 
 
 class StabilizerChain:
@@ -98,18 +103,23 @@ class StabilizerChain:
     def _recompute_transversal(self, i: int):
         lv = self.levels[i]
         t = {lv.base: self._identity}
+        t_inv = {lv.base: self._identity}
+        gens = [(s, _inv(s)) for s in lv.gens]
         frontier = [lv.base]
         while frontier:
             nxt = []
             for beta in frontier:
-                u = t[beta]
-                for s in lv.gens:
+                u, u_inv = t[beta], t_inv[beta]
+                for s, s_inv in gens:
                     gamma = s[beta]
                     if gamma not in t:
                         t[gamma] = _mul(u, s)
+                        t_inv[gamma] = _mul(s_inv, u_inv)  # (u s)^-1 = s^-1 u^-1
                         nxt.append(gamma)
             frontier = nxt
         lv.transversal = t
+        lv.inverse = t_inv
+        lv.points = list(t)
 
     def _strip(self, g: tuple, from_level: int):
         for l in range(from_level, len(self.levels)):
@@ -117,21 +127,20 @@ class StabilizerChain:
             beta = g[lv.base]
             if beta == lv.base:
                 continue
-            u = lv.transversal.get(beta)
-            if u is None:
+            u_inv = lv.inverse.get(beta)
+            if u_inv is None:
                 return g, l
-            g = _mul(g, _inv(u))
+            g = _mul(g, u_inv)
         return g, len(self.levels)
 
     def _build(self, i: int):
         self._recompute_transversal(i)
         lv = self.levels[i]
-        orbit = list(lv.transversal)
-        for beta in orbit:
+        for beta in lv.points:
             u_beta = lv.transversal[beta]
             for s in lv.gens:
                 gamma = s[beta]
-                sg = _mul(_mul(u_beta, s), _inv(lv.transversal[gamma]))
+                sg = _mul(_mul(u_beta, s), lv.inverse[gamma])
                 if sg == self._identity:
                     continue
                 y, j = self._strip(sg, i + 1)
@@ -156,7 +165,7 @@ class StabilizerChain:
                 if u[lv.base] != beta:
                     raise AssertionError("broken transversal")
                 for s in lv.gens:
-                    sg = _mul(_mul(u, s), _inv(lv.transversal[s[beta]]))
+                    sg = _mul(_mul(u, s), lv.inverse[s[beta]])
                     res, _ = self._strip(sg, idx + 1)
                     if res != ident:
                         raise AssertionError("Schreier generator fails to sift")
@@ -182,7 +191,7 @@ class StabilizerChain:
         of one transversal representative per level, deepest level first."""
         g = self._identity
         for lv in reversed(self.levels):
-            u = lv.transversal[rng.choice(list(lv.transversal))]
+            u = lv.transversal[rng.choice(lv.points)]
             g = _mul(g, u)
         return Permutation(g)
 
@@ -346,13 +355,6 @@ class ClassSystem:
 
     def exponent(self) -> int:
         return lcm(*(c.rep_order for c in self.classes))
-
-    def iter_class_images_with_product(self, k: int, x_images, target: int):
-        """Images of the y in class k with x*y in class `target`, in the
-        order of `iter_class_images(k)`; x*y has images y[x[i]]."""
-        for y in self.iter_class_images(k):
-            if self.class_of_images(_mul(x_images, y)) == target:
-                yield y
 
 
 class GroupClasses(ClassSystem):
@@ -570,6 +572,25 @@ class GroupClasses(ClassSystem):
         xb = np.asarray(x_images, dtype=np.intp)[self.base]
         hit = self.classes_of_base_images(rows[:, xb]) == target
         return map(tuple, rows[hit].tolist())
+
+    def centralizer_generators(self, x_images) -> list:
+        """Image tuples generating C_G(x).  One pass over the index finds
+        C_G(x), the rows c with c[x[i]] = x[c[i]]; walking them in element
+        order, c is kept only when the kept ones do not generate it, and
+        the walk stops once they generate all of C_G(x), so at most
+        log2 |C_G(x)| tuples are made."""
+        x = np.asarray(x_images, dtype=self._rows.dtype)
+        cent = self._rows[(self._rows[:, x] == x[self._rows]).all(axis=1)]
+        gens: list[tuple] = []
+        sub = build_chain(gens, self.degree)
+        for row in cent:
+            if sub.order() == len(cent):
+                break
+            c = tuple(row.tolist())
+            if not sub.contains(c):
+                gens.append(c)
+                sub = build_chain(gens, self.degree)
+        return gens
 
 
 def conjugacy_classes(chain: StabilizerChain,

@@ -22,10 +22,12 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 import itertools
 
+import numpy as np
+
 from .chartab import CharacterTable, ClassInfo
 from .cyclotomic import Cyclotomic, sqrt_int, sum_of_products
 from .permgroup import ClassSystem
-from .perms import Permutation
+from .perms import Permutation, _inv, _mul
 
 __all__ = [
     "partitions", "hook_degree", "mn_value", "sn_table", "an_table",
@@ -165,6 +167,46 @@ def align_sign(perm: Permutation, mu: tuple) -> int:
     return sigma.sign()
 
 
+def _point_cycle_lengths(rows: np.ndarray) -> np.ndarray:
+    """Row by row, the length of the cycle through each point.
+
+    Row i of P^j comes from row i of P^(j-1) by one gather; a point's cycle
+    length is the first j at which P^j fixes it.
+    """
+    points = np.arange(rows.shape[1])
+    lengths = np.zeros(rows.shape, dtype=np.int8)
+    power = rows
+    for j in range(1, rows.shape[1] + 1):
+        lengths[(power == points) & (lengths == 0)] = j
+        if lengths.all():
+            break
+        power = np.take_along_axis(rows, power, axis=1)
+    return lengths
+
+
+def _aligns_evenly(rows: np.ndarray, mu: tuple) -> np.ndarray:
+    """align_sign(row, mu) == 1, row by row, for rows of a split type mu.
+
+    The aligning conjugator sends the points of canonical_rep(mu)'s m-cycle
+    to the row's m-cycle read from its least point, which is the first
+    point of cycle length m (the parts of mu are distinct).  Its sign is
+    the parity of its inversions.
+    """
+    lengths = _point_cycle_lengths(rows)
+    sigma = np.empty_like(rows)
+    at = np.arange(len(rows))
+    pt = 0
+    for m in mu:
+        cur = np.argmax(lengths == m, axis=1)
+        for j in range(m):
+            sigma[:, pt + j] = cur
+            cur = rows[at, cur]
+        pt += m
+    inversions = sum((sigma[:, i, None] > sigma[:, i + 1:]).sum(axis=1)
+                     for i in range(rows.shape[1] - 1))
+    return inversions % 2 == 0
+
+
 # -- class systems -------------------------------------------------------------
 
 @dataclass
@@ -258,20 +300,90 @@ class AnClassSystem(ClassSystem):
         letter = "a" if align_sign(p, mu) == 1 else "b"
         return self._index[(mu, letter)]
 
+    def _class_chunks(self, k: int):
+        """Class k in chunks of image tuples, each with its int8 array, in
+        the order of _type_elements; split classes keep their half."""
+        c = self.classes[k]
+        elements = _type_elements(self.n, c.cycle_type)
+        while chunk := list(itertools.islice(elements, _CHUNK_ROWS)):
+            rows = np.array(chunk, dtype=np.int8)
+            if c.split_letter:
+                keep = _aligns_evenly(rows, c.cycle_type) == (c.split_letter == "a")
+                rows = rows[keep]
+                chunk = list(itertools.compress(chunk, keep.tolist()))
+            yield chunk, rows
+
     def iter_class_images(self, k: int):
         """All elements of class k as image tuples (combinatorial)."""
         c = self.classes[k]
-        mu = c.cycle_type
-        for images in _type_elements(self.n, mu):
-            if c.split_letter:
-                p = Permutation(images)
-                letter = "a" if align_sign(p, mu) == 1 else "b"
-                if letter != c.split_letter:
-                    continue
-            yield images
+        if not c.split_letter:
+            yield from _type_elements(self.n, c.cycle_type)
+            return
+        for chunk, _ in self._class_chunks(k):
+            yield from chunk
 
     def class_of_images(self, images) -> int:
         return self.class_of(Permutation(images))
+
+    def iter_class_images_with_product(self, k: int, x_images, target: int):
+        # the products x*y (images y[x[i]]) of a chunk are classified at
+        # once: cycle type by the sorted cycle lengths of the points (a
+        # cycle of length m shows up m times), then the half of a split type
+        c = self.classes[target]
+        parts = sorted(c.cycle_type)
+        want = np.repeat(parts, parts)
+        x = np.asarray(x_images, dtype=np.intp)
+        for chunk, rows in self._class_chunks(k):
+            products = rows[:, x]
+            hit = (np.sort(_point_cycle_lengths(products), axis=1) == want).all(axis=1)
+            if c.split_letter:
+                hit[hit] = (_aligns_evenly(products[hit], c.cycle_type)
+                            == (c.split_letter == "a"))
+            yield from itertools.compress(chunk, hit.tolist())
+
+    def centralizer_generators(self, x_images) -> list:
+        """Image tuples generating C_{A_n}(x), read off x's cycle type.
+
+        C_{S_n}(x) is the product, over the cycle lengths m that occur k
+        times in x, of C_m wr S_k: it is generated by turning the first
+        m-cycle, swapping the first two point by point and shifting all k
+        of them.  Its even part comes from Schreier's lemma on the cosets
+        {1, t} of A_n, for t the first odd generator.
+        """
+        cycles: dict[int, list] = {}
+        for cyc in Permutation(x_images).cycles(include_fixed=True):
+            cycles.setdefault(len(cyc), []).append(list(cyc))
+        moves = []
+        for m, cycs in cycles.items():
+            if m > 1:
+                moves.append((cycs[0], cycs[0][1:] + cycs[0][:1]))
+            if len(cycs) > 1:
+                moves.append((cycs[0] + cycs[1], cycs[1] + cycs[0]))
+            if len(cycs) > 2:
+                moves.append((sum(cycs, []), sum(cycs[1:] + cycs[:1], [])))
+        gens = []
+        for src, dst in moves:
+            images = list(range(self.n))
+            for a, b in zip(src, dst):
+                images[a] = b
+            gens.append(tuple(images))
+        odd = [g for g in gens if Permutation(g).sign() == -1]
+        if not odd:
+            return gens
+        t = odd[0]
+        t_inv = _inv(t)
+        even = []
+        for g in gens:
+            if g in odd:
+                even += [_mul(g, t_inv), _mul(t, g)]
+            else:
+                even += [g, _mul(_mul(t, g), t_inv)]
+        identity = tuple(range(self.n))
+        return [g for g in even if g != identity]
+
+
+# rows per chunk of AnClassSystem._class_chunks (A10 7a: 11 chunks of 80 KB)
+_CHUNK_ROWS = 8192
 
 
 def _type_elements(n: int, mu: tuple):

@@ -7,8 +7,9 @@ from cgtkit.gentriples import (beauville_search, build_lemma42, build_lemma43,
                                search_triple, spread_class_check,
                                translation_search, two_subgroup_cover,
                                union_cover_check, _subgroup_elements)
-from cgtkit.perms import parse_perm
-from cgtkit.permgroup import build_chain, conjugacy_classes
+from cgtkit.perms import _mul, parse_perm
+from cgtkit.permgroup import build_chain, conjugacy_classes, orbits
+from cgtkit.symmchar import AnClassSystem
 
 
 def test_enumerate_identity_class():
@@ -147,3 +148,63 @@ def test_lemma43_generates_primitive_group():
     from cgtkit.permgroup import is_primitive, is_transitive
     c = build_lemma43(12)
     assert is_transitive(c.chain) and is_primitive(c.chain)
+
+
+def _per_pair_reference(chain, cs, cname, a):
+    """The scan with one stabilizer chain per accepted y: (total,
+    generating, histogram with its insertion order, witness y)."""
+    ci = cs.class_named(cname)
+    x = cs.classes[ci].representative.images
+    target = cs.power_class(ci, a)
+    total = generating = 0
+    hist = {}
+    witness = None
+    for y in cs.iter_class_images(ci):
+        if cs.class_of_images(_mul(x, y)) != target:
+            continue
+        total += 1
+        sub = build_chain([x, y], len(x))
+        key = (sub.order(), tuple(sorted((len(o) for o in orbits(sub)), reverse=True)))
+        hist[key] = hist.get(key, 0) + 1
+        if sub.order() == cs.group_order:
+            generating += 1
+            if witness is None:
+                witness = y
+    return total, generating, list(hist.items()), witness
+
+
+@pytest.mark.parametrize("name,engine,cname,a", [
+    ("A7", "index", "7a", 1), ("A7", "index", "3a", 1),
+    ("A7", "an", "7a", 1), ("A7", "an", "7b", -2), ("A7", "an", "3a", 1),
+    ("A8", "index", "7a", 1), ("A8", "an", "5a", 2), ("M11", "index", "11a", 1),
+    # involution classes: C_G(x) of order 96, 192 and 48
+    ("A8", "index", "2a", 1), ("A8", "index", "2b", 1), ("M11", "index", "2a", 1),
+])
+def test_orbit_weighted_classification_matches_per_pair(name, engine, cname, a):
+    chain = catalog.load_group(name)[1]
+    cs = AnClassSystem(int(name[1:])) if engine == "an" else catalog.class_system(name)
+    r = enumerate_triples(chain, cs, cname, a, group_name=name)
+    total, generating, hist, witness = _per_pair_reference(chain, cs, cname, a)
+    assert (r.total_pairs, r.generating_pairs) == (total, generating)
+    assert list(r.subgroup_histogram.items()) == hist
+    if witness is None:
+        assert r.witness is None
+    else:
+        x, y, z = r.witness
+        assert y.images == witness and (x * y * z).is_identity()
+
+
+def test_orbit_weighting_builds_one_chain_per_orbit(monkeypatch):
+    import cgtkit.gentriples as gt
+    calls = []
+
+    def counting_build_chain(gens, degree=None):
+        calls.append(1)
+        return build_chain(gens, degree)
+
+    monkeypatch.setattr(gt, "build_chain", counting_build_chain)
+    chain = catalog.load_group("A8")[1]
+    r = enumerate_triples(chain, catalog.class_system("A8"), "7a", 1)
+    # C_A8(x) is <x> for the 7-cycle x; only <x, x^k>-type pairs have a
+    # smaller orbit, so far fewer chains than pairs are built
+    assert 0 < len(calls) < r.total_pairs / 5

@@ -4,7 +4,9 @@ from math import factorial, gcd
 import numpy as np
 import pytest
 
-from cgtkit.perms import Permutation, parse_perm
+from cgtkit import catalog
+from cgtkit.gentriples import build_lemma43
+from cgtkit.perms import Permutation, _mul, parse_perm
 from cgtkit.permgroup import (GroupTooLargeError, build_chain,
                               conjugacy_classes, derived_subgroup,
                               is_primitive, is_transitive, orbits)
@@ -217,3 +219,45 @@ def test_trivial_group_classes(gens, degree):
     gc = conjugacy_classes(build_chain([Permutation(g) for g in gens], degree))
     assert [(c.name, c.size, c.power_map) for c in gc.classes] == [("1a", 1, {0: 0})]
     assert gc.class_of(Permutation.identity(degree)) == 0
+
+
+def _check_level_caches(chain):
+    identity = tuple(range(chain.degree))
+    for lv in chain.levels:
+        assert lv.points == list(lv.transversal)
+        assert list(lv.inverse) == lv.points
+        for beta, u in lv.transversal.items():
+            assert _mul(u, lv.inverse[beta]) == identity
+            assert _mul(lv.inverse[beta], u) == identity
+
+
+@pytest.mark.parametrize("name", ["A7", "L2(16)", "M11", "U3(3)", "J1"])
+def test_catalog_chains_cache_inverse_transversals(name):
+    _check_level_caches(catalog.load_group(name)[1])
+
+
+def test_lemma_chain_caches_inverse_transversals():
+    _check_level_caches(build_lemma43(14).chain)
+
+
+def test_random_element_draws_from_the_transversal_points():
+    chain = catalog.load_group("M11")[1]
+    rng, ref_rng = random.Random(5), random.Random(5)
+    for _ in range(50):
+        g = tuple(range(chain.degree))
+        for lv in reversed(chain.levels):
+            g = _mul(g, lv.transversal[ref_rng.choice(list(lv.transversal))])
+        assert chain.random_element(rng).images == g
+
+
+@pytest.mark.parametrize("name", ["M11", "A8"])
+def test_group_classes_centralizer_generators_are_few_and_generate_it(name):
+    chain = catalog.load_group(name)[1]
+    gc = conjugacy_classes(chain)
+    for c in gc.classes:
+        x = c.representative
+        cent = gc.centralizer_generators(x.images)
+        order = gc.order // c.size
+        assert build_chain(cent, chain.degree).order() == order
+        assert len(cent) <= order.bit_length() - 1
+        assert all(x * Permutation(g) == Permutation(g) * x for g in cent)

@@ -1,15 +1,18 @@
+import itertools
 from math import factorial
 
+import numpy as np
 import pytest
 
 from cgtkit.chartab import dixon_table, tables_equivalent
 from cgtkit.cyclotomic import sqrt_int
-from cgtkit.perms import Permutation
-from cgtkit.permgroup import conjugacy_classes
-from cgtkit import catalog
-from cgtkit.symmchar import (AnClassSystem, SnClassSystem, _type_elements,
-                             an_pair_covers, an_table, class_size_sn,
-                             hook_degree, mn_value, partitions, sn_table)
+from cgtkit.perms import Permutation, _mul
+from cgtkit.permgroup import build_chain, conjugacy_classes
+from cgtkit import catalog, symmchar
+from cgtkit.symmchar import (AnClassSystem, SnClassSystem, _aligns_evenly,
+                             _type_elements, align_sign, an_pair_covers, an_table,
+                             class_size_sn, hook_degree, mn_value, partitions,
+                             sn_table, splits_in_an)
 
 
 def test_mn_trivial_and_sign():
@@ -110,3 +113,58 @@ def test_budget_guard():
         AnClassSystem(19)
     with pytest.raises(ValueError):
         sn_table(19)
+
+
+def _check_batched_products(n):
+    cs = AnClassSystem(n)
+    for k, c in enumerate(cs.classes):
+        x = c.representative.images
+        classified = [(y, cs.class_of_images(_mul(x, y))) for y in cs.iter_class_images(k)]
+        for target in range(len(cs.classes)):
+            want = [y for y, t in classified if t == target]
+            assert list(cs.iter_class_images_with_product(k, x, target)) == want, \
+                (n, c.name, cs.classes[target].name)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_batched_products_match_per_element_filter(n):
+    _check_batched_products(n)
+
+
+def test_batched_products_across_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(symmchar, "_CHUNK_ROWS", 37)
+    _check_batched_products(7)
+
+
+def test_batched_products_with_an_arbitrary_x():
+    cs = AnClassSystem(8)
+    x = Permutation.from_cycles(8, [[0, 5, 2], [3, 7, 6, 4, 1]]).images
+    k = cs.class_named("5a")
+    classified = [(y, cs.class_of_images(_mul(x, y))) for y in cs.iter_class_images(k)]
+    for target in range(len(cs.classes)):
+        assert (list(cs.iter_class_images_with_product(k, x, target))
+                == [y for y, t in classified if t == target])
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_centralizer_generators_generate_the_centralizer(n):
+    cs = AnClassSystem(n)
+    for c in cs.classes:
+        x = c.representative
+        gens = cs.centralizer_generators(x.images)
+        for g in gens:
+            g = Permutation(g)
+            assert g.sign() == 1 and x * g == g * x
+        order = build_chain(gens, n).order() if gens else 1
+        assert order == cs.group_order // c.size, c.name
+
+
+def test_vectorized_split_half_matches_align_sign():
+    for n in (5, 6, 7, 8, 11):
+        for mu in partitions(n):
+            if not splits_in_an(mu):
+                continue
+            elements = list(itertools.islice(_type_elements(n, mu), 3000))
+            rows = np.array(elements, dtype=np.int8)
+            want = [align_sign(Permutation(y), mu) == 1 for y in elements]
+            assert _aligns_evenly(rows, mu).tolist() == want, (n, mu)
