@@ -20,6 +20,8 @@ triple reports.  The outputs covered:
 - ``triples-an``: ``enumerate_triples(..., classify=True).to_json()`` on
   ``symmchar.AnClassSystem``, split classes (A7 7a, A9 9a) included;
 - ``search``: the witness of a seeded ``search_triple``;
+- ``zsigmondy``: (q, e, phi_star, ``prime_divisors(phi_star)``) over the
+  verify-paper grid (prime powers q <= 64, 3 <= e <= 30, q^e - 1 <= 2^128);
 - ``verify-paper`` (with ``--verify-paper``): ``verify-paper --json`` with
   every ``elapsed`` field masked.
 
@@ -42,6 +44,7 @@ from cgtkit.gentriples import (build_lemma42, build_lemma43, enumerate_triples,
                                search_triple)
 from cgtkit.permgroup import conjugacy_classes
 from cgtkit.symmchar import AnClassSystem, an_table
+from cgtkit.zsigmondy import prime_divisors, scan_reports
 
 DIXON_GROUPS = ["A5", "A6", "A7", "A8"]
 # (group, class, a, classify)
@@ -106,6 +109,9 @@ def main() -> int:
                           cname, a, seed=seed)
         print("search", f"{name}:{cname}:{a}:{seed}", sha([str(p) for p in w]),
               flush=True)
+    grid = [[r.q, r.e, r.phi_star, prime_divisors(r.phi_star)]
+            for r in scan_reports(64, 30)]
+    print("zsigmondy", "q<=64:e<=30", sha(grid), flush=True)
     if args.verify_paper:
         out = io.StringIO()
         with redirect_stdout(out):

@@ -25,7 +25,8 @@ from .permgroup import conjugacy_classes
 from .symmchar import an_pair_covers, an_table
 from .chartab import dixon_table, tables_equivalent
 from .sl2 import macbeath_cover
-from .zsigmondy import classify_small_zsigmondy, prime_divisors, scan_reports
+from .zsigmondy import (TABLE_E_MAX, TABLE_Q_MAX, classify_small_zsigmondy,
+                        prime_divisors, primes_have_order_e, scan_reports)
 
 DEFAULT_SEED = 0
 
@@ -86,7 +87,7 @@ def _cs(name):
 def suite_zsigmondy() -> VerifyReport:
     rep = VerifyReport("zsigmondy")
     t0 = time.perf_counter()
-    found = classify_small_zsigmondy(64, 30)
+    found = classify_small_zsigmondy(TABLE_Q_MAX, TABLE_E_MAX)
     ones = sorted((r.q, r.e) for r in found if r.category == "one")
     eplus = sorted((r.q, r.e) for r in found if r.category == "e_plus_1")
     twoe = sorted((r.q, r.e) for r in found if r.category == "two_e_plus_1")
@@ -99,12 +100,17 @@ def suite_zsigmondy() -> VerifyReport:
     rep.add("zsig.two_e_plus_1",
             [(2, 3), (2, 8), (2, 20), (4, 3), (4, 6)], twoe, t0)
     t0 = time.perf_counter()
+    reports = scan_reports(TABLE_Q_MAX, TABLE_E_MAX)
     bad = []
-    for r in scan_reports(64, 30):
+    for r in reports:
         for p in prime_divisors(r.phi_star):
             if p % r.e != 1:
                 bad.append((r.q, r.e, p))
     rep.add("zsig.primes_1_mod_e", [], bad, t0)
+    # the same congruence with no factoring: ord_p(q) = e for every p | phi*
+    t0 = time.perf_counter()
+    bad = [(r.q, r.e) for r in reports if not primes_have_order_e(r.q, r.e, r.phi_star)]
+    rep.add("zsig.order_e", [], bad, t0)
     return rep
 
 

@@ -3,19 +3,39 @@
 phi_star(q, e) is the largest divisor of q^e - 1 coprime to q^m - 1 for
 all 1 <= m < e.  It is computed factorization-free by iterated gcd
 stripping; only the (small) result is ever factored.
+
+The factorizations of phi_star on the verify-paper grid (prime powers
+q <= 64, 3 <= e <= 30, q^e - 1 <= 2^128) ship in ``data/zsigmondy.json``,
+written by ``scripts/make_zsigmondy_certs.py``.  Nothing in the file is
+trusted: on first use every phi_star is recomputed and divided down to 1
+by its listed primes, each prime below 2^64 is proven by deterministic
+Miller-Rabin, and each prime from 2^64 up by its Pratt certificate (Pratt,
+SIAM J. Comput. 4, 1975), checked with ``pow`` alone.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 from dataclasses import dataclass
 from math import gcd
+from pathlib import Path
 
 import sympy
 
 __all__ = ["phi_star", "prime_divisors", "classify_small_zsigmondy",
-           "ZsigmondyReport", "is_prime_power"]
+           "ZsigmondyReport", "is_prime_power", "primes_have_order_e"]
 
 FACTORIZATION_BOUND = 1 << 128
+# The grid whose factorizations the certified table holds.
+TABLE_Q_MAX, TABLE_E_MAX = 64, 30
+# Primes below this are proven by Miller-Rabin, the rest by certificate.
+CERTIFICATE_FLOOR = 1 << 64
+# The first 12 primes.  No composite below 318665857834031151167461
+# (about 3.2e23 > 2^64) is a strong pseudoprime to all of them (Sorenson
+# and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TABLE_PATH = Path(__file__).parent / "data" / "zsigmondy.json"
 
 
 def is_prime_power(q: int):
@@ -93,12 +113,125 @@ def scan_reports(q_max: int, e_max: int, qe_bound: int = FACTORIZATION_BOUND):
     return list(_grid_reports(q_max, e_max, qe_bound))
 
 
+def primes_have_order_e(q: int, e: int, n: int) -> bool:
+    """True when q has multiplicative order exactly e modulo every prime
+    p | n, hence p = 1 (mod e); n is never factored.  q^e = 1 (mod n) bounds
+    each order by a divisor of e, and n coprime to q^(e/r) - 1 for every
+    prime r | e rules out each proper divisor."""
+    if n == 1:
+        return True
+    return pow(q, e, n) == 1 and all(gcd(n, q ** (e // r) - 1) == 1
+                                     for r in sympy.primefactors(e))
+
+
+def _is_prime_below_floor(n: int) -> bool:
+    """Deterministic Miller-Rabin on ``_MR_BASES``; exact for n < 2^64."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _require_ints(where: str, *values) -> None:
+    if not all(type(v) is int for v in values):
+        raise ValueError(f"{where}: expected integers, got {values!r}")
+
+
+def _strip(n: int, primes, where: str) -> int:
+    """Divide every listed prime out of n; return the cofactor.  The list
+    must be strictly ascending and each prime must divide n."""
+    if not isinstance(primes, list):
+        raise ValueError(f"{where}: expected a list of primes, got {primes!r}")
+    _require_ints(where, *primes)
+    for prev, p in zip([1] + primes, primes):
+        if p <= prev:
+            raise ValueError(f"{where}: primes {primes} are not strictly ascending")
+        if n % p:
+            raise ValueError(f"{where}: {p} does not divide {n}")
+        while n % p == 0:
+            n //= p
+    return n
+
+
+@functools.cache
+def _certified_table() -> dict:
+    """Map phi_star(q, e) -> sorted tuple of its primes for every entry of
+    ``_TABLE_PATH``, after proving every entry; a bad entry raises
+    ``ValueError`` naming it."""
+    data = json.loads(_TABLE_PATH.read_text())
+    certificates = {}
+    for row in data["certificates"]:
+        p, a, rs = row
+        _require_ints(f"certificate {row!r}", p, a)
+        certificates[p] = (a, rs)
+    proven = set()
+
+    def prove(p: int, where: str) -> None:
+        if p in proven:
+            return
+        if p < CERTIFICATE_FLOOR:
+            if not _is_prime_below_floor(p):
+                raise ValueError(f"{where}: {p} is not prime")
+        else:
+            if p not in certificates:
+                raise ValueError(f"{where}: no certificate for {p}")
+            a, rs = certificates[p]
+            at = f"{where}, certificate of {p}"
+            if not 2 <= a < p or pow(a, p - 1, p) != 1:
+                raise ValueError(f"{at}: witness {a} fails a^(p-1) = 1 (mod p)")
+            if _strip(p - 1, rs, at) != 1:
+                raise ValueError(f"{at}: the listed primes leave a cofactor of p - 1")
+            for r in rs:
+                if pow(a, (p - 1) // r, p) == 1:
+                    raise ValueError(f"{at}: witness {a} has a^((p-1)/{r}) = 1 (mod p)")
+                prove(r, at)
+        proven.add(p)
+
+    table = {}
+    for row in data["factorizations"]:
+        q, e, primes = row
+        where = f"{_TABLE_PATH.name} entry (q={q}, e={e})"
+        _require_ints(where, q, e)
+        # e <= 128 first, so that q ** e stays small for any q >= 2
+        if not (q >= 2 and 1 <= e <= 128 and q ** e - 1 <= FACTORIZATION_BOUND
+                and is_prime_power(q)):
+            raise ValueError(f"{where}: off the grid (q is not a prime power, "
+                             "or q^e - 1 > 2^128)")
+        n = phi_star(q, e)
+        if _strip(n, primes, where) != 1:
+            raise ValueError(f"{where}: the listed primes leave a cofactor of phi_star")
+        for p in primes:
+            prove(p, where)
+        table[n] = tuple(primes)
+    return table
+
+
 def prime_divisors(n: int) -> list:
-    """Complete sorted list of prime divisors of n (n within the 2^128 policy)."""
+    """Complete sorted list of prime divisors of n (n within the 2^128 policy).
+
+    phi_star values of the certified table are answered from it; any other
+    n is factored by ``sympy.factorint``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > FACTORIZATION_BOUND:
-        raise ValueError(f"factorization budget exceeded (n > 2^128)")
+        raise ValueError("factorization budget exceeded (n > 2^128)")
     if n == 1:
         return []
+    primes = _certified_table().get(n)
+    if primes is not None:
+        return list(primes)
     return sorted(sympy.factorint(n))

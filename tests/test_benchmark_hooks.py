@@ -2,8 +2,12 @@
 must still exist, or ``perfbench/run.py --trace 1`` fails to install."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+from cgtkit import zsigmondy
 from cgtkit.cyclotomic import Cyclotomic
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -40,3 +44,13 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert {attr: Cyclotomic.__dict__[attr] for attr, _ in tracing.CYCLOTOMIC_OPS} == before
+
+
+def test_certified_zsigmondy_table_is_lazy_and_cleared_each_round():
+    # the benchmark's reset_session calls every cache_clear among a module's
+    # attributes, so each round pays the load; importing must not pay it
+    assert callable(vars(zsigmondy)["_certified_table"].cache_clear)
+    probe = "import cgtkit, cgtkit.zsigmondy as z; print(z._certified_table.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "0"
