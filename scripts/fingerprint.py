@@ -20,6 +20,10 @@ triple reports.  The outputs covered:
 - ``triples-an``: ``enumerate_triples(..., classify=True).to_json()`` on
   ``symmchar.AnClassSystem``, split classes (A7 7a, A9 9a) included;
 - ``search``: the witness of a seeded ``search_triple``;
+- ``an-classes``: names, cycle types, representatives, sizes and power maps
+  of ``symmchar.AnClassSystem(n)`` for n = 3..18;
+- ``an-elements``: the order in which ``AnClassSystem.iter_class_images``
+  lists every class of A_n for n = 3..9, and class 7a of A10;
 - ``zsigmondy``: (q, e, phi_star, ``prime_divisors(phi_star)``) over the
   verify-paper grid (prime powers q <= 64, 3 <= e <= 30, q^e - 1 <= 2^128);
 - ``verify-paper`` (with ``--verify-paper``): ``verify-paper --json`` with
@@ -54,6 +58,9 @@ TRIPLES = [("A5", "5a", 1, True), ("A5", "3a", -2, True),
 # (n, class, a) on AnClassSystem(n), classified
 AN_TRIPLES = [(7, "7a", 1), (7, "7b", -2), (9, "9a", 1), (10, "7a", 1)]
 LEMMA_NS = range(11, 31)
+AN_CLASS_NS = range(3, 19)
+# (n, class names or None for all classes) for the an-elements lines
+AN_ELEMENTS = [(n, None) for n in range(3, 10)] + [(10, ["7a"])]
 # (group, class, a, seed); A_n (n >= 9) uses AnClassSystem through the catalog
 SEARCHES = [("A7", "7a", 1, 1), ("M11", "11a", 1, 2), ("A10", "7a", 1, 3),
             ("A12", "11a", 1, 4)]
@@ -67,6 +74,20 @@ def sha(obj) -> str:
 def class_data(cs) -> list:
     return [[c.name, list(c.representative.images), c.size, c.rep_order,
              sorted(c.power_map.items())] for c in cs.classes]
+
+
+def an_class_data(cs) -> list:
+    return [[c.name, list(c.cycle_type), list(c.representative.images), c.size,
+             sorted(c.power_map.items())] for c in cs.classes]
+
+
+def elements_sha(cs, names) -> str:
+    h = hashlib.sha256()
+    for name in names:
+        h.update(name.encode())
+        for images in cs.iter_class_images(cs.class_named(name)):
+            h.update(bytes(images))
+    return h.hexdigest()
 
 
 def chain_data(chain) -> list:
@@ -109,6 +130,13 @@ def main() -> int:
                           cname, a, seed=seed)
         print("search", f"{name}:{cname}:{a}:{seed}", sha([str(p) for p in w]),
               flush=True)
+    for n in AN_CLASS_NS:
+        print("an-classes", f"A{n}", sha(an_class_data(AnClassSystem(n))), flush=True)
+    for n, names in AN_ELEMENTS:
+        cs = AnClassSystem(n)
+        label = ",".join(names) if names else "all"
+        names = names or [c.name for c in cs.classes]
+        print("an-elements", f"A{n}:{label}", elements_sha(cs, names), flush=True)
     grid = [[r.q, r.e, r.phi_star, prime_divisors(r.phi_star)]
             for r in scan_reports(64, 30)]
     print("zsigmondy", "q<=64:e<=30", sha(grid), flush=True)

@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import numpy as np
-import sympy
 
 from .cyclotomic import Cyclotomic, sum_of_products
 from .fflinalg import SplitFailure, simultaneous_eigenspaces_modp
@@ -188,6 +187,7 @@ def _class_sum_matrix_modp(gc: GroupClasses, i: int, p: int):
 def dixon_prime(order: int, exponent: int, skip: int = 0) -> int:
     """Smallest prime p = 1 mod exponent with p > 2*sqrt(|G|) (skipping
     `skip` earlier candidates for retry)."""
+    import sympy
     bound = 2 * isqrt(order) + 1
     k = max(1, (bound - 1) // exponent)
     found = 0
@@ -217,6 +217,7 @@ def dixon_table(source, group_name: str | None = None,
 
 
 def _dixon_with_prime(gc: GroupClasses, name: str, e: int, p: int) -> CharacterTable:
+    import sympy
     k = len(gc.classes)
     order = gc.order
     # split the commuting family, feeding class-sum matrices of the

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import sympy
-
 __all__ = ["FiniteField", "FFElement", "conway_polynomial"]
 
 _LOG_TABLE_LIMIT = 1 << 16
@@ -79,6 +77,7 @@ def _psub(f, g, p):
     return _ptrim([(a - b) % p for a, b in zip(f, g)])
 
 def _is_irreducible(f, p):
+    import sympy
     k = len(f) - 1
     if k <= 0:
         return False
@@ -97,6 +96,7 @@ def _is_irreducible(f, p):
 @lru_cache(maxsize=None)
 def conway_polynomial(p: int, k: int) -> tuple:
     """Conway polynomial C_{p,k}, little-endian monic coefficient tuple."""
+    import sympy
     if not sympy.isprime(p):
         raise ValueError(f"{p} is not prime")
     q = p ** k
@@ -290,6 +290,7 @@ class FiniteField:
         return self.pow(a, self.p)
 
     def element_order(self, a: int) -> int:
+        import sympy
         if a == 0:
             raise ValueError("zero has no multiplicative order")
         n = self.q - 1

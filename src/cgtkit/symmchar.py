@@ -12,6 +12,15 @@ the 'a' class contains the representative whose cycles list points in
 increasing order.  Membership of the two is decided by the sign of any
 aligning conjugator, which is well defined because the centralizer of such
 an element is even-free.
+
+AnClassSystem works from cycle types alone.  Its power maps are closed
+form: x^t has the type of x^gcd(t, order), which splits only when t is
+prime to the order; then x^t is conjugate to x by i -> t*i on each m-cycle,
+whose sign is the Jacobi symbol (t/m), so x^t keeps its letter iff the
+product of (t/m) over the parts is 1.  Class elements come as int8 row
+chunks (_type_rows): each chunk's flat cycle tuples are made in C by
+itertools.permutations for the last cycle and scattered into image rows
+in one numpy step, so no class is ever held whole.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 import itertools
 
 import numpy as np
@@ -290,8 +299,30 @@ class AnClassSystem(ClassSystem):
         for i, c in enumerate(entries):
             self._index[(c.cycle_type, c.split_letter)] = i
         for c in self.classes:
-            o = max(c.rep_order, 1)
-            c.power_map = {t: self.class_of(c.representative ** t) for t in range(o)}
+            c.power_map = self._power_map(c)
+
+    def _power_map(self, c: CombClass) -> dict:
+        """t -> class of x^t for x in c, for 0 <= t < order, from c's type.
+
+        x^t has cycle type _power_type(mu, gcd(t, order)).  That type has
+        equal parts unless t is prime to the order, and then a split c goes
+        to the class of its own letter iff the product of the Jacobi
+        symbols (t/m) over its parts m is 1.
+        """
+        o = c.rep_order
+        by_gcd = {}
+        power_map = {}
+        for t in range(o):
+            d = gcd(t, o)
+            if c.split_letter and d == 1:
+                same = prod(_jacobi(t, m) for m in c.cycle_type) == 1
+                letter = c.split_letter if same else {"a": "b", "b": "a"}[c.split_letter]
+                power_map[t] = self._index[(c.cycle_type, letter)]
+                continue
+            if d not in by_gcd:
+                by_gcd[d] = self._index[(_power_type(c.cycle_type, d), "")]
+            power_map[t] = by_gcd[d]
+        return power_map
 
     def class_of(self, p: Permutation) -> int:
         mu = p.cycle_type()
@@ -301,26 +332,18 @@ class AnClassSystem(ClassSystem):
         return self._index[(mu, letter)]
 
     def _class_chunks(self, k: int):
-        """Class k in chunks of image tuples, each with its int8 array, in
-        the order of _type_elements; split classes keep their half."""
+        """Class k as int8 row chunks in the order of _type_rows; split
+        classes keep their half of each chunk."""
         c = self.classes[k]
-        elements = _type_elements(self.n, c.cycle_type)
-        while chunk := list(itertools.islice(elements, _CHUNK_ROWS)):
-            rows = np.array(chunk, dtype=np.int8)
+        for rows in _type_rows(self.n, c.cycle_type):
             if c.split_letter:
-                keep = _aligns_evenly(rows, c.cycle_type) == (c.split_letter == "a")
-                rows = rows[keep]
-                chunk = list(itertools.compress(chunk, keep.tolist()))
-            yield chunk, rows
+                rows = rows[_aligns_evenly(rows, c.cycle_type) == (c.split_letter == "a")]
+            yield rows
 
     def iter_class_images(self, k: int):
         """All elements of class k as image tuples (combinatorial)."""
-        c = self.classes[k]
-        if not c.split_letter:
-            yield from _type_elements(self.n, c.cycle_type)
-            return
-        for chunk, _ in self._class_chunks(k):
-            yield from chunk
+        for rows in self._class_chunks(k):
+            yield from map(tuple, rows.tolist())
 
     def class_of_images(self, images) -> int:
         return self.class_of(Permutation(images))
@@ -333,13 +356,13 @@ class AnClassSystem(ClassSystem):
         parts = sorted(c.cycle_type)
         want = np.repeat(parts, parts)
         x = np.asarray(x_images, dtype=np.intp)
-        for chunk, rows in self._class_chunks(k):
+        for rows in self._class_chunks(k):
             products = rows[:, x]
             hit = (np.sort(_point_cycle_lengths(products), axis=1) == want).all(axis=1)
             if c.split_letter:
                 hit[hit] = (_aligns_evenly(products[hit], c.cycle_type)
                             == (c.split_letter == "a"))
-            yield from itertools.compress(chunk, hit.tolist())
+            yield from map(tuple, rows[hit].tolist())
 
     def centralizer_generators(self, x_images) -> list:
         """Image tuples generating C_{A_n}(x), read off x's cycle type.
@@ -382,42 +405,80 @@ class AnClassSystem(ClassSystem):
         return [g for g in even if g != identity]
 
 
-# rows per chunk of AnClassSystem._class_chunks (A10 7a: 11 chunks of 80 KB)
+def _jacobi(t: int, m: int) -> int:
+    """Jacobi symbol (t/m) for odd m > 0; 0 when t and m share a factor.
+
+    It is the sign of i -> t*i on Z/m for t prime to m (Zolotarev for m
+    prime, Lerch for composite m).
+    """
+    t %= m
+    sign = 1
+    while t:
+        while t % 2 == 0:
+            t //= 2
+            if m % 8 in (3, 5):
+                sign = -sign
+        t, m = m, t
+        if t % 4 == 3 and m % 4 == 3:
+            sign = -sign
+        t %= m
+    return sign if m == 1 else 0
+
+
+# rows per chunk of _type_rows (A10 7a: 11 chunks of 80 KB)
 _CHUNK_ROWS = 8192
 
 
-def _type_elements(n: int, mu: tuple):
-    """All image tuples with cycle type mu (fixed points implied by mu).
+def _type_rows(n: int, mu: tuple, chunk: int | None = None):
+    """All elements of cycle type mu (fixed points implied by mu) as int8
+    arrays of image rows, at most `chunk` rows each.
 
     Each cycle is written starting from its minimal point (so the other
     entries are drawn from larger points only), and cycles of equal length
-    carry increasing starts; both rules kill duplicates.
+    carry increasing starts; both rules kill duplicates.  Python recursion
+    places every cycle but the last; the last comes, for all its choices at
+    once, from itertools.permutations, so each element is one flat tuple of
+    its cycles' points made in C.  Each chunk of those tuples becomes image
+    rows in one numpy scatter.
     """
+    chunk = chunk or _CHUNK_ROWS
     parts = [p for p in mu if p > 1]
+    if not parts:
+        yield np.arange(n, dtype=np.int8)[None, :]
+        return
+    # column j of a flat cycle tuple is sent to the point in column succ[j]
+    succ = []
+    for m in parts:
+        succ += [len(succ) + j for j in range(1, m)] + [len(succ)]
 
-    def rec(images, remaining, parts_left, prev_len, prev_start):
-        if not parts_left:
-            yield tuple(images)
-            return
+    def cycle_tuples(prefix, remaining, parts_left, prev_len, prev_start):
         length = parts_left[0]
         for start in sorted(remaining):
             if length == prev_len and start <= prev_start:
                 continue
             larger = sorted(p for p in remaining if p > start)
-            if len(larger) < length - 1:
+            others = itertools.permutations(larger, length - 1)
+            head = prefix + (start,)
+            if len(parts_left) == 1:
+                yield map(head.__add__, others)
                 continue
-            for others in itertools.permutations(larger, length - 1):
-                cyc = (start,) + others
-                for a, b in zip(cyc, cyc[1:]):
-                    images[a] = b
-                images[cyc[-1]] = start
-                yield from rec(images, remaining - set(cyc), parts_left[1:],
-                               length, start)
-                for a in cyc:
-                    images[a] = a
+            for rest in others:
+                yield from cycle_tuples(head + rest, remaining - {start, *rest},
+                                        parts_left[1:], length, start)
 
-    images = list(range(n))
-    yield from rec(images, set(range(n)), parts, -1, -1)
+    flat = itertools.chain.from_iterable(cycle_tuples((), set(range(n)), parts, -1, -1))
+    while len(seqs := np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(flat, chunk)),
+            dtype=np.int8).reshape(-1, len(succ))):
+        rows = np.tile(np.arange(n, dtype=np.int8), (len(seqs), 1))
+        rows[np.arange(len(seqs))[:, None], seqs] = seqs[:, succ]
+        yield rows
+
+
+def _type_elements(n: int, mu: tuple):
+    """The image tuples of _type_rows(n, mu), in its order."""
+    for rows in _type_rows(n, mu):
+        yield from map(tuple, rows.tolist())
 
 
 # -- tables ---------------------------------------------------------------------
@@ -492,7 +553,7 @@ def an_character_value(kind: str, lam: tuple, cls: CombClass) -> Cyclotomic:
 
 def an_table(n: int) -> CharacterTable:
     """Character table of A_n by restriction from S_n, with class splitting."""
-    cs = AnClassSystem(n)
+    cs = _an_class_system(n)
     rows = []
     for desc in an_character_data(n):
         kind, lam = desc
@@ -506,7 +567,7 @@ def an_table(n: int) -> CharacterTable:
 
 @lru_cache(maxsize=None)
 def _an_class_system(n: int) -> AnClassSystem:
-    """One A_n class system per n, shared by the repeated sparse checks."""
+    """One A_n class system per n, shared by the tables and the sparse checks."""
     return AnClassSystem(n)
 
 

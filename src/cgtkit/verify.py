@@ -22,7 +22,7 @@ from .gentriples import (beauville_search, build_lemma42, build_lemma43,
                          enumerate_triples, search_triple, spread_class_check,
                          two_subgroup_cover, union_cover_check)
 from .permgroup import conjugacy_classes
-from .symmchar import an_pair_covers, an_table
+from .symmchar import _an_class_system, an_pair_covers, an_table
 from .chartab import dixon_table, tables_equivalent
 from .sl2 import macbeath_cover
 from .zsigmondy import (TABLE_E_MAX, TABLE_Q_MAX, classify_small_zsigmondy,
@@ -346,10 +346,9 @@ def suite_crosscheck() -> VerifyReport:
         ta = an_table(n)
         td = dixon_table(conjugacy_classes(_chain(f"A{n}")), f"A{n}")
         rep.add(f"crosscheck.A{n}_tables", True, tables_equivalent(ta, td), t0)
-    from .symmchar import AnClassSystem
     for n, (o1, o2) in PROP77_ORDERS.items():
         t0 = time.perf_counter()
-        cs = AnClassSystem(n)
+        cs = _an_class_system(n)
         c1s = [c.name for c in cs.classes if c.rep_order == o1]
         c2s = [c.name for c in cs.classes if c.rep_order == o2]
         found = None
@@ -375,7 +374,7 @@ def suite_crosscheck() -> VerifyReport:
             continue
         rep.add(f"prop77.A{n}.orders{o1}_{o2}", True, found is not None, t0)
     t0 = time.perf_counter()
-    cs18 = AnClassSystem(18)
+    cs18 = _an_class_system(18)
     seventeens = [c.name for c in cs18.classes if c.rep_order == 17]
     ok, missed = an_pair_covers(18, seventeens[0], seventeens[1])
     rep.add("prop77.A18.two_17_classes", True, ok, t0)

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
 
-import sympy
-
 __all__ = ["phi_star", "prime_divisors", "classify_small_zsigmondy",
            "ZsigmondyReport", "is_prime_power", "primes_have_order_e"]
 
@@ -40,6 +38,7 @@ _TABLE_PATH = Path(__file__).parent / "data" / "zsigmondy.json"
 
 def is_prime_power(q: int):
     """Return (p, a) with q = p^a, or None. Exhaustive root extraction."""
+    import sympy
     if q < 2:
         return None
     for a in range(q.bit_length(), 0, -1):
@@ -118,6 +117,7 @@ def primes_have_order_e(q: int, e: int, n: int) -> bool:
     p | n, hence p = 1 (mod e); n is never factored.  q^e = 1 (mod n) bounds
     each order by a divisor of e, and n coprime to q^(e/r) - 1 for every
     prime r | e rules out each proper divisor."""
+    import sympy
     if n == 1:
         return True
     return pow(q, e, n) == 1 and all(gcd(n, q ** (e // r) - 1) == 1
@@ -234,4 +234,5 @@ def prime_divisors(n: int) -> list:
     primes = _certified_table().get(n)
     if primes is not None:
         return list(primes)
+    import sympy
     return sorted(sympy.factorint(n))

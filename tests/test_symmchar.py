@@ -1,5 +1,6 @@
 import itertools
-from math import factorial
+import time
+from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from cgtkit.cyclotomic import sqrt_int
 from cgtkit.perms import Permutation, _mul
 from cgtkit.permgroup import build_chain, conjugacy_classes
 from cgtkit import catalog, symmchar
-from cgtkit.symmchar import (AnClassSystem, SnClassSystem, _aligns_evenly,
-                             _type_elements, align_sign, an_pair_covers, an_table,
-                             class_size_sn, hook_degree, mn_value, partitions,
+from cgtkit.symmchar import (AnClassSystem, SnClassSystem, _aligns_evenly, _jacobi,
+                             _type_elements, _type_rows, align_sign, an_pair_covers,
+                             an_table, class_size_sn, hook_degree, mn_value, partitions,
                              sn_table, splits_in_an)
 
 
@@ -69,6 +70,71 @@ def test_type_element_enumeration_counts():
                   (6, (3, 3)), (6, (2, 2, 1, 1))]:
         cnt = sum(1 for _ in _type_elements(n, mu))
         assert cnt == class_size_sn(n, mu), (n, mu)
+
+
+def _reference_type_elements(n, mu):
+    """Image tuples of cycle type mu, one cycle at a time: each cycle starts
+    at its least point and equal-length cycles at increasing starts."""
+    parts = [p for p in mu if p > 1]
+
+    def rec(images, remaining, parts_left, prev_len, prev_start):
+        if not parts_left:
+            yield tuple(images)
+            return
+        length = parts_left[0]
+        for start in sorted(remaining):
+            if length == prev_len and start <= prev_start:
+                continue
+            larger = sorted(p for p in remaining if p > start)
+            if len(larger) < length - 1:
+                continue
+            for others in itertools.permutations(larger, length - 1):
+                cyc = (start,) + others
+                for a, b in zip(cyc, cyc[1:]):
+                    images[a] = b
+                images[cyc[-1]] = start
+                yield from rec(images, remaining - set(cyc), parts_left[1:],
+                               length, start)
+                for a in cyc:
+                    images[a] = a
+
+    yield from rec(list(range(n)), set(range(n)), parts, -1, -1)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_type_rows_match_the_reference_recursion(n):
+    for mu in partitions(n):
+        want = np.array(list(_reference_type_elements(n, mu)), dtype=np.int8)
+        for chunk in (1, 37, None):
+            chunks = list(_type_rows(n, mu, chunk))
+            assert all(rows.dtype == np.int8 and 0 < len(rows) <= (chunk or symmchar._CHUNK_ROWS)
+                       for rows in chunks), (mu, chunk)
+            assert np.array_equal(np.concatenate(chunks), want), (mu, chunk)
+
+
+def test_type_rows_stream_a_huge_class():
+    # 17+1 in S18 has 18!/17 elements; the first chunk must not need them all
+    t0 = time.perf_counter()
+    rows = next(_type_rows(18, (17, 1), 3000))
+    assert time.perf_counter() - t0 < 5
+    want = list(itertools.islice(_reference_type_elements(18, (17, 1)), 3000))
+    assert [tuple(r) for r in rows.tolist()] == want
+
+
+def test_jacobi_is_the_sign_of_multiplication():
+    for m in range(1, 52, 2):
+        for t in range(1, 2 * m + 1):
+            if gcd(t, m) == 1:
+                assert _jacobi(t, m) == Permutation([t * i % m for i in range(m)]).sign(), \
+                    (t, m)
+
+
+@pytest.mark.parametrize("n", range(3, 19))
+def test_power_maps_match_powers_of_representatives(n):
+    cs = AnClassSystem(n)
+    for c in cs.classes:
+        want = {t: cs.class_of(c.representative ** t) for t in range(max(c.rep_order, 1))}
+        assert c.power_map == want, (n, c.name)
 
 
 def test_an_class_membership_and_split_sign():
