@@ -20,8 +20,8 @@ triple reports.  The outputs covered:
 - ``triples-an``: ``enumerate_triples(..., classify=True).to_json()`` on
   ``symmchar.AnClassSystem``, split classes (A7 7a, A9 9a) included;
 - ``search``: the witness of a seeded ``search_triple``;
-- ``an-classes``: names, cycle types, representatives, sizes and power maps
-  of ``symmchar.AnClassSystem(n)`` for n = 3..18;
+- ``an-classes``: names, representatives, sizes and power maps of
+  ``symmchar.AnClassSystem(n)`` for n = 3..18;
 - ``an-elements``: the order in which ``AnClassSystem.iter_class_images``
   lists every class of A_n for n = 3..9, and class 7a of A10;
 - ``zsigmondy``: (q, e, phi_star, ``prime_divisors(phi_star)``) over the
@@ -76,11 +76,6 @@ def class_data(cs) -> list:
              sorted(c.power_map.items())] for c in cs.classes]
 
 
-def an_class_data(cs) -> list:
-    return [[c.name, list(c.cycle_type), list(c.representative.images), c.size,
-             sorted(c.power_map.items())] for c in cs.classes]
-
-
 def elements_sha(cs, names) -> str:
     h = hashlib.sha256()
     for name in names:
@@ -131,7 +126,7 @@ def main() -> int:
         print("search", f"{name}:{cname}:{a}:{seed}", sha([str(p) for p in w]),
               flush=True)
     for n in AN_CLASS_NS:
-        print("an-classes", f"A{n}", sha(an_class_data(AnClassSystem(n))), flush=True)
+        print("an-classes", f"A{n}", sha(class_data(AnClassSystem(n))), flush=True)
     for n, names in AN_ELEMENTS:
         cs = AnClassSystem(n)
         label = ",".join(names) if names else "all"

@@ -429,9 +429,9 @@ def _jacobi(t: int, m: int) -> int:
 _CHUNK_ROWS = 8192
 
 
-def _type_rows(n: int, mu: tuple, chunk: int | None = None):
+def _type_rows(n: int, mu: tuple):
     """All elements of cycle type mu (fixed points implied by mu) as int8
-    arrays of image rows, at most `chunk` rows each.
+    arrays of image rows, at most _CHUNK_ROWS rows each.
 
     Each cycle is written starting from its minimal point (so the other
     entries are drawn from larger points only), and cycles of equal length
@@ -441,7 +441,6 @@ def _type_rows(n: int, mu: tuple, chunk: int | None = None):
     its cycles' points made in C.  Each chunk of those tuples becomes image
     rows in one numpy scatter.
     """
-    chunk = chunk or _CHUNK_ROWS
     parts = [p for p in mu if p > 1]
     if not parts:
         yield np.arange(n, dtype=np.int8)[None, :]
@@ -468,17 +467,11 @@ def _type_rows(n: int, mu: tuple, chunk: int | None = None):
 
     flat = itertools.chain.from_iterable(cycle_tuples((), set(range(n)), parts, -1, -1))
     while len(seqs := np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(flat, chunk)),
+            itertools.chain.from_iterable(itertools.islice(flat, _CHUNK_ROWS)),
             dtype=np.int8).reshape(-1, len(succ))):
         rows = np.tile(np.arange(n, dtype=np.int8), (len(seqs), 1))
         rows[np.arange(len(seqs))[:, None], seqs] = seqs[:, succ]
         yield rows
-
-
-def _type_elements(n: int, mu: tuple):
-    """The image tuples of _type_rows(n, mu), in its order."""
-    for rows in _type_rows(n, mu):
-        yield from map(tuple, rows.tolist())
 
 
 # -- tables ---------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip()
     return code, out
+
+
+def test_cli_start_up_does_not_load_sympy():
+    # sympy costs ~0.4 s to import; only the functions that factor pull it in
+    probe = "import cgtkit, cgtkit.cli, sys; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def test_zsigmondy_json(capsys):

@@ -11,9 +11,9 @@ from cgtkit.perms import Permutation, _mul
 from cgtkit.permgroup import build_chain, conjugacy_classes
 from cgtkit import catalog, symmchar
 from cgtkit.symmchar import (AnClassSystem, SnClassSystem, _aligns_evenly, _jacobi,
-                             _type_elements, _type_rows, align_sign, an_pair_covers,
-                             an_table, class_size_sn, hook_degree, mn_value, partitions,
-                             sn_table, splits_in_an)
+                             _type_rows, align_sign, an_pair_covers, an_table,
+                             class_size_sn, hook_degree, mn_value, partitions, sn_table,
+                             splits_in_an)
 
 
 def test_mn_trivial_and_sign():
@@ -68,7 +68,7 @@ def test_a7_has_coprime_odd_orders():
 def test_type_element_enumeration_counts():
     for n, mu in [(3, (2, 1)), (4, (2, 2)), (5, (3, 1, 1)), (5, (2, 2, 1)),
                   (6, (3, 3)), (6, (2, 2, 1, 1))]:
-        cnt = sum(1 for _ in _type_elements(n, mu))
+        cnt = sum(len(rows) for rows in _type_rows(n, mu))
         assert cnt == class_size_sn(n, mu), (n, mu)
 
 
@@ -102,20 +102,22 @@ def _reference_type_elements(n, mu):
 
 
 @pytest.mark.parametrize("n", range(1, 10))
-def test_type_rows_match_the_reference_recursion(n):
+def test_type_rows_match_the_reference_recursion(n, monkeypatch):
     for mu in partitions(n):
         want = np.array(list(_reference_type_elements(n, mu)), dtype=np.int8)
-        for chunk in (1, 37, None):
-            chunks = list(_type_rows(n, mu, chunk))
-            assert all(rows.dtype == np.int8 and 0 < len(rows) <= (chunk or symmchar._CHUNK_ROWS)
+        for chunk in (1, 37, symmchar._CHUNK_ROWS):
+            monkeypatch.setattr(symmchar, "_CHUNK_ROWS", chunk)
+            chunks = list(_type_rows(n, mu))
+            assert all(rows.dtype == np.int8 and 0 < len(rows) <= chunk
                        for rows in chunks), (mu, chunk)
             assert np.array_equal(np.concatenate(chunks), want), (mu, chunk)
 
 
-def test_type_rows_stream_a_huge_class():
+def test_type_rows_stream_a_huge_class(monkeypatch):
     # 17+1 in S18 has 18!/17 elements; the first chunk must not need them all
+    monkeypatch.setattr(symmchar, "_CHUNK_ROWS", 3000)
     t0 = time.perf_counter()
-    rows = next(_type_rows(18, (17, 1), 3000))
+    rows = next(_type_rows(18, (17, 1)))
     assert time.perf_counter() - t0 < 5
     want = list(itertools.islice(_reference_type_elements(18, (17, 1)), 3000))
     assert [tuple(r) for r in rows.tolist()] == want
@@ -225,12 +227,13 @@ def test_centralizer_generators_generate_the_centralizer(n):
         assert order == cs.group_order // c.size, c.name
 
 
-def test_vectorized_split_half_matches_align_sign():
+def test_vectorized_split_half_matches_align_sign(monkeypatch):
+    monkeypatch.setattr(symmchar, "_CHUNK_ROWS", 3000)
     for n in (5, 6, 7, 8, 11):
         for mu in partitions(n):
             if not splits_in_an(mu):
                 continue
-            elements = list(itertools.islice(_type_elements(n, mu), 3000))
-            rows = np.array(elements, dtype=np.int8)
+            rows = next(_type_rows(n, mu))
+            elements = [tuple(r) for r in rows.tolist()]
             want = [align_sign(Permutation(y), mu) == 1 for y in elements]
             assert _aligns_evenly(rows, mu).tolist() == want, (n, mu)
