@@ -9,6 +9,9 @@ triple reports.  The outputs covered:
   ``catalog.class_system(name)`` for every ``verify.NEUMANN_GROUPS`` group;
 - ``table``: ``catalog.character_table(name, use_file_cache=False).to_json()``
   for the same groups (the combinatorial engine for A_n);
+- ``elements``: the rows of ``elements_of_class(k)`` (dtype and bytes), for
+  every class k, of every one of those groups whose class system is a
+  ``permgroup.GroupClasses``, so the element order is covered too;
 - ``dixon``: ``dixon_table(...).to_json()`` for A5-A8, the class-algebra
   engine on the groups the combinatorial one also covers;
 - ``triples``: ``enumerate_triples(...).to_json()`` (totals, histograms,
@@ -46,7 +49,7 @@ from cgtkit import catalog, cli, verify
 from cgtkit.chartab import dixon_table
 from cgtkit.gentriples import (build_lemma42, build_lemma43, enumerate_triples,
                                search_triple)
-from cgtkit.permgroup import conjugacy_classes
+from cgtkit.permgroup import GroupClasses, conjugacy_classes
 from cgtkit.symmchar import AnClassSystem, an_table
 from cgtkit.zsigmondy import prime_divisors, scan_reports
 
@@ -85,6 +88,15 @@ def elements_sha(cs, names) -> str:
     return h.hexdigest()
 
 
+def index_sha(gc) -> str:
+    h = hashlib.sha256()
+    for k in range(len(gc.classes)):
+        rows = gc.elements_of_class(k)
+        h.update(str(rows.dtype).encode())
+        h.update(rows.tobytes())
+    return h.hexdigest()
+
+
 def chain_data(chain) -> list:
     return [[lv.base, [list(g) for g in lv.gens],
              [[beta, list(u)] for beta, u in lv.transversal.items()]]
@@ -100,6 +112,10 @@ def main() -> int:
         print("classes", name, sha(class_data(catalog.class_system(name))), flush=True)
         table = catalog.character_table(name, use_file_cache=False)
         print("table", name, sha(table.to_json()), flush=True)
+    for name in verify.NEUMANN_GROUPS:
+        cs = catalog.class_system(name)
+        if isinstance(cs, GroupClasses):
+            print("elements", name, index_sha(cs), flush=True)
     for name in DIXON_GROUPS:
         chain = catalog.load_group(name)[1]
         print("dixon", name, sha(dixon_table(conjugacy_classes(chain), name).to_json()),

@@ -238,8 +238,8 @@ def class_system(name: str, data=None):
         return _class_cache[name]
     m = re.fullmatch(r"A(\d+)", name)
     if m and int(m.group(1)) >= 9:
-        from .symmchar import AnClassSystem
-        cs = AnClassSystem(int(m.group(1)))
+        from .symmchar import _an_class_system
+        cs = _an_class_system(int(m.group(1)))
     else:
         _, chain = load_group(name, data)
         cs = conjugacy_classes(chain)

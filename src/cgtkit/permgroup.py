@@ -11,15 +11,18 @@ breadth-first element enumeration one frontier at a time, conjugation by
 each generator as one index permutation, and classes as its orbits by
 min-label propagation.  The index also yields complete power maps.
 
-Bounds of the index (`GroupTooLargeError` beyond either):
-- order: at most `DEFAULT_CLASS_BOUND` = 2^21 elements, by default;
-- keys: an element's key packs its images of the chain's base points in
-  radix n (the degree), so n^len(base) must stay below 2^63.  J2 (100
-  points, base of 5) is the largest catalog case.
-Memory: about N*(n*itemsize + 16) bytes for N elements of degree n
-(itemsize 1 up to degree 255, else 2): the image rows plus an int64 key,
-an int32 key order and an int32 class per element.  J2 holds 67 MiB;
-building it peaks about 60 % higher.
+Elements are found by their stabilizer-chain coordinates: stripping an
+element's base images level by level gives one orbit position per level,
+and read in mixed radix these are a bijection from the group onto
+[0, order) (Sims 1970; Seress 2003, ch. 4-5).  One int32 table maps a
+coordinate to the element's place in the index.
+
+Bound of the index (`GroupTooLargeError` beyond it): at most
+`DEFAULT_CLASS_BOUND` = 2^21 elements, by default.  Memory: about
+N*(n*itemsize + 8) bytes for N elements of degree n (itemsize 1 up to
+degree 255, else 2): the image rows plus an int32 coordinate table and an
+int32 class per element.  J2 holds 62 MiB; building it lifts the peak RSS
+by about 100 MiB.
 """
 
 from __future__ import annotations
@@ -45,9 +48,8 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def class_letter(i: int) -> str:
-    if i < 26:
-        return _LETTERS[i]
-    return _LETTERS[i // 26 - 1] + _LETTERS[i % 26]
+    """Bijective base 26: a..z, aa..zz, aaa.."""
+    return (class_letter(i // 26 - 1) if i >= 26 else "") + _LETTERS[i % 26]
 
 
 class GroupTooLargeError(RuntimeError):
@@ -361,12 +363,11 @@ class GroupClasses(ClassSystem):
     """Conjugacy classes with a full element-to-class index.
 
     The index is one N x n array of element images (`_rows`), in the
-    breadth-first order of right multiplication by the generators, plus a
-    sorted int64 key per element.  The key packs the element's images of
-    the chain's base points in radix `degree`; it is exact, not a hash,
-    because the base of a verified chain determines an element of the
-    group.  Lookups are `searchsorted` over the sorted keys; the public
-    ones also compare the whole row, so a non-member raises KeyError.
+    breadth-first order of right multiplication by the generators, plus
+    an int32 table `_at` from each element's stabilizer-chain coordinate
+    to its row.  Base images determine an element of the group, so every
+    lookup goes through `_index`; the public ones also compare the whole
+    row, so a non-member raises KeyError.
     """
 
     def __init__(self, chain: StabilizerChain, bound: int = DEFAULT_CLASS_BOUND):
@@ -374,83 +375,84 @@ class GroupClasses(ClassSystem):
         if order > bound:
             raise GroupTooLargeError(
                 f"group order {order} exceeds the class enumeration bound {bound}")
-        base = chain.base
-        if chain.degree ** len(base) >= 1 << 63:
-            raise GroupTooLargeError(
-                f"element keys pack {len(base)} base images in radix {chain.degree}; "
-                f"{chain.degree}^{len(base)} >= 2^63 does not fit an int64 key")
         self.chain = chain
-        self.degree = chain.degree
+        self.degree = n = chain.degree
         self.order = order
-        self.base = np.array(base, dtype=np.intp)
-        self._base_points = base
+        self.base = np.array(chain.base, dtype=np.intp)
+        # per level: each point's position in the orbit (-1 outside it) and
+        # the images of the inverse transversal entries, flattened
+        self._levels = []
+        for lv in chain.levels:
+            pos = np.full(n, -1, dtype=np.intp)
+            pos[lv.points] = np.arange(len(lv.points))
+            inverse = np.array([lv.inverse[b] for b in lv.points], dtype=_np_dtype(n))
+            self._levels.append((pos, inverse.ravel()))
         self._enumerate_elements()
         self._find_classes()
         self._order_and_name_classes()
         self._power_maps()
 
-    # -- keys ----------------------------------------------------------------
+    # -- coordinates ---------------------------------------------------------
 
-    def _keys(self, base_images) -> np.ndarray:
-        """int64 keys of the elements whose base images are the rows given."""
-        keys = np.zeros(len(base_images), dtype=np.int64)
-        for col in np.asarray(base_images).T:
-            keys *= self.degree
-            keys += col
-        return keys
+    def _coordinates(self, base_images) -> np.ndarray:
+        """Mixed-radix coordinates, a bijection from the group onto
+        [0, order), of the elements whose images of `self.base` are the
+        rows given.  Level l reads the position p_l of the first remaining
+        image in its orbit and strips u^-1 off the later ones, since
+        (g u^-1)(b) = u^-1[g(b)]."""
+        b = np.asarray(base_images).T  # one row per base point
+        coords = np.zeros(b.shape[1], dtype=np.intp)
+        for pos, inverse in self._levels:
+            p = pos[b[0]]
+            if (p < 0).any():
+                raise KeyError("a base image leaves its orbit: not an element of the group")
+            coords *= len(inverse) // self.degree
+            coords += p
+            b = inverse.take(b[1:] + p * self.degree)
+        return coords
 
-    def _index_of_keys(self, keys) -> np.ndarray:
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos[pos == len(self._sorted_keys)] = 0
-        if not np.array_equal(self._sorted_keys[pos], keys):
-            raise KeyError("not an element of the group")
-        return self._key_order[pos]
+    def _index(self, base_images) -> np.ndarray:
+        """Rows of the index holding the elements with these base images."""
+        return self._at[self._coordinates(base_images)]
 
     # element enumeration: BFS closure under right multiplication, one
     # frontier at a time; candidates come in (x, g) order and the first new
-    # occurrence of each key is kept, which is the one-at-a-time order
+    # occurrence of each coordinate is kept, which is the one-at-a-time order
     def _enumerate_elements(self):
         n = self.degree
         dtype = _np_dtype(n)
-        gens = np.array([g.images for g in self.chain.generators],
-                        dtype=dtype).reshape(-1, n)
+        # a group given by no generators is generated by the identity
+        gens = np.array([g.images for g in self.chain.generators] or [range(n)],
+                        dtype=dtype)
         base = self.base
         # filled level by level; the order is known, so no block is copied
         rows = np.empty((self.order, n), dtype=dtype)
-        keys = np.empty(self.order, dtype=np.int64)
         rows[0] = np.arange(n)
-        keys[0] = self._keys(rows[:1, base])[0]
-        seen = keys[:1].copy()
+        at = np.full(self.order, -1, dtype=np.int32)
+        at[self._coordinates(rows[:1, base])] = 0
         lo, hi = 0, 1
         while lo < hi:
             frontier = rows[lo:hi]
-            # row j * len(gens) + s of the candidates is gens[s][frontier[j]]
-            cand_keys = self._keys(gens[:, frontier[:, base]].transpose(1, 0, 2)
-                                   .reshape(len(frontier) * len(gens), len(base)))
-            uniq, first = np.unique(cand_keys, return_index=True)
-            pos = np.minimum(np.searchsorted(seen, uniq), len(seen) - 1)
-            fresh = seen[pos] != uniq
-            first = np.sort(first[fresh])
-            if hi + len(first) > self.order:
-                raise AssertionError("element enumeration exceeds the group order")
+            # candidate j * len(gens) + s is gens[s][frontier[j]]
+            coords = np.stack([self._coordinates(g[frontier[:, base]]) for g in gens],
+                              axis=1).ravel()
+            fresh = np.flatnonzero(at[coords] < 0)
+            first = np.sort(fresh[np.unique(coords[fresh], return_index=True)[1]])
             j, s = np.divmod(first, len(gens))
             rows[hi:hi + len(first)] = gens[s[:, None], frontier[j]]
-            keys[hi:hi + len(first)] = cand_keys[first]
-            seen = np.sort(np.concatenate([seen, uniq[fresh]]), kind="stable")
+            at[coords[first]] = np.arange(hi, hi + len(first))
             lo, hi = hi, hi + len(first)
         if hi != self.order:
             raise AssertionError("element enumeration does not match group order")
         self._rows = rows
-        self._key_order = np.argsort(keys).astype(np.int32)
-        self._sorted_keys = seen
+        self._at = at
         self._gens = gens
 
     def _find_classes(self):
         rows, base = self._rows, self.base
         # conjugation by each generator g, as an index permutation:
         # x -> g^-1 x g, whose base images are g[x[g^-1[base]]]
-        conj = [self._index_of_keys(self._keys(g[rows[:, np.argsort(g)[base]]]))
-                for g in self._gens]
+        conj = [self._index(g[rows[:, np.argsort(g)[base]]]) for g in self._gens]
         # min-label propagation: label[i] stays an element of i's class and
         # at most i, so at the fixed point it is the class's first element
         label = np.arange(len(rows), dtype=np.int32)
@@ -476,7 +478,10 @@ class GroupClasses(ClassSystem):
         for lo in range(0, n, width):
             if len(cand) == len(sizes):
                 break
-            packed = self._keys(rows[cand, lo:lo + width])
+            packed = np.zeros(len(cand), dtype=np.int64)
+            for col in rows[cand, lo:lo + width].T:
+                packed *= n
+                packed += col
             low = np.full(len(sizes), np.iinfo(np.int64).max)
             np.minimum.at(low, raw_class_of[cand], packed)
             cand = cand[packed == low[raw_class_of[cand]]]
@@ -529,8 +534,9 @@ class GroupClasses(ClassSystem):
     def classes_of_base_images(self, base_images) -> np.ndarray:
         """Classes of the group elements whose images of `self.base` are the
         rows given.  The rows must come from elements of the group (products
-        of members, say): the base images alone are not checked further."""
-        return self.class_of_idx[self._index_of_keys(self._keys(base_images))]
+        of members, say): beyond a KeyError for an image outside its orbit,
+        the base images are not checked further."""
+        return self.class_of_idx[self._index(base_images)]
 
     def class_of(self, p: Permutation) -> int:
         return self.class_of_images(p.images)
@@ -538,17 +544,11 @@ class GroupClasses(ClassSystem):
     def class_of_images(self, images) -> int:
         """Class of one element, given as its image tuple or array; raises
         KeyError unless it is an element of the group."""
-        # one row: the key in plain Python is several times faster than _keys
-        images = [int(v) for v in images]
-        if len(images) == self.degree:
-            key = 0
-            for b in self._base_points:
-                key = key * self.degree + images[b]
-            pos = int(np.searchsorted(self._sorted_keys, key))
-            if pos < len(self._sorted_keys) and self._sorted_keys[pos] == key:
-                i = self._key_order[pos]
-                if self._rows[i].tolist() == images:
-                    return int(self.class_of_idx[i])
+        row = np.asarray(images)
+        if row.shape == (self.degree,) and 0 <= row.min() and row.max() < self.degree:
+            i = self._index(row[None, self.base])[0]
+            if np.array_equal(self._rows[i], row):
+                return int(self.class_of_idx[i])
         raise KeyError("not an element of the group")
 
     def elements_of_class(self, k: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from cgtkit import catalog
+from cgtkit import catalog, symmchar
 from cgtkit.chartab import tables_equivalent
 
 
@@ -86,3 +86,7 @@ def test_catalog_names_cover_spec_list():
 def test_stored_sporadic_integrity():
     for name in ("M12", "U3(3)", "Sz(8)", "SL3(2)"):
         catalog.verify_integrity(name)
+
+
+def test_large_alternating_class_system_is_the_shared_one():
+    assert catalog.class_system("A10") is symmchar._an_class_system(10)

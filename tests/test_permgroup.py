@@ -7,7 +7,7 @@ import pytest
 from cgtkit import catalog
 from cgtkit.gentriples import build_lemma43
 from cgtkit.perms import Permutation, _mul, parse_perm
-from cgtkit.permgroup import (GroupTooLargeError, build_chain,
+from cgtkit.permgroup import (GroupTooLargeError, build_chain, class_letter,
                               conjugacy_classes, derived_subgroup,
                               is_primitive, is_transitive, orbits)
 
@@ -193,7 +193,8 @@ def test_classes_match_brute_force_closures(seed):
 
 def test_lookup_of_a_non_member_raises_key_error():
     gc = conjugacy_classes(A(5))
-    # (4,5) fixes the base points 1, 2, 3, so it shares the identity's key
+    # (4,5) fixes the base points 1, 2, 3, so it shares the identity's
+    # coordinates
     assert sorted(gc.chain.base) == [0, 1, 2]
     with pytest.raises(KeyError):
         gc.class_of(parse_perm("(4,5)", 5))
@@ -201,17 +202,58 @@ def test_lookup_of_a_non_member_raises_key_error():
         gc.class_of(parse_perm("(1,2)", 5))
     with pytest.raises(KeyError):
         gc.class_of_images((0, 1, 2, 3))
+    for images in [(7, 1, 2, 3, 4), (0, -1, 2, 3, 4)]:  # not points at all
+        with pytest.raises(KeyError):
+            gc.class_of_images(images)
     assert gc.class_of(parse_perm("(1,2)(4,5)", 5)) == gc.class_named("2a")
 
 
-def test_key_bound_raises_group_too_large():
-    # 16 disjoint transpositions on 32 points: order 2^16, a base of 16
-    # points, and 32^16 = 2^80 keys do not fit an int64
-    chain = build_chain([Permutation.from_cycles(32, [[2 * i, 2 * i + 1]])
-                         for i in range(16)])
-    assert chain.order() == 1 << 16 and len(chain.base) == 16
-    with pytest.raises(GroupTooLargeError, match="2\\^63"):
-        conjugacy_classes(chain)
+def _transpositions(k):
+    return build_chain([Permutation.from_cycles(2 * k, [[2 * i, 2 * i + 1]])
+                        for i in range(k)])
+
+
+def test_index_of_a_group_with_a_long_base():
+    # 14 disjoint transpositions on 28 points: order 2^14 and a base of 14
+    # points; 28^14 > 2^67, so the base images do not pack into an int64,
+    # but every coordinate stays below the order
+    chain = _transpositions(14)
+    assert chain.order() == 1 << 14 and len(chain.base) == 14
+    gc = conjugacy_classes(chain)
+    assert len(gc.classes) == 1 << 14 and {c.size for c in gc.classes} == {1}
+    for k in (0, 1, 5000, (1 << 14) - 1):
+        rep = gc.classes[k].representative
+        assert gc.class_of(rep) == k
+        assert gc.classes_of_base_images(np.array([rep.images])[:, gc.base]).tolist() == [k]
+    with pytest.raises(KeyError):
+        gc.class_of(Permutation.from_cycles(28, [[0, 2]]))
+
+
+def test_class_letters_run_on_past_zz():
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    old = [letters[i] if i < 26 else letters[i // 26 - 1] + letters[i % 26]
+           for i in range(702)]
+    assert [class_letter(i) for i in range(702)] == old
+    assert [class_letter(i) for i in (702, 1377, 1378, 18277, 18278)] == \
+        ["aaa", "azz", "baa", "zzz", "aaaa"]
+    # 2^10 on 20 points: 1023 classes of involutions, the last beyond "2zz"
+    gc = conjugacy_classes(_transpositions(10))
+    names = [c.name for c in gc.classes if c.rep_order == 2]
+    assert len(names) == 1023 == len(set(names)) and names[-1] == "2ami"
+    assert all(gc.classes[gc.class_named(name)].name == name for name in names)
+
+
+@pytest.mark.parametrize("group", ["A5", "L2(7)", "M11", "A5 on 256 points"])
+def test_coordinates_are_a_bijection_onto_the_element_order(group):
+    chain = _padded_a5(256) if group == "A5 on 256 points" else catalog.load_group(group)[1]
+    gc = conjugacy_classes(chain)
+    assert np.array_equal(gc._index(gc._rows[:, gc.base]), np.arange(gc.order))
+    # the identity's first base image, repeated, leaves the second level's orbit
+    with pytest.raises(KeyError):
+        gc.classes_of_base_images(np.array([[gc.base[0]] * len(gc.base)]))
+    if chain.degree == 256:  # a point no element moves a base point to
+        with pytest.raises(KeyError):
+            gc.classes_of_base_images(np.array([[200] * len(gc.base)]))
 
 
 @pytest.mark.parametrize("gens, degree", [([], 4), ([(0,)], 1), ([(0, 1, 2)], 3)])
