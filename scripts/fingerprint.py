@@ -29,6 +29,9 @@ triple reports.  The outputs covered:
   lists every class of A_n for n = 3..9, and class 7a of A10;
 - ``zsigmondy``: (q, e, phi_star, ``prime_divisors(phi_star)``) over the
   verify-paper grid (prime powers q <= 64, 3 <= e <= 30, q^e - 1 <= 2^128);
+- ``ntheory``: ``conway_polynomial(p, k)`` for every prime power p^k <= 1024,
+  ``is_prime_power(q)`` for q < 4096, and (``dixon_prime(order, exponent)``,
+  the primitive root mod that prime) for every ``verify.NEUMANN_GROUPS`` group;
 - ``verify-paper`` (with ``--verify-paper``): ``verify-paper --json`` with
   every ``elapsed`` field masked.
 
@@ -46,12 +49,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cgtkit import catalog, cli, verify
-from cgtkit.chartab import dixon_table
+from cgtkit.chartab import dixon_prime, dixon_table
+from cgtkit.finitefield import conway_polynomial
 from cgtkit.gentriples import (build_lemma42, build_lemma43, enumerate_triples,
                                search_triple)
 from cgtkit.permgroup import GroupClasses, conjugacy_classes
 from cgtkit.symmchar import AnClassSystem, an_table
-from cgtkit.zsigmondy import prime_divisors, scan_reports
+from cgtkit.zsigmondy import is_prime_power, prime_divisors, scan_reports
+
+try:
+    from cgtkit._ntheory import primitive_root
+except ImportError:  # older checkouts take the Dixon primitive root from sympy
+    from sympy import primitive_root
 
 DIXON_GROUPS = ["A5", "A6", "A7", "A8"]
 # (group, class, a, classify)
@@ -151,6 +160,17 @@ def main() -> int:
     grid = [[r.q, r.e, r.phi_star, prime_divisors(r.phi_star)]
             for r in scan_reports(64, 30)]
     print("zsigmondy", "q<=64:e<=30", sha(grid), flush=True)
+    powers = [pk for pk in map(is_prime_power, range(1025)) if pk]
+    print("ntheory", "conway:q<=1024", sha([[p, k, conway_polynomial(p, k)] for p, k in powers]),
+          flush=True)
+    print("ntheory", "is_prime_power:q<4096", sha([is_prime_power(q) for q in range(4096)]),
+          flush=True)
+    dixon = []
+    for name in verify.NEUMANN_GROUPS:
+        table = catalog.character_table(name)
+        p = dixon_prime(table.order, table.exponent())
+        dixon.append([name, p, primitive_root(p)])
+    print("ntheory", "dixon:neumann", sha(dixon), flush=True)
     if args.verify_paper:
         out = io.StringIO()
         with redirect_stdout(out):

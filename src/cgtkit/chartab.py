@@ -17,6 +17,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
+from ._ntheory import is_prime, primitive_root
 from .cyclotomic import Cyclotomic, sum_of_products
 from .fflinalg import SplitFailure, simultaneous_eigenspaces_modp
 # not used here: the layer spans of perfbench/tracing.py patch these names on this module
@@ -24,7 +25,7 @@ from .fflinalg import modp_charpoly, modp_kernel, modp_matvec, modp_roots, modp_
 from .permgroup import ClassSystem, GroupClasses, conjugacy_classes
 
 __all__ = ["ClassInfo", "CharacterTable", "dixon_table", "class_mult_coeff",
-           "indicator", "tables_equivalent", "TableInvariantError"]
+           "indicator", "tables_equivalent", "table_from_rows", "TableInvariantError"]
 
 
 class TableInvariantError(ValueError):
@@ -163,6 +164,16 @@ class CharacterTable(ClassSystem):
                 f"classes={self.n_classes})")
 
 
+def table_from_rows(name: str, order: int, classes: list, rows: list) -> CharacterTable:
+    """The verified table of `rows` on copies of `classes`, rows ordered by
+    degree, then by the ``sort_key`` of their values."""
+    ident = next(i for i, c in enumerate(classes) if c.rep_order == 1)
+    rows = sorted(rows, key=lambda row: (row[ident].integer(),
+                                         tuple(v.sort_key() for v in row)))
+    infos = [ClassInfo(c.name, c.size, c.rep_order, dict(c.power_map)) for c in classes]
+    return CharacterTable(name, order, infos, rows, verify=True)
+
+
 # For x in C_i, z x^-1 runs over w z with w in the inverse class of C_i
 # (apply w, then z), whose base images are z[w[base]]; the counts below
 # run over those w, one batched lookup per representative z.
@@ -187,13 +198,12 @@ def _class_sum_matrix_modp(gc: GroupClasses, i: int, p: int):
 def dixon_prime(order: int, exponent: int, skip: int = 0) -> int:
     """Smallest prime p = 1 mod exponent with p > 2*sqrt(|G|) (skipping
     `skip` earlier candidates for retry)."""
-    import sympy
     bound = 2 * isqrt(order) + 1
     k = max(1, (bound - 1) // exponent)
     found = 0
     while True:
         p = exponent * k + 1
-        if p > bound and sympy.isprime(p):
+        if p > bound and is_prime(p):
             if found == skip:
                 return p
             found += 1
@@ -217,7 +227,6 @@ def dixon_table(source, group_name: str | None = None,
 
 
 def _dixon_with_prime(gc: GroupClasses, name: str, e: int, p: int) -> CharacterTable:
-    import sympy
     k = len(gc.classes)
     order = gc.order
     # split the commuting family, feeding class-sum matrices of the
@@ -236,7 +245,7 @@ def _dixon_with_prime(gc: GroupClasses, name: str, e: int, p: int) -> CharacterT
     sizes = [c.size for c in gc.classes]
     inv_sizes = [pow(s, -1, p) for s in sizes]
     inv_class = [gc.inverse_class(j) for j in range(k)]
-    g0 = sympy.primitive_root(p)
+    g0 = primitive_root(p)
     z_e = pow(g0, (p - 1) // e, p)
 
     rows = []
@@ -262,11 +271,7 @@ def _dixon_with_prime(gc: GroupClasses, name: str, e: int, p: int) -> CharacterT
         row = _lift_row(gc, chi_mod, d, e, z_e, p)
         rows.append(row)
 
-    classes = [ClassInfo(c.name, c.size, c.rep_order, dict(c.power_map))
-               for c in gc.classes]
-    rows.sort(key=lambda row: (row[0].integer(),
-                               tuple(v.sort_key() for v in row)))
-    return CharacterTable(name, order, classes, rows, verify=True)
+    return table_from_rows(name, order, gc.classes, rows)
 
 
 def _lift_row(gc: GroupClasses, chi_mod, d: int, e: int, z_e: int, p: int):

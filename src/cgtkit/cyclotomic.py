@@ -32,6 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from ._ntheory import factorize
+
 BigRational = Fraction
 
 __all__ = ["BigRational", "Cyclotomic", "zeta", "sqrt_int", "sum_of_products"]
@@ -46,25 +48,10 @@ def _conductor_data(e: int):
     rest.
     """
     data = []
-    m = e
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            a = 0
-            pa = 1
-            while m % p == 0:
-                m //= p
-                a += 1
-                pa *= p
-            rest = e // pa
-            c = (rest * pow(rest, -1, pa)) % e if pa < e else 1 % e
-            data.append((p, pa, pa - pa // p, c))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        pa = m
+    for p, a in factorize(e):
+        pa = p ** a
         rest = e // pa
-        c = (rest * pow(rest, -1, pa)) % e if pa < e else 1 % e
-        data.append((m, pa, pa - pa // m, c))
+        data.append((p, pa, pa - pa // p, rest * pow(rest, -1, pa) % e))
     return tuple(data)
 
 
@@ -421,41 +408,21 @@ def sqrt_int(n: int) -> Cyclotomic:
     if n == 0:
         return Cyclotomic.zero()
     neg = n < 0
-    n = abs(n)
     square = 1
-    odd_primes = []
-    two = False
-    m = n
-    while m % 2 == 0:
-        m //= 2
-        two = not two
-        if not two:
-            square *= 2
-    d = 3
-    while d * d <= m:
-        while m % d == 0:
-            m //= d
-            if d in odd_primes:
-                odd_primes.remove(d)
-                square *= d
-            else:
-                odd_primes.append(d)
-        d += 2
-    if m > 1:
-        if m in odd_primes:
-            odd_primes.remove(m)
-            square *= m
-        else:
-            odd_primes.append(m)
-    out = Cyclotomic.from_rational(square)
     i_factors = 0
-    if two:
-        out = out * (zeta(8) + zeta(8, 7))
-    for p in odd_primes:
-        gauss = Cyclotomic(p, {a: 1 if pow(a, (p - 1) // 2, p) == 1 else -1 for a in range(1, p)})
+    out = Cyclotomic.one()
+    for p, a in factorize(abs(n)):
+        square *= p ** (a // 2)
+        if a % 2 == 0:
+            continue
+        if p == 2:
+            out = out * (zeta(8) + zeta(8, 7))
+            continue
+        gauss = Cyclotomic(p, {t: 1 if pow(t, (p - 1) // 2, p) == 1 else -1 for t in range(1, p)})
         if p % 4 == 3:
             i_factors += 1  # gauss = i*sqrt(p)
         out = out * gauss
+    out = out * square
     if neg:
         i_factors -= 1  # multiply by i overall
     i_factors %= 4

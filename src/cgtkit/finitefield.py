@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from ._ntheory import factorize, is_prime
+
 __all__ = ["FiniteField", "FFElement", "conway_polynomial"]
 
 _LOG_TABLE_LIMIT = 1 << 16
@@ -76,56 +78,31 @@ def _psub(f, g, p):
     g = list(g) + [0] * (n - len(g))
     return _ptrim([(a - b) % p for a, b in zip(f, g)])
 
-def _is_irreducible(f, p):
-    import sympy
-    k = len(f) - 1
-    if k <= 0:
-        return False
-    x = _pdivmod([0, 1], f, p)[1]
-    xq = _ppowmod([0, 1], p ** k, f, p)
-    if _psub(xq, x, p):
-        return False
-    for r in sympy.primefactors(k):
-        xqd = _ppowmod([0, 1], p ** (k // r), f, p)
-        diff = _psub(xqd, x, p)
-        if len(_pgcd(diff, f, p)) > 1:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def conway_polynomial(p: int, k: int) -> tuple:
     """Conway polynomial C_{p,k}, little-endian monic coefficient tuple."""
-    import sympy
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     q = p ** k
-    qfactors = sympy.primefactors(q - 1)
+    qfactors = [r for r, _ in factorize(q - 1)]
     subs = [(d, conway_polynomial(p, d)) for d in range(1, k) if k % d == 0]
 
     def is_primitive(f):
-        if not _is_irreducible(f, p):
-            return False
+        # x of order q - 1 mod f makes GF(p)[x]/(f) a field: a ring of q
+        # elements with a zero divisor has fewer than q - 1 units
         x = [0, 1]
-        for r in qfactors:
-            if _ppowmod(x, (q - 1) // r, f, p) == [1]:
-                return False
-        return True
+        return _ppowmod(x, q - 1, f, p) == [1] and all(
+            _ppowmod(x, (q - 1) // r, f, p) != [1] for r in qfactors)
 
     def compatible(f):
         for d, cd in subs:
             y = _ppowmod([0, 1], (q - 1) // (p ** d - 1), f, p)
-            # evaluate C_{p,d} at y mod f
-            acc = [0]
-            ypow = [1]
-            for c in cd:
-                if c:
-                    term = [a * c % p for a in ypow]
-                    acc = _ptrim([(a + b) % p for a, b in
-                                  zip(acc + [0] * len(term), term + [0] * len(acc))])
-                y_next = _pmulmod(ypow, y, f, p)
-                ypow = y_next
-            if acc:
+            # evaluate C_{p,d} at y mod f, by Horner's rule
+            acc = []
+            for c in reversed(cd):
+                acc = _pmulmod(acc, y, f, p) or [0]
+                acc[0] = (acc[0] + c) % p
+            if _ptrim(acc):
                 return False
         return True
 
@@ -164,8 +141,8 @@ class FiniteField:
         if key in cls._cache:
             return cls._cache[key]
         self = super().__new__(cls)
-        cls._cache[key] = self
         self._init(p, k)
+        cls._cache[key] = self
         return self
 
     def _init(self, p: int, k: int):
@@ -290,11 +267,10 @@ class FiniteField:
         return self.pow(a, self.p)
 
     def element_order(self, a: int) -> int:
-        import sympy
         if a == 0:
             raise ValueError("zero has no multiplicative order")
         n = self.q - 1
-        for r in sympy.primefactors(n):
+        for r, _ in factorize(n):
             while n % r == 0 and self.pow(a, n // r) == 1:
                 n //= r
         return n

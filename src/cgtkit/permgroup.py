@@ -335,9 +335,11 @@ class ClassSystem:
     classes: list
 
     def class_named(self, name: str) -> int:
-        for i, c in enumerate(self.classes):
-            if c.name == name:
-                return i
+        # names are fixed once a system is built: one dict, first match wins
+        if "_name_index" not in self.__dict__:
+            self._name_index = {c.name: i for i, c in reversed(list(enumerate(self.classes)))}
+        if name in self._name_index:
+            return self._name_index[name]
         # order-letter fallback ("7a" = first class of representative order
         # 7 in canonical order), so both naming schemes resolve everywhere
         m = re.fullmatch(r"(\d+)([a-z])", name)

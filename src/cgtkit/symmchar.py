@@ -33,7 +33,7 @@ import itertools
 
 import numpy as np
 
-from .chartab import CharacterTable, ClassInfo
+from .chartab import CharacterTable, table_from_rows
 from .cyclotomic import Cyclotomic, sqrt_int, sum_of_products
 from .permgroup import ClassSystem
 from .perms import Permutation, _inv, _mul
@@ -480,15 +480,9 @@ def sn_table(n: int) -> CharacterTable:
     """Full integral character table of S_n."""
     cs = SnClassSystem(n)
     lams = sorted(partitions(n), key=lambda l: (hook_degree(l), l))
-    rows = []
-    for lam in lams:
-        rows.append([Cyclotomic.from_rational(mn_value(lam, c.cycle_type))
-                     for c in cs.classes])
-    classes = [ClassInfo(c.name, c.size, c.rep_order, dict(c.power_map))
-               for c in cs.classes]
-    ident = next(i for i, c in enumerate(cs.classes) if c.rep_order == 1)
-    rows.sort(key=lambda row: (row[ident].integer(), tuple(v.sort_key() for v in row)))
-    return CharacterTable(f"S{n}", cs.group_order, classes, rows, verify=True)
+    rows = [[Cyclotomic.from_rational(mn_value(lam, c.cycle_type)) for c in cs.classes]
+            for lam in lams]
+    return table_from_rows(f"S{n}", cs.group_order, cs.classes, rows)
 
 
 def _diagonal_hooks(lam: tuple) -> tuple:
@@ -547,15 +541,9 @@ def an_character_value(kind: str, lam: tuple, cls: CombClass) -> Cyclotomic:
 def an_table(n: int) -> CharacterTable:
     """Character table of A_n by restriction from S_n, with class splitting."""
     cs = _an_class_system(n)
-    rows = []
-    for desc in an_character_data(n):
-        kind, lam = desc
-        rows.append([an_character_value(kind, lam, c) for c in cs.classes])
-    classes = [ClassInfo(c.name, c.size, c.rep_order, dict(c.power_map))
-               for c in cs.classes]
-    ident = next(i for i, c in enumerate(cs.classes) if c.rep_order == 1)
-    rows.sort(key=lambda row: (row[ident].integer(), tuple(v.sort_key() for v in row)))
-    return CharacterTable(f"A{n}", cs.group_order, classes, rows, verify=True)
+    rows = [[an_character_value(kind, lam, c) for c in cs.classes]
+            for kind, lam in an_character_data(n)]
+    return table_from_rows(f"A{n}", cs.group_order, cs.classes, rows)
 
 
 @lru_cache(maxsize=None)

@@ -8,9 +8,10 @@ The factorizations of phi_star on the verify-paper grid (prime powers
 q <= 64, 3 <= e <= 30, q^e - 1 <= 2^128) ship in ``data/zsigmondy.json``,
 written by ``scripts/make_zsigmondy_certs.py``.  Nothing in the file is
 trusted: on first use every phi_star is recomputed and divided down to 1
-by its listed primes, each prime below 2^64 is proven by deterministic
-Miller-Rabin, and each prime from 2^64 up by its Pratt certificate (Pratt,
-SIAM J. Comput. 4, 1975), checked with ``pow`` alone.
+by its listed primes, each prime below 2^64 is proven by the deterministic
+Miller-Rabin of ``_ntheory.is_prime``, and each prime from 2^64 up by its
+Pratt certificate (Pratt, SIAM J. Comput. 4, 1975), checked with ``pow``
+alone.  sympy is imported only to factor an n off that table.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
 
+from ._ntheory import MR_BOUND, factorize, is_prime, is_prime_power
+
 __all__ = ["phi_star", "prime_divisors", "classify_small_zsigmondy",
            "ZsigmondyReport", "is_prime_power", "primes_have_order_e"]
 
@@ -28,24 +31,8 @@ FACTORIZATION_BOUND = 1 << 128
 # The grid whose factorizations the certified table holds.
 TABLE_Q_MAX, TABLE_E_MAX = 64, 30
 # Primes below this are proven by Miller-Rabin, the rest by certificate.
-CERTIFICATE_FLOOR = 1 << 64
-# The first 12 primes.  No composite below 318665857834031151167461
-# (about 3.2e23 > 2^64) is a strong pseudoprime to all of them (Sorenson
-# and Webster, Math. Comp. 86, 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+CERTIFICATE_FLOOR = MR_BOUND
 _TABLE_PATH = Path(__file__).parent / "data" / "zsigmondy.json"
-
-
-def is_prime_power(q: int):
-    """Return (p, a) with q = p^a, or None. Exhaustive root extraction."""
-    import sympy
-    if q < 2:
-        return None
-    for a in range(q.bit_length(), 0, -1):
-        r, exact = sympy.integer_nthroot(q, a) if a > 1 else (q, True)
-        if exact and sympy.isprime(r):
-            return int(r), a
-    return None
 
 
 @dataclass
@@ -117,33 +104,10 @@ def primes_have_order_e(q: int, e: int, n: int) -> bool:
     p | n, hence p = 1 (mod e); n is never factored.  q^e = 1 (mod n) bounds
     each order by a divisor of e, and n coprime to q^(e/r) - 1 for every
     prime r | e rules out each proper divisor."""
-    import sympy
     if n == 1:
         return True
     return pow(q, e, n) == 1 and all(gcd(n, q ** (e // r) - 1) == 1
-                                     for r in sympy.primefactors(e))
-
-
-def _is_prime_below_floor(n: int) -> bool:
-    """Deterministic Miller-Rabin on ``_MR_BASES``; exact for n < 2^64."""
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    d = (n - 1) >> s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+                                     for r, _ in factorize(e))
 
 
 def _require_ints(where: str, *values) -> None:
@@ -184,7 +148,7 @@ def _certified_table() -> dict:
         if p in proven:
             return
         if p < CERTIFICATE_FLOOR:
-            if not _is_prime_below_floor(p):
+            if not is_prime(p):
                 raise ValueError(f"{where}: {p} is not prime")
         else:
             if p not in certificates:

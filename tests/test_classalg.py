@@ -33,8 +33,9 @@ def test_total_triple_count_is_cyclically_invariant():
 
 
 def test_brute_force_equivalence_random_triples():
-    # tc(i,j,kinv) * |C_i| = |C_k| * (fixed-z count) for 50 random triples
-    for name in ("A5", "L2(7)"):
+    # tc(i,j,kinv) * |C_i| = |C_k| * (fixed-z count) for 50 random triples;
+    # J1 (266 points) runs the count on the uint16 element index
+    for name in ("A5", "L2(7)", "M11", "M12", "J1"):
         gc = catalog.class_system(name)
         t = catalog.character_table(name)
         import random

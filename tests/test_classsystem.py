@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 
 from cgtkit import catalog
+from cgtkit.chartab import ClassInfo
 from cgtkit.permgroup import ClassSystem
 from cgtkit.symmchar import AnClassSystem, SnClassSystem, an_table
 
@@ -51,3 +52,10 @@ def test_class_named_with_order_letter_fallback(kind):
         cs.class_named(f"{max(by_order)}{chr(ord('a') + len(cs.classes))}")
     with pytest.raises(KeyError):
         cs.class_named("no such class")
+
+
+def test_class_named_keeps_the_first_of_duplicate_names():
+    cs = ClassSystem()
+    cs.classes = [ClassInfo("1a", 1, 1, {0: 0}), ClassInfo("x", 1, 2, {0: 0, 1: 1}),
+                  ClassInfo("x", 1, 2, {0: 0, 1: 2}), ClassInfo("y", 1, 2, {0: 0, 1: 3})]
+    assert [cs.class_named(n) for n in ("x", "y", "1a", "2a", "2c")] == [1, 3, 0, 1, 3]

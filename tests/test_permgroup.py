@@ -1,4 +1,5 @@
 import random
+import time
 from math import factorial, gcd
 
 import numpy as np
@@ -241,6 +242,15 @@ def test_class_letters_run_on_past_zz():
     names = [c.name for c in gc.classes if c.rep_order == 2]
     assert len(names) == 1023 == len(set(names)) and names[-1] == "2ami"
     assert all(gc.classes[gc.class_named(name)].name == name for name in names)
+
+
+def test_class_named_resolves_every_name_of_a_long_base_group():
+    # 16 384 classes: one scan per name took 8.5 s for all of them
+    gc = conjugacy_classes(_transpositions(14))
+    names = [c.name for c in gc.classes]
+    start = time.perf_counter()
+    assert [gc.class_named(name) for name in names] == list(range(len(names)))
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("group", ["A5", "L2(7)", "M11", "A5 on 256 points"])

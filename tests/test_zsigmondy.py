@@ -4,6 +4,7 @@ import pytest
 import sympy
 
 from cgtkit import zsigmondy
+from cgtkit._ntheory import is_prime
 from cgtkit.zsigmondy import (CERTIFICATE_FLOOR, TABLE_E_MAX, TABLE_Q_MAX,
                               classify_small_zsigmondy, is_prime_power,
                               phi_star, prime_divisors, primes_have_order_e,
@@ -99,11 +100,11 @@ def test_order_e_oracle_rejects_unstripped_cyclotomic_values():
 
 def test_miller_rabin_below_floor_matches_sympy():
     for n in range(-2, 5000):
-        assert zsigmondy._is_prime_below_floor(n) == sympy.isprime(n), n
+        assert is_prime(n) == sympy.isprime(n), n
     # strong pseudoprimes to the first 4, 8 and 9 prime bases
     for n in (3215031751, 341550071728321, 3825123056546413051):
-        assert not zsigmondy._is_prime_below_floor(n)
-    assert zsigmondy._is_prime_below_floor(CERTIFICATE_FLOOR - 59)   # 2^64 - 59
+        assert not is_prime(n)
+    assert is_prime(CERTIFICATE_FLOOR - 59)   # 2^64 - 59
 
 
 def test_prime_divisors_answers_the_grid_from_the_table(monkeypatch):
