@@ -18,8 +18,11 @@ triple reports.  The outputs covered:
   witnesses) on a few small groups;
 - ``chain``: every level's base point, strong generators and transversal
   items, in order, of the ``catalog.load_group`` chain of every
-  ``verify.NEUMANN_GROUPS`` group and of the Lemma 4.2/4.3 chains for
-  n = 11..30;
+  ``verify.NEUMANN_GROUPS`` group and of the deterministic chain
+  ``build_chain([x, y])`` of the Lemma 4.2/4.3 pairs for n = 11..30;
+- ``lemma``: x, y, the involution, the triple, the order of ``c.chain`` and
+  that chain's levels, as above, of the Lemma 4.2/4.3 construction ``c``
+  for n = 11..30 (a chain proved against the order n!/2);
 - ``triples-an``: ``enumerate_triples(..., classify=True).to_json()`` on
   ``symmchar.AnClassSystem``, split classes (A7 7a, A9 9a) included;
 - ``search``: the witness of a seeded ``search_triple``;
@@ -53,7 +56,7 @@ from cgtkit.chartab import dixon_prime, dixon_table
 from cgtkit.finitefield import conway_polynomial
 from cgtkit.gentriples import (build_lemma42, build_lemma43, enumerate_triples,
                                search_triple)
-from cgtkit.permgroup import GroupClasses, conjugacy_classes
+from cgtkit.permgroup import GroupClasses, build_chain, conjugacy_classes
 from cgtkit.symmchar import AnClassSystem, an_table
 from cgtkit.zsigmondy import is_prime_power, prime_divisors, scan_reports
 
@@ -139,7 +142,10 @@ def main() -> int:
         print("chain", name, sha(chain_data(catalog.load_group(name)[1])), flush=True)
     for n in LEMMA_NS:
         c = build_lemma42(n) if n % 2 else build_lemma43(n)
-        print("chain", f"lemma:A{n}", sha(chain_data(c.chain)), flush=True)
+        print("chain", f"lemma:A{n}", sha(chain_data(build_chain([c.x, c.y]))), flush=True)
+        print("lemma", f"A{n}", sha([str(c.x), str(c.y), str(c.involution),
+                                     [str(t) for t in c.triple], c.chain.order(),
+                                     chain_data(c.chain)]), flush=True)
     for n, cname, a in AN_TRIPLES:
         name = f"A{n}"
         r = enumerate_triples(catalog.load_group(name)[1], AnClassSystem(n), cname, a,

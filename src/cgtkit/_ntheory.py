@@ -30,6 +30,8 @@ def is_prime(n: int) -> bool:
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
+    if n < 41 * 41:  # no prime factor up to 37, so none at all
+        return True
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for a in _MR_BASES:

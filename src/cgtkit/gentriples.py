@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import gcd
+from math import factorial, gcd
 
 from .perms import Permutation, _inv, _mul
 from .permgroup import StabilizerChain, build_chain, orbits
@@ -35,6 +35,16 @@ DEFAULT_BUDGET = 10 ** 4
 def _subgroup_key(chain: StabilizerChain):
     sizes = tuple(sorted((len(o) for o in orbits(chain)), reverse=True))
     return (chain.order(), sizes)
+
+
+def _generated(gens, chain: StabilizerChain, group_orbits) -> StabilizerChain:
+    """Chain of <gens>, for gens in the group of `chain`, whose orbits are
+    `group_orbits` (None when gens are not known to lie in that group).
+    When <gens> has the same orbits, the chain is proved against the
+    group's known order (`build_chain`'s `within`); a subgroup with other
+    orbits is proper, and gets the deterministic chain at once."""
+    same = group_orbits is not None and orbits(gens, chain.degree) == group_orbits
+    return build_chain(gens, chain.degree, within=chain.order() if same else None)
 
 
 @dataclass
@@ -93,7 +103,6 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
     order = cs.group_order
     x = cls.representative
     x_img = x.images
-    n = len(x_img)
     total = 0
     generating = 0
     hist: dict = {}
@@ -101,13 +110,14 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
     if classify:
         conjugators = [(c, _inv(c)) for c in cs.centralizer_generators(x_img)]
         classified: set = set()
+        group_orbits = orbits(chain)
     for y_img in cs.iter_class_images_with_product(ci, x_img, target):
         total += 1
         if not classify or y_img in classified:
             continue
         orbit = _conjugation_orbit(y_img, conjugators)
         classified |= orbit
-        sub = build_chain([x_img, y_img], n)
+        sub = _generated([x_img, y_img], chain, group_orbits)
         key = _subgroup_key(sub)
         hist[key] = hist.get(key, 0) + len(orbit)
         if sub.order() == order:
@@ -158,13 +168,14 @@ def search_triple(chain: StabilizerChain, cs, class_spec, a: int,
     target = cs.power_class(ci, a)
     order = cs.group_order
     x = cls.representative
+    group_orbits = orbits(chain)
     for _ in range(budget):
         c = chain.random_element(rng)
         y = x.conj(c)
         xy = x * y
         if cs.class_of_images(xy.images) != target:
             continue
-        sub = build_chain([x.images, y.images], chain.degree)
+        sub = _generated([x.images, y.images], chain, group_orbits)
         if sub.order() == order:
             return (x, y, xy.inverse())
     return None
@@ -199,6 +210,17 @@ def _lemma_common(n, x, u, shift):
     return w, s, v, y, vu
 
 
+def _alternating_chain(n: int, x: Permutation, y: Permutation) -> StabilizerChain:
+    """Chain of <x, y>, checked to be A_n.  Both are even, so <x, y> lies in
+    A_n, and the chain is proved against its order n!/2."""
+    if x.sign() != 1 or y.sign() != 1:
+        raise AssertionError("x or y is an odd permutation")
+    chain = build_chain([x, y], within=factorial(n) // 2)
+    if chain.order() != factorial(n) // 2:
+        raise AssertionError("x, y do not generate the alternating group")
+    return chain
+
+
 def build_lemma42(n: int) -> LemmaConstruction:
     """Two (n-2)-cycles generating A_n whose quotient is an involution
     moving 8 points (n odd, n >= 11)."""
@@ -213,10 +235,7 @@ def build_lemma42(n: int) -> LemmaConstruction:
         raise AssertionError("x or y is not an (n-2)-cycle")
     if vu.support_size() != 8 or (vu * vu) != Permutation.identity(n):
         raise AssertionError("vu is not an involution moving 8 points")
-    chain = build_chain([x, y])
-    from math import factorial
-    if chain.order() != factorial(n) // 2:
-        raise AssertionError("x, y do not generate the alternating group")
+    chain = _alternating_chain(n, x, y)
     triple = (x, vu, y.inverse())
     return LemmaConstruction(n, x, y, vu, triple, chain)
 
@@ -245,10 +264,7 @@ def build_lemma43(n: int) -> LemmaConstruction:
         raise AssertionError("x or y is not an (n-3)-cycle")
     if vu.support_size() != 12 or not (vu * vu).is_identity():
         raise AssertionError("vu is not an involution moving exactly 12 points")
-    chain = build_chain([x, y])
-    from math import factorial
-    if chain.order() != factorial(n) // 2:
-        raise AssertionError("x, y do not generate the alternating group")
+    chain = _alternating_chain(n, x, y)
     triple = (y.inverse(), vu, x)
     return LemmaConstruction(n, x, y, vu, triple, chain)
 
@@ -278,7 +294,10 @@ def translation_search(chain: StabilizerChain, x: Permutation, y: Permutation,
         raise ValueError("xyz != 1")
     if d < 1:
         raise ValueError("d must be positive")
-    full = build_chain([x, y, z]).order()
+    # every tuple below lies in the group of the chain iff x, y and z do;
+    # otherwise no order is known in advance
+    group_orbits = orbits(chain) if all(map(chain.contains, (x, y, z))) else None
+    full = _generated([x, y, z], chain, group_orbits).order()
     if chain.order() != full:
         raise ValueError("x, y, z do not generate the group of the chain")
     if d == 1:
@@ -296,7 +315,7 @@ def translation_search(chain: StabilizerChain, x: Permutation, y: Permutation,
         if not prod.is_identity():
             return None
         gens = [x ** d, y ** d] + zs
-        sub = build_chain(gens, chain.degree)
+        sub = _generated(gens, chain, group_orbits)
         index = chain.order() // sub.order()
         if chain.order() % sub.order() == 0 and index <= d and d % index == 0:
             return {"conjugators": cs, "index": index, "elements": zs}
@@ -327,6 +346,7 @@ def spread_class_check(chain: StabilizerChain, cs, class_spec):
         raise ValueError(f"group order exceeds spread bound {SPREAD_BOUND}")
     ci = _resolve_class(cs, class_spec)
     order = cs.group_order
+    group_orbits = orbits(chain)
     failing = []
     for k, cls in enumerate(cs.classes):
         if cls.rep_order == 1:
@@ -334,7 +354,7 @@ def spread_class_check(chain: StabilizerChain, cs, class_spec):
         s = cls.representative
         ok = False
         for y_img in cs.iter_class_images(ci):
-            sub = build_chain([s.images, y_img], chain.degree)
+            sub = _generated([s.images, y_img], chain, group_orbits)
             if sub.order() == order:
                 ok = True
                 break
@@ -419,6 +439,7 @@ def beauville_search(chain: StabilizerChain, cs=None):
     if cs is None:
         from .permgroup import conjugacy_classes
         cs = conjugacy_classes(chain)
+    group_orbits = orbits(chain)
     triples: dict = {}
     for cls in cs.classes:
         if cls.rep_order == 1:
@@ -428,7 +449,7 @@ def beauville_search(chain: StabilizerChain, cs=None):
             if cs.classes[k2].rep_order == 1:
                 continue
             for y_img in cs.iter_class_images(k2):
-                sub = build_chain([x.images, y_img], chain.degree)
+                sub = _generated([x.images, y_img], chain, group_orbits)
                 if sub.order() != order:
                     continue
                 y = Permutation(y_img)

@@ -2,7 +2,16 @@
 
 The stabilizer chain is built with the deterministic Schreier-Sims
 algorithm (every Schreier generator is processed), followed by an explicit
-verification pass; group order and membership are exact.  Each level keeps
+verification pass; group order and membership are exact.  A caller who
+knows that the generators lie in a group G of known order may instead ask
+for a proof against |G| (`build_chain(..., within=|G|)`): random products
+of the generators are sifted into a partial chain until its orbit lengths
+multiply to |G| (Seress 2003, sec. 4.3-4.5).  That product is a lower bound
+on the order of the group generated, which lies in G, so reaching |G|
+proves both equality and a complete chain.  Sifts that stall short of it
+fall back to the deterministic chain, which then gives every smaller
+order.  The random source has a fixed seed, so the chain is a function of
+the inputs; only the running time is random.  Each level keeps
 its transversal u_beta, the inverse u_beta^-1 of every entry (computed once,
 when the entry is made, so sifting only multiplies) and the list of its
 orbit points (what `random_element` draws from).  Conjugacy
@@ -28,7 +37,7 @@ by about 100 MiB.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import lcm, prod
 import random
 import re
 
@@ -43,6 +52,13 @@ __all__ = [
 ]
 
 DEFAULT_CLASS_BOUND = 1 << 21
+
+# build_chain(..., within=...): the seed of its random products, how many
+# products it keeps at once, and how many in a row may sift to the identity
+# before it builds the deterministic chain instead
+_SIFT_SEED = 0
+_SIFT_STATE = 10
+_SIFT_PATIENCE = 16
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -71,12 +87,74 @@ class StabilizerChain:
     """Base and strong generating set for a permutation group."""
 
     def __init__(self, generators, degree: int | None = None):
+        self._seed(generators, degree)
+        if self.levels:
+            self._build(0)
+        self._order = self._orbit_product()
+        self.verify()
+
+    @classmethod
+    def _sifted(cls, generators, degree: int | None, order: int):
+        """Chain of <generators> for a caller who knows that they lie in a
+        group of `order` elements; None when they are all the identity, or
+        once `_SIFT_PATIENCE` random products in a row have sifted to the
+        identity short of that order.
+
+        Random products of the generators (product replacement with an
+        accumulator) are sifted into the partial chain, and each residue
+        joins the strong generators of the levels down to the one where it
+        dropped out, as in `_build`.  The transversal products are distinct
+        elements of <generators>, so the product of the orbit lengths is a
+        lower bound on its order: reaching `order` proves equality and a
+        complete chain, and passing it disproves the caller's premise."""
+        self = cls.__new__(cls)
+        self._seed(generators, degree)
+        if not self.levels:  # the trivial group
+            return None
+        self._recompute_transversal(0)
+        ident = self._identity
+        gens = self.levels[0].gens
+        rng = random.Random(_SIFT_SEED)
+        size = max(len(gens), _SIFT_STATE)
+        state = [gens[k % len(gens)] for k in range(size)]
+        acc = ident
+        stalls = 0
+        found = self._orbit_product()
+        while found < order:
+            if stalls == _SIFT_PATIENCE:
+                return None
+            # state[a] *= state[b] for two distinct random slots a and b
+            a = int(rng.random() * size)
+            b = int(rng.random() * (size - 1))
+            b += b >= a
+            state[a] = _mul(state[a], state[b])
+            acc = _mul(acc, state[a])
+            y, j = self._strip(acc, 0)
+            if y == ident:
+                stalls += 1
+                continue
+            stalls = 0
+            if j == len(self.levels):
+                self._new_level(y)
+            # y fixes the base points before level j, and level 0's orbit is
+            # already that of every element of <generators>
+            for l in range(1, j + 1):
+                self._extend_transversal(l, y)
+            found = self._orbit_product()
+        if found > order:
+            raise AssertionError(
+                f"the generators make a group of order at least {found} > {order}")
+        self._order = order
+        return self
+
+    # -- construction ------------------------------------------------------
+
+    def _seed(self, generators, degree):
+        """Generators as tuples, and level 0 holding every nonidentity one."""
         gens = [g.images if isinstance(g, Permutation) else tuple(g)
                 for g in generators]
-        if not gens:
-            if degree is None:
-                raise ValueError("empty generator list needs an explicit degree")
-            gens = []
+        if not gens and degree is None:
+            raise ValueError("empty generator list needs an explicit degree")
         self.degree = degree if degree is not None else len(gens[0])
         for g in gens:
             if len(g) != self.degree:
@@ -84,30 +162,51 @@ class StabilizerChain:
         self.generators = [Permutation(g) for g in gens]
         self._identity = tuple(range(self.degree))
         self.levels: list[_Level] = []
-        for g in gens:
-            if g != self._identity:
-                self._add_to_level(0, g)
-        if self.levels:
-            self._build(0)
-        self._order = 1
-        for lv in self.levels:
-            self._order *= len(lv.transversal)
-        self.verify()
+        moving = [g for g in gens if g != self._identity]
+        if moving:
+            self._new_level(moving[0])
+            self.levels[0].gens = moving
 
-    # -- construction ------------------------------------------------------
+    def _orbit_product(self) -> int:
+        return prod(len(lv.points) for lv in self.levels)
 
-    def _add_to_level(self, i: int, g: tuple):
-        if i == len(self.levels):
-            base = min(p for p in range(self.degree) if g[p] != p)
-            self.levels.append(_Level(base))
-        self.levels[i].gens.append(g)
+    def _new_level(self, g: tuple):
+        """Append a level based at the first point g moves."""
+        self.levels.append(_Level(min(p for p in range(self.degree) if g[p] != p)))
 
     def _recompute_transversal(self, i: int):
         lv = self.levels[i]
-        t = {lv.base: self._identity}
-        t_inv = {lv.base: self._identity}
+        lv.transversal = {lv.base: self._identity}
+        lv.inverse = {lv.base: self._identity}
+        self._close_orbit(lv, [lv.base])
+
+    def _extend_transversal(self, i: int, s: tuple):
+        """Add s to level i's strong generators and the points it brings to
+        the orbit; the entries already made stay as they are."""
+        lv = self.levels[i]
+        lv.gens.append(s)
+        if not lv.transversal:  # a new level
+            self._recompute_transversal(i)
+            return
+        # the orbit is closed under the other generators, so new points
+        # come from s first; only then do all of them act on the new points
+        t, t_inv = lv.transversal, lv.inverse
+        s_inv = _inv(s)
+        new = []
+        for beta in lv.points:
+            gamma = s[beta]
+            if gamma not in t:
+                t[gamma] = _mul(t[beta], s)
+                t_inv[gamma] = _mul(s_inv, t_inv[beta])
+                new.append(gamma)
+        if new:
+            self._close_orbit(lv, new)
+
+    def _close_orbit(self, lv: _Level, frontier: list):
+        """Add to lv's transversal, breadth first, every point its strong
+        generators reach from the frontier points."""
+        t, t_inv = lv.transversal, lv.inverse
         gens = [(s, _inv(s)) for s in lv.gens]
-        frontier = [lv.base]
         while frontier:
             nxt = []
             for beta in frontier:
@@ -119,8 +218,6 @@ class StabilizerChain:
                         t_inv[gamma] = _mul(s_inv, u_inv)  # (u s)^-1 = s^-1 u^-1
                         nxt.append(gamma)
             frontier = nxt
-        lv.transversal = t
-        lv.inverse = t_inv
         lv.points = list(t)
 
     def _strip(self, g: tuple, from_level: int):
@@ -148,8 +245,7 @@ class StabilizerChain:
                 y, j = self._strip(sg, i + 1)
                 if y != self._identity:
                     if j == len(self.levels):
-                        base = min(p for p in range(self.degree) if y[p] != p)
-                        self.levels.append(_Level(base))
+                        self._new_level(y)
                     for l in range(i + 1, j + 1):
                         self.levels[l].gens.append(y)
                     for l in range(j, i, -1):
@@ -211,10 +307,27 @@ class StabilizerChain:
         return f"StabilizerChain(degree={self.degree}, order={self._order})"
 
 
-def build_chain(gens, degree: int | None = None) -> StabilizerChain:
-    """Spec surface: verified stabilizer chain from generators."""
+def build_chain(gens, degree: int | None = None,
+                within: int | None = None) -> StabilizerChain:
+    """Spec surface: verified stabilizer chain from generators.
+
+    `within`, when given, is the order of a group G that the caller knows
+    to contain every generator; the premise is the caller's to guarantee,
+    and is not checked.  Random products of the generators are then sifted
+    into a partial chain until its orbit lengths multiply to `within`,
+    which proves <gens> = G and the chain complete, with no verification
+    pass; if they multiply to more, the premise was false and
+    AssertionError is raised.  When `_SIFT_PATIENCE` products in a row
+    sift to the identity short of `within`, the deterministic chain is
+    built instead, so every order below |G| comes from the same code as
+    without `within`.  The random source has a fixed seed: only the
+    running time is random, and the chain is a function of the inputs."""
     if not gens and degree is None:
         raise ValueError("nonempty generator list required")
+    if within is not None:
+        chain = StabilizerChain._sifted(gens, degree, within)
+        if chain is not None:
+            return chain
     return StabilizerChain(gens, degree)
 
 

@@ -198,9 +198,9 @@ def test_orbit_weighting_builds_one_chain_per_orbit(monkeypatch):
     import cgtkit.gentriples as gt
     calls = []
 
-    def counting_build_chain(gens, degree=None):
+    def counting_build_chain(gens, degree=None, within=None):
         calls.append(1)
-        return build_chain(gens, degree)
+        return build_chain(gens, degree, within=within)
 
     monkeypatch.setattr(gt, "build_chain", counting_build_chain)
     chain = catalog.load_group("A8")[1]

@@ -29,6 +29,16 @@ def test_is_prime_matches_sympy():
         assert is_prime(n) == sympy.isprime(n), n
 
 
+def test_is_prime_around_the_small_prime_exit():
+    # below 41^2 a number with no prime factor up to 37 is prime: 41^2 is
+    # the first composite that passes the trial division by the bases,
+    # 1679 = 23 * 73 is caught by it and 1667 is a prime just below
+    assert not is_prime(1681)
+    assert not is_prime(1679)
+    assert is_prime(1667)
+    assert is_prime(1321) and not is_prime(41 * 43)
+
+
 def test_factorize_matches_factorint():
     for n in range(1, 20000):
         assert factorize(n) == sorted(sympy.factorint(n).items()), n

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cgtkit import catalog
-from cgtkit.gentriples import build_lemma43
+from cgtkit.gentriples import build_lemma42, build_lemma43
 from cgtkit.perms import Permutation, _mul, parse_perm
 from cgtkit.permgroup import (GroupTooLargeError, build_chain, class_letter,
                               conjugacy_classes, derived_subgroup,
@@ -290,6 +290,44 @@ def test_catalog_chains_cache_inverse_transversals(name):
 
 def test_lemma_chain_caches_inverse_transversals():
     _check_level_caches(build_lemma43(14).chain)
+
+
+def _chain_data(chain):
+    return [(lv.base, lv.gens, list(lv.transversal.items())) for lv in chain.levels]
+
+
+@pytest.mark.parametrize("n", range(11, 31))
+def test_known_order_chain_matches_the_deterministic_oracle(n):
+    c = build_lemma42(n) if n % 2 else build_lemma43(n)
+    ref = build_chain([c.x, c.y])
+    assert c.chain.order() == ref.order() == factorial(n) // 2
+    c.chain.verify()
+    _check_level_caches(c.chain)
+    # members of S_n, half of them odd
+    rng = random.Random(n)
+    for _ in range(50):
+        g = list(range(n))
+        rng.shuffle(g)
+        assert c.chain.contains(g) == ref.contains(g)
+    again = build_chain([c.x, c.y], within=factorial(n) // 2)
+    assert _chain_data(again) == _chain_data(c.chain)
+
+
+def test_known_order_falls_back_to_the_deterministic_chain():
+    # AGL(3, 2) < A8: transitive, so only the stalled sifts tell it apart
+    gens = [parse_perm("(1,2,5,3)(4,6,7,8)", 8), parse_perm("(1,5)(3,8,7,6)", 8)]
+    ref = build_chain(gens)
+    assert ref.order() == 1344
+    assert _chain_data(build_chain(gens, within=20160)) == _chain_data(ref)
+
+
+def test_known_order_refuses_an_order_it_passes():
+    # the orbit lengths of S5's chain multiply to 5 and then to at least 10
+    gens = [parse_perm("(1,2)", 5), parse_perm("(1,2,3,4,5)", 5)]
+    with pytest.raises(AssertionError):
+        build_chain(gens, within=7)
+    assert build_chain(gens, within=120).order() == 120
+    assert build_chain([], 4, within=1).order() == 1
 
 
 def test_random_element_draws_from_the_transversal_points():
