@@ -18,7 +18,7 @@ from .chartab import CharacterTable, TableInvariantError
 from .cyclotomic import Cyclotomic, sum_of_products, zeta
 from .fflinalg import FFMatrix
 from .perms import Permutation
-from .permgroup import StabilizerChain, build_chain, orbits
+from .permgroup import StabilizerChain, build_chain, known_order
 
 __all__ = ["ModuleRep", "fixed_dim_ff", "scott_check", "random_scott_tuples",
            "eigdims_from_character", "neumann_scan", "tensor_power_min_ratio",
@@ -165,7 +165,6 @@ def random_scott_tuples(rep: ModuleRep, count: int, r: int = 3,
     rng = random.Random(seed)
     gens = rep.chain.generators
     order = rep.chain.order()
-    group_orbits = orbits(rep.chain)
     out = []
     guard = 0
     while len(out) < count and guard < count * 200:
@@ -179,11 +178,9 @@ def random_scott_tuples(rep: ModuleRep, count: int, r: int = 3,
         # last word = inverse of the product, spelled backwards
         last = [-(i + 1) for w in reversed(words) for i in reversed(w)]
         tup = words + [last]
-        # words in the generators lie in the group; with the group's orbits,
-        # <perms> is proved against its order
         images = [p.images for p in perms]
-        same = orbits(images, rep.chain.degree) == group_orbits
-        sub = build_chain(images, rep.chain.degree, within=order if same else None)
+        sub = build_chain(images, rep.chain.degree,
+                          within=known_order(images, rep.chain))
         if sub.order() != order:
             continue
         out.append(tup)

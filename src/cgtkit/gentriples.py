@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from math import factorial, gcd
 
 from .perms import Permutation, _inv, _mul
-from .permgroup import StabilizerChain, build_chain, orbits
+from .permgroup import StabilizerChain, build_chain, known_order, orbits
 
 __all__ = ["TripleReport", "enumerate_triples", "search_triple",
            "build_lemma42", "build_lemma43", "translation_search",
@@ -35,16 +35,6 @@ DEFAULT_BUDGET = 10 ** 4
 def _subgroup_key(chain: StabilizerChain):
     sizes = tuple(sorted((len(o) for o in orbits(chain)), reverse=True))
     return (chain.order(), sizes)
-
-
-def _generated(gens, chain: StabilizerChain, group_orbits) -> StabilizerChain:
-    """Chain of <gens>, for gens in the group of `chain`, whose orbits are
-    `group_orbits` (None when gens are not known to lie in that group).
-    When <gens> has the same orbits, the chain is proved against the
-    group's known order (`build_chain`'s `within`); a subgroup with other
-    orbits is proper, and gets the deterministic chain at once."""
-    same = group_orbits is not None and orbits(gens, chain.degree) == group_orbits
-    return build_chain(gens, chain.degree, within=chain.order() if same else None)
 
 
 @dataclass
@@ -90,7 +80,9 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
     order and orbit lengths, so one stabilizer chain per C_G(x)-orbit is
     built, from the orbit's first member in scan order, and its key and
     generating count are weighted by the orbit's size.  The witness is the
-    first generating y in scan order, which opens its orbit.
+    first generating y in scan order, which opens its orbit.  A pair that
+    lies in the group of `chain` and has its orbits gets a chain proved
+    against that group's order (`permgroup.known_order`).
     """
     ci = _resolve_class(cs, class_spec)
     cls = cs.classes[ci]
@@ -103,6 +95,7 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
     order = cs.group_order
     x = cls.representative
     x_img = x.images
+    n = len(x_img)
     total = 0
     generating = 0
     hist: dict = {}
@@ -110,14 +103,14 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
     if classify:
         conjugators = [(c, _inv(c)) for c in cs.centralizer_generators(x_img)]
         classified: set = set()
-        group_orbits = orbits(chain)
     for y_img in cs.iter_class_images_with_product(ci, x_img, target):
         total += 1
         if not classify or y_img in classified:
             continue
         orbit = _conjugation_orbit(y_img, conjugators)
         classified |= orbit
-        sub = _generated([x_img, y_img], chain, group_orbits)
+        gens = [x_img, y_img]
+        sub = build_chain(gens, n, within=known_order(gens, chain))
         key = _subgroup_key(sub)
         hist[key] = hist.get(key, 0) + len(orbit)
         if sub.order() == order:
@@ -168,14 +161,13 @@ def search_triple(chain: StabilizerChain, cs, class_spec, a: int,
     target = cs.power_class(ci, a)
     order = cs.group_order
     x = cls.representative
-    group_orbits = orbits(chain)
     for _ in range(budget):
         c = chain.random_element(rng)
         y = x.conj(c)
         xy = x * y
         if cs.class_of_images(xy.images) != target:
             continue
-        sub = _generated([x.images, y.images], chain, group_orbits)
+        sub = build_chain([x.images, y.images], chain.degree)
         if sub.order() == order:
             return (x, y, xy.inverse())
     return None
@@ -294,10 +286,7 @@ def translation_search(chain: StabilizerChain, x: Permutation, y: Permutation,
         raise ValueError("xyz != 1")
     if d < 1:
         raise ValueError("d must be positive")
-    # every tuple below lies in the group of the chain iff x, y and z do;
-    # otherwise no order is known in advance
-    group_orbits = orbits(chain) if all(map(chain.contains, (x, y, z))) else None
-    full = _generated([x, y, z], chain, group_orbits).order()
+    full = build_chain([x, y, z]).order()
     if chain.order() != full:
         raise ValueError("x, y, z do not generate the group of the chain")
     if d == 1:
@@ -315,7 +304,7 @@ def translation_search(chain: StabilizerChain, x: Permutation, y: Permutation,
         if not prod.is_identity():
             return None
         gens = [x ** d, y ** d] + zs
-        sub = _generated(gens, chain, group_orbits)
+        sub = build_chain(gens, chain.degree)
         index = chain.order() // sub.order()
         if chain.order() % sub.order() == 0 and index <= d and d % index == 0:
             return {"conjugators": cs, "index": index, "elements": zs}
@@ -346,7 +335,6 @@ def spread_class_check(chain: StabilizerChain, cs, class_spec):
         raise ValueError(f"group order exceeds spread bound {SPREAD_BOUND}")
     ci = _resolve_class(cs, class_spec)
     order = cs.group_order
-    group_orbits = orbits(chain)
     failing = []
     for k, cls in enumerate(cs.classes):
         if cls.rep_order == 1:
@@ -354,7 +342,7 @@ def spread_class_check(chain: StabilizerChain, cs, class_spec):
         s = cls.representative
         ok = False
         for y_img in cs.iter_class_images(ci):
-            sub = _generated([s.images, y_img], chain, group_orbits)
+            sub = build_chain([s.images, y_img], chain.degree)
             if sub.order() == order:
                 ok = True
                 break
@@ -439,7 +427,6 @@ def beauville_search(chain: StabilizerChain, cs=None):
     if cs is None:
         from .permgroup import conjugacy_classes
         cs = conjugacy_classes(chain)
-    group_orbits = orbits(chain)
     triples: dict = {}
     for cls in cs.classes:
         if cls.rep_order == 1:
@@ -449,7 +436,7 @@ def beauville_search(chain: StabilizerChain, cs=None):
             if cs.classes[k2].rep_order == 1:
                 continue
             for y_img in cs.iter_class_images(k2):
-                sub = _generated([x.images, y_img], chain, group_orbits)
+                sub = build_chain([x.images, y_img], chain.degree)
                 if sub.order() != order:
                     continue
                 y = Permutation(y_img)

@@ -10,15 +10,18 @@ multiply to |G| (Seress 2003, sec. 4.3-4.5).  That product is a lower bound
 on the order of the group generated, which lies in G, so reaching |G|
 proves both equality and a complete chain.  Sifts that stall short of it
 fall back to the deterministic chain, which then gives every smaller
-order.  The random source has a fixed seed, so the chain is a function of
-the inputs; only the running time is random.  Each level keeps
-its transversal u_beta, the inverse u_beta^-1 of every entry (computed once,
-when the entry is made, so sifting only multiplies) and the list of its
-orbit points (what `random_element` draws from).  Conjugacy
-classes come from a full element-to-class index, built in numpy passes:
-breadth-first element enumeration one frontier at a time, conjugation by
-each generator as one index permutation, and classes as its orbits by
-min-label propagation.  The index also yields complete power maps.
+order.  `known_order` checks the premise for generators taken from the
+group of a chain: each must lie in it, and a subgroup with other orbits is
+proper, so it is not sifted at all.  The random source has a fixed seed,
+so the chain is a function of the inputs; only the running time is
+random.  Each level keeps its transversal u_beta, the inverse u_beta^-1
+of every entry (computed once, when the entry is made, so sifting only
+multiplies) and the list of its orbit points (what `random_element` draws
+from).  Conjugacy classes come from a full element-to-class index, built
+in numpy passes: breadth-first element enumeration one frontier at a
+time, conjugation by each generator as one index permutation, and classes
+as its orbits by min-label propagation.  The index also yields complete
+power maps.
 
 Elements are found by their stabilizer-chain coordinates: stripping an
 element's base images level by level gives one orbit position per level,
@@ -46,8 +49,8 @@ import numpy as np
 from .perms import Permutation, _inv, _mul
 
 __all__ = [
-    "StabilizerChain", "build_chain", "ClassSystem", "ConjClassData", "GroupClasses",
-    "conjugacy_classes", "GroupTooLargeError", "orbits", "is_transitive",
+    "StabilizerChain", "build_chain", "known_order", "ClassSystem", "ConjClassData",
+    "GroupClasses", "conjugacy_classes", "GroupTooLargeError", "orbits", "is_transitive",
     "is_primitive", "minimal_block_system",
 ]
 
@@ -313,11 +316,12 @@ def build_chain(gens, degree: int | None = None,
 
     `within`, when given, is the order of a group G that the caller knows
     to contain every generator; the premise is the caller's to guarantee,
-    and is not checked.  Random products of the generators are then sifted
-    into a partial chain until its orbit lengths multiply to `within`,
-    which proves <gens> = G and the chain complete, with no verification
-    pass; if they multiply to more, the premise was false and
-    AssertionError is raised.  When `_SIFT_PATIENCE` products in a row
+    and is not checked here (`known_order` checks it against a chain of
+    G, and returns None when it fails).  Random products of the generators
+    are then sifted into a partial chain until its orbit lengths multiply
+    to `within`, which proves <gens> = G and the chain complete, with no
+    verification pass; if they multiply to more, the premise was false
+    and AssertionError is raised.  When `_SIFT_PATIENCE` products in a row
     sift to the identity short of `within`, the deterministic chain is
     built instead, so every order below |G| comes from the same code as
     without `within`.  The random source has a fixed seed: only the
@@ -329,6 +333,19 @@ def build_chain(gens, degree: int | None = None,
         if chain is not None:
             return chain
     return StabilizerChain(gens, degree)
+
+
+def known_order(gens, group: StabilizerChain) -> int | None:
+    """The `within` for `build_chain(gens, group.degree, ...)`: the order of
+    the group G of `group` when every generator lies in G (one sift each)
+    and <gens> has G's orbits; else None.  A subgroup with other orbits is
+    proper, so it gets the deterministic chain without paying for stalled
+    sifts first."""
+    if orbits(gens, group.degree) != orbits(group):
+        return None
+    if not all(group.contains(g) for g in gens):
+        return None
+    return group.order()
 
 
 # -- orbit / block machinery -------------------------------------------------

@@ -194,6 +194,18 @@ def test_orbit_weighted_classification_matches_per_pair(name, engine, cname, a):
         assert y.images == witness and (x * y * z).is_identity()
 
 
+def test_classes_of_a_larger_group_are_not_proved_against_the_chain():
+    # S7's classes with A7's chain: x in 12a is odd, so <x, y> is not in the
+    # group of the chain and its order must not be proved against |A7|
+    chain = catalog.load_group("A7")[1]
+    cs = catalog.class_system("S7")
+    r = enumerate_triples(chain, cs, "12a", 2)
+    total, generating, hist, witness = _per_pair_reference(chain, cs, "12a", 2)
+    assert (r.total_pairs, r.generating_pairs) == (total, generating) == (25, 24)
+    assert list(r.subgroup_histogram.items()) == hist
+    assert r.witness[1].images == witness
+
+
 def test_orbit_weighting_builds_one_chain_per_orbit(monkeypatch):
     import cgtkit.gentriples as gt
     calls = []

@@ -10,7 +10,7 @@ from cgtkit.gentriples import build_lemma42, build_lemma43
 from cgtkit.perms import Permutation, _mul, parse_perm
 from cgtkit.permgroup import (GroupTooLargeError, build_chain, class_letter,
                               conjugacy_classes, derived_subgroup,
-                              is_primitive, is_transitive, orbits)
+                              is_primitive, is_transitive, known_order, orbits)
 
 
 def A(n):
@@ -328,6 +328,19 @@ def test_known_order_refuses_an_order_it_passes():
         build_chain(gens, within=7)
     assert build_chain(gens, within=120).order() == 120
     assert build_chain([], 4, within=1).order() == 1
+
+
+def test_known_order_checks_membership_and_orbits():
+    a5 = A(5)
+    even = [parse_perm("(1,2,3)", 5), parse_perm("(1,2,3,4,5)", 5)]
+    assert known_order(even, a5) == 60
+    assert build_chain(even, within=known_order(even, a5)).order() == 60
+    # an odd generator: <gens> = S5 is not a subgroup of A5
+    odd = [parse_perm("(1,2)", 5), parse_perm("(1,2,3,4,5)", 5)]
+    assert known_order(odd, a5) is None
+    assert build_chain(odd, within=known_order(odd, a5)).order() == 120
+    # other orbits than A5's: a proper subgroup
+    assert known_order([parse_perm("(1,2,3)", 5)], a5) is None
 
 
 def test_random_element_draws_from_the_transversal_points():
