@@ -30,6 +30,12 @@ triple reports.  The outputs covered:
   ``symmchar.AnClassSystem(n)`` for n = 3..18;
 - ``an-elements``: the order in which ``AnClassSystem.iter_class_images``
   lists every class of A_n for n = 3..9, and class 7a of A10;
+- ``sn-table``: ``symmchar.sn_table(n).to_json()`` for n = 3..12;
+- ``prop77``: (name1, name2, covered, missed) of ``symmchar.an_pair_covers``
+  for every ordered pair of nontrivial classes of A_n, n = 5..10; for
+  n > 10 in ``verify.PROP77_ORDERS``, for every pair of classes of the two
+  orders there (every pair ``verify-paper --suite crosscheck`` can try); and
+  for the first two classes of 17-cycles of A18;
 - ``zsigmondy``: (q, e, phi_star, ``prime_divisors(phi_star)``) over the
   verify-paper grid (prime powers q <= 64, 3 <= e <= 30, q^e - 1 <= 2^128);
 - ``ntheory``: ``conway_polynomial(p, k)`` for every prime power p^k <= 1024,
@@ -57,7 +63,7 @@ from cgtkit.finitefield import conway_polynomial
 from cgtkit.gentriples import (build_lemma42, build_lemma43, enumerate_triples,
                                search_triple)
 from cgtkit.permgroup import GroupClasses, build_chain, conjugacy_classes
-from cgtkit.symmchar import AnClassSystem, an_table
+from cgtkit.symmchar import AnClassSystem, an_pair_covers, an_table, sn_table
 from cgtkit.zsigmondy import is_prime_power, prime_divisors, scan_reports
 
 try:
@@ -76,6 +82,8 @@ LEMMA_NS = range(11, 31)
 AN_CLASS_NS = range(3, 19)
 # (n, class names or None for all classes) for the an-elements lines
 AN_ELEMENTS = [(n, None) for n in range(3, 10)] + [(10, ["7a"])]
+SN_TABLE_NS = range(3, 13)
+PROP77_ALL_PAIRS_NS = range(5, 11)
 # (group, class, a, seed); A_n (n >= 9) uses AnClassSystem through the catalog
 SEARCHES = [("A7", "7a", 1, 1), ("M11", "11a", 1, 2), ("A10", "7a", 1, 3),
             ("A12", "11a", 1, 4)]
@@ -113,6 +121,10 @@ def chain_data(chain) -> list:
     return [[lv.base, [list(g) for g in lv.gens],
              [[beta, list(u)] for beta, u in lv.transversal.items()]]
             for lv in chain.levels]
+
+
+def pair_covers_sha(n, firsts, seconds) -> str:
+    return sha([[a, b, *an_pair_covers(n, a, b)] for a in firsts for b in seconds])
 
 
 def main() -> int:
@@ -163,6 +175,20 @@ def main() -> int:
         label = ",".join(names) if names else "all"
         names = names or [c.name for c in cs.classes]
         print("an-elements", f"A{n}:{label}", elements_sha(cs, names), flush=True)
+    for n in SN_TABLE_NS:
+        print("sn-table", f"S{n}", sha(sn_table(n).to_json()), flush=True)
+    for n in PROP77_ALL_PAIRS_NS:
+        names = [c.name for c in AnClassSystem(n).classes if c.rep_order > 1]
+        print("prop77", f"A{n}", pair_covers_sha(n, names, names), flush=True)
+    for n, orders in verify.PROP77_ORDERS.items():
+        if n in PROP77_ALL_PAIRS_NS:
+            continue
+        cs = AnClassSystem(n)
+        firsts, seconds = ([c.name for c in cs.classes if c.rep_order == o] for o in orders)
+        print("prop77", f"A{n}:orders{orders[0]}_{orders[1]}",
+              pair_covers_sha(n, firsts, seconds), flush=True)
+    seventeens = [c.name for c in AnClassSystem(18).classes if c.rep_order == 17]
+    print("prop77", "A18:17", pair_covers_sha(18, seventeens[:1], seventeens[1:2]), flush=True)
     grid = [[r.q, r.e, r.phi_star, prime_divisors(r.phi_star)]
             for r in scan_reports(64, 30)]
     print("zsigmondy", "q<=64:e<=30", sha(grid), flush=True)

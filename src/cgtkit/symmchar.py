@@ -7,6 +7,18 @@ partitions split into two characters whose values differ only on the split
 classes (cycle type = the diagonal hooks), where they are
 (eps +- sqrt(eps * prod hooks)) / 2 with eps = (-1)^((n-r)/2).
 
+Murnaghan-Nakayama runs on beta sets as bit masks of n beads: removing a
+rim hook of size k moves a bead b to a free b - k, with sign -1 to the
+number of beads in between, and the recursion is memoized on (mask, k) and
+on (mask, rest of the cycle type).
+
+The sparse coverage check (an_pair_covers, Prop 7.7) counts in integers.
+The two halves of a self-conjugate lam form one row: each value is
+(a + s*b*sqrt(Delta))/2 for s = +-1, Delta = eps * prod hooks, with b = +-1
+on the split class of the hooks' type and 0 elsewhere.  Summed over s, the
+odd powers of sqrt(Delta) cancel, so every structure constant is one integer
+numerator over 4|A_n|^2, checked to be a non-negative multiple of it.
+
 Split conjugacy classes (all parts odd and distinct) are named 'a'/'b';
 the 'a' class contains the representative whose cycles list points in
 increasing order.  Membership of the two is decided by the sign of any
@@ -26,15 +38,15 @@ in one numpy step, so no class is ever held whole.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
+from typing import NamedTuple
 import itertools
 
 import numpy as np
 
 from .chartab import CharacterTable, table_from_rows
-from .cyclotomic import Cyclotomic, sqrt_int, sum_of_products
+from .cyclotomic import Cyclotomic, sqrt_int
 from .permgroup import ClassSystem
 from .perms import Permutation, _inv, _mul
 
@@ -78,42 +90,51 @@ def hook_degree(lam: tuple) -> int:
     return deg
 
 
-@lru_cache(maxsize=None)
-def _beta_set(lam: tuple) -> tuple:
-    r = len(lam)
-    return tuple(lam[i] + (r - 1 - i) for i in range(r))
-
-
-def _strips(lam: tuple, k: int):
-    """Removable border strips of size k: yields (smaller_partition, sign)."""
-    beta = list(_beta_set(lam))
-    bset = set(beta)
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        newbeta = sorted((x for x in beta if x != b), reverse=True)
-        newbeta.append(nb)
-        newbeta.sort(reverse=True)
-        r = len(newbeta)
-        newlam = tuple(newbeta[i] - (r - 1 - i) for i in range(r))
-        newlam = tuple(x for x in newlam if x > 0)
-        yield newlam, -1 if height % 2 else 1
+def _beads(lam: tuple, n: int) -> int:
+    """The beta set of lam on n beads as a bit mask: bead i sits at
+    lam[i] + n - 1 - i, with lam padded by zeros to n parts."""
+    return sum(1 << (part + n - 1 - i) for i, part in enumerate(lam)) \
+        + (1 << (n - len(lam))) - 1
 
 
 @lru_cache(maxsize=None)
-def mn_value(lam: tuple, mu: tuple) -> int:
-    """Character value chi^lam on the class of cycle type mu."""
-    if sum(lam) != sum(mu):
-        raise ValueError("partition sizes differ")
+def _rim_hooks(mask: int, k: int) -> tuple:
+    """Rim hooks of size k of the beta set mask, as (smaller mask, sign).
+
+    Removing one moves a bead b to a free b - k; its sign is -1 to the
+    number of beads strictly between b - k and b (the leg length).
+    """
+    movable = (mask & ~(mask << k)) >> k << k
+    out = []
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        between = mask >> (bead.bit_length() - k) & ((1 << (k - 1)) - 1)
+        out.append((mask ^ bead ^ (bead >> k), -1 if between.bit_count() & 1 else 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _mn(mask: int, mu: tuple) -> int:
+    """chi on cycle type mu of the partition whose beta set is mask."""
     if not mu:
         return 1
-    k, rest = mu[0], mu[1:]
-    total = 0
-    for newlam, sign in _strips(lam, k):
-        total += sign * mn_value(newlam, rest)
-    return total
+    rest = mu[1:]
+    return sum(sign * _mn(smaller, rest) for smaller, sign in _rim_hooks(mask, mu[0]))
+
+
+def mn_value(lam: tuple, mu: tuple) -> int:
+    """Character value chi^lam on the class of cycle type mu."""
+    lam, mu = tuple(lam), tuple(mu)
+    if (not all(isinstance(part, int) and part >= 0 for part in lam)
+            or any(a < b for a, b in zip(lam, lam[1:]))):
+        raise ValueError(f"{lam} is not a non-increasing sequence of non-negative integers")
+    if not all(isinstance(part, int) and part > 0 for part in mu):
+        raise ValueError(f"cycle type {mu} has a part that is not a positive integer")
+    n = sum(lam)
+    if n != sum(mu):
+        raise ValueError("partition sizes differ")
+    return _mn(_beads(tuple(part for part in lam if part), n), mu)
 
 
 def cycle_type_order(mu: tuple) -> int:
@@ -495,54 +516,69 @@ def _diagonal_hooks(lam: tuple) -> tuple:
     return tuple(out)
 
 
-def an_character_data(n: int):
-    """Descriptors of Irr(A_n): list of (kind, lam, extras).
+class _AnRow(NamedTuple):
+    """One partition pair {lam, conj(lam)} of n as a row of the integer sums.
 
-    kind 'whole': restriction of chi^lam (lam < conj(lam) lexicographically).
-    kind 'half+/-': the two constituents for self-conjugate lam.
+    lam <= conj(lam) lexicographically.  A whole row (lam < conj(lam), hooks
+    empty, delta 0) is the restriction of chi^lam, of value a.  A
+    self-conjugate lam stands for both of its halves, of value
+    (a + s*b*sqrt(delta))/2 for s = +1 and -1.  weight puts the row's share
+    of a structure-constant sum over the denominator 4|A_n|.
     """
-    out = []
+    lam: tuple
+    mask: int
+    hooks: tuple
+    weight: int
+    delta: int
+
+
+@lru_cache(maxsize=None)
+def _an_rows(n: int) -> tuple:
+    """Irr(A_n) as _AnRows, in the order of partitions(n)."""
+    order = factorial(n) // 2
+    rows = []
     for lam in partitions(n):
         conj = conjugate_partition(lam)
+        if lam > conj:
+            continue  # covered by the conjugate partition
+        deg = hook_degree(lam)
         if lam < conj:
-            out.append(("whole", lam))
-        elif lam == conj:
-            out.append(("half+", lam))
-            out.append(("half-", lam))
-        # lam > conj: already covered by the conjugate partition
-    return out
+            rows.append(_AnRow(lam, _beads(lam, n), (), 4 * order // deg, 0))
+            continue
+        hooks = _diagonal_hooks(lam)
+        eps = -1 if ((n - len(hooks)) // 2) % 2 else 1
+        rows.append(_AnRow(lam, _beads(lam, n), hooks, 2 * order // deg,
+                           eps * prod(hooks)))
+    return tuple(rows)
 
 
-def an_character_value(kind: str, lam: tuple, cls: CombClass) -> Cyclotomic:
-    """Value of the A_n irreducible described by (kind, lam) on cls."""
-    base = mn_value(lam, cls.cycle_type)
-    if kind == "whole":
-        return Cyclotomic.from_rational(base)
-    hooks = _diagonal_hooks(lam)
-    n = sum(lam)
-    if cls.split_letter and cls.cycle_type == hooks:
-        r = len(hooks)
-        eps = -1 if ((n - r) // 2) % 2 else 1
-        disc = eps
-        for h in hooks:
-            disc *= h
-        root = sqrt_int(disc)
-        plus = (Cyclotomic.from_rational(eps) + root) / 2
-        minus = (Cyclotomic.from_rational(eps) - root) / 2
-        on_a = plus if kind == "half+" else minus
-        on_b = minus if kind == "half+" else plus
-        return on_a if cls.split_letter == "a" else on_b
-    if base % 2:
+def _an_value(row: _AnRow, cls: CombClass) -> tuple:
+    """(a, b) of row on cls: the value is a for a whole row and
+    (a + s*b*sqrt(delta))/2 for the halves of a pair row."""
+    if cls.split_letter and cls.cycle_type == row.hooks:
+        return (1 if row.delta > 0 else -1), (1 if cls.split_letter == "a" else -1)
+    a = _mn(row.mask, cls.cycle_type)
+    if row.hooks and a % 2:
         raise AssertionError(
-            f"odd value {base} for split character at {lam} on {cls.cycle_type}")
-    return Cyclotomic.from_rational(base // 2)
+            f"odd value {a} for split character at {row.lam} on {cls.cycle_type}")
+    return a, 0
 
 
 def an_table(n: int) -> CharacterTable:
     """Character table of A_n by restriction from S_n, with class splitting."""
     cs = _an_class_system(n)
-    rows = [[an_character_value(kind, lam, c) for c in cs.classes]
-            for kind, lam in an_character_data(n)]
+    rows = []
+    for row in _an_rows(n):
+        values = [_an_value(row, c) for c in cs.classes]
+        if not row.hooks:
+            rows.append([Cyclotomic.from_rational(a) for a, _ in values])
+            continue
+        eps = Cyclotomic.from_rational(1 if row.delta > 0 else -1)
+        root = sqrt_int(row.delta)
+        plus, minus = (eps + root) / 2, (eps - root) / 2
+        for s in (1, -1):
+            rows.append([Cyclotomic.from_rational(a // 2) if not b
+                         else plus if s * b > 0 else minus for a, b in values])
     return table_from_rows(f"A{n}", cs.group_order, cs.classes, rows)
 
 
@@ -555,46 +591,41 @@ def _an_class_system(n: int) -> AnClassSystem:
 def an_pair_covers(n: int, name1: str, name2: str):
     """Does C1 * C2 cover all of A_n except possibly 1?  (sparse check)
 
-    Uses the character formula without building the full table: rows whose
-    value vanishes on C1 or C2 contribute nothing and are skipped before
-    their k-columns are ever evaluated.
+    Uses the character formula without building the full table, in integers:
+    summed over its two halves, a pair row contributes
+    [a1*a2*a3 + delta*(a1*b2*b3 + b1*a2*b3 + b1*b2*a3)] / (2*deg), the odd
+    powers of sqrt(delta) cancelling, and a whole row a1*a2*a3 / deg, for
+    deg = chi^lam(1).  Rows that vanish on C1 or C2 are skipped before their
+    k-columns are ever evaluated.
     """
     cs = _an_class_system(n)
-    i = cs.class_named(name1)
-    j = cs.class_named(name2)
-    ci, cj = cs.classes[i], cs.classes[j]
+    ci = cs.classes[cs.class_named(name1)]
+    cj = cs.classes[cs.class_named(name2)]
     order = cs.group_order
-    rows = []
-    for desc in an_character_data(n):
-        kind, lam = desc
-        vi = an_character_value(kind, lam, ci)
-        if vi.is_zero():
+    live = []
+    for row in _an_rows(n):
+        ai, bi = _an_value(row, ci)
+        if not (ai or bi):
             continue
-        vj = an_character_value(kind, lam, cj)
-        if vj.is_zero():
+        aj, bj = _an_value(row, cj)
+        if not (aj or bj):
             continue
-        deg = hook_degree(lam)
-        if kind != "whole":
-            deg //= 2
-        rows.append((kind, lam, vi * vj, Fraction(1, deg)))
+        # the row's share is p*a3 + q*b3 over 4|A_n|
+        live.append((row, row.weight * (ai * aj + row.delta * bi * bj),
+                     row.weight * row.delta * (ai * bj + bi * aj)))
     missed = []
     for k, ck in enumerate(cs.classes):
         if ck.rep_order == 1:
             continue
         ckinv = cs.classes[cs.inverse_class(k)]
-        total = sum_of_products(
-            lcm(ci.rep_order, cj.rep_order, ckinv.rep_order),
-            ((vij, an_character_value(kind, lam, ckinv), scale)
-             for kind, lam, vij, scale in rows))
-        count = Fraction(cj.size * ckinv.size, order) * _as_fraction(total)
-        if count.denominator != 1 or count < 0:
+        total = 0
+        for row, p, q in live:
+            ak, bk = _an_value(row, ckinv)
+            total += p * ak + q * bk
+        # count = |C2| |C3| / |A_n| * total / (4|A_n|)
+        count = cj.size * ckinv.size * total
+        if count % (4 * order * order) or count < 0:
             raise AssertionError(f"non-integral structure constant for {ck.name}")
         if count == 0:
             missed.append(ck.name)
     return (not missed), missed
-
-
-def _as_fraction(v: Cyclotomic) -> Fraction:
-    if not v.is_rational():
-        raise AssertionError(f"expected rational structure-constant sum, got {v}")
-    return v.rational()

@@ -1,11 +1,13 @@
 import itertools
 import time
+from functools import cache
 from math import factorial, gcd
 
 import numpy as np
 import pytest
 
-from cgtkit.chartab import dixon_table, tables_equivalent
+from cgtkit.chartab import class_mult_coeff, dixon_table, tables_equivalent
+from cgtkit.classalg import covers
 from cgtkit.cyclotomic import sqrt_int
 from cgtkit.perms import Permutation, _mul
 from cgtkit.permgroup import build_chain, conjugacy_classes
@@ -33,6 +35,54 @@ def test_mn_degree_is_hook_length_formula():
 def test_mn_size_mismatch():
     with pytest.raises(ValueError):
         mn_value((2, 1), (4,))
+
+
+@pytest.mark.parametrize("lam, mu", [
+    ((3,), (2, 1, 0)), ((3,), (4, -1)), ((1, 2), (3,)), ((2, 2, -1), (3,)),
+    ((2, 1, 1.0), (4,)), ((3,), (1.5, 1.5))])
+def test_mn_refuses_malformed_input(lam, mu):
+    with pytest.raises(ValueError):
+        mn_value(lam, mu)
+
+
+def test_mn_takes_trailing_zero_parts():
+    assert mn_value((3, 0), (2, 1)) == mn_value((3,), (2, 1)) == 1
+    assert mn_value((0,), ()) == mn_value((), ()) == 1
+
+
+def _reference_strips(lam, k):
+    """Removable border strips of size k: yields (smaller_partition, sign)."""
+    r = len(lam)
+    beta = [lam[i] + (r - 1 - i) for i in range(r)]
+    bset = set(beta)
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        newbeta = sorted((x for x in beta if x != b), reverse=True)
+        newbeta.append(nb)
+        newbeta.sort(reverse=True)
+        newlam = tuple(newbeta[i] - (r - 1 - i) for i in range(r))
+        newlam = tuple(x for x in newlam if x > 0)
+        yield newlam, -1 if height % 2 else 1
+
+
+@cache
+def _reference_mn_value(lam, mu):
+    """chi^lam(mu) by Murnaghan-Nakayama on beta-set tuples."""
+    if not mu:
+        return 1
+    k, rest = mu[0], mu[1:]
+    return sum(sign * _reference_mn_value(newlam, rest)
+               for newlam, sign in _reference_strips(lam, k))
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_mn_matches_the_reference_recursion(n):
+    for lam in partitions(n):
+        for mu in partitions(n):
+            assert mn_value(lam, mu) == _reference_mn_value(lam, mu), (lam, mu)
 
 
 def test_s4_table():
@@ -166,6 +216,31 @@ def test_an_pair_covers_a5():
     assert ok and missed == []
     ok, missed = an_pair_covers(5, "5a", "5a")
     assert not ok and missed == ["2+2+1"]
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_an_pair_covers_matches_the_full_table(n):
+    table = an_table(n)
+    names = [c.name for c in AnClassSystem(n).classes if c.rep_order > 1]
+    for a in names:
+        for b in names:
+            want = covers(table, a, b)
+            assert an_pair_covers(n, a, b) == (want.covered, want.missed), (n, a, b)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_an_pair_covers_matches_brute_force(n):
+    cs = AnClassSystem(n)
+    gc = catalog.class_system(f"A{n}")
+    match = [gc.class_of(c.representative) for c in cs.classes]
+    assert sorted(match) == list(range(len(gc.classes)))
+    nontrivial = [k for k, c in enumerate(cs.classes) if c.rep_order > 1]
+    for i in nontrivial:
+        for j in nontrivial:
+            missed = [cs.classes[k].name for k in nontrivial
+                      if class_mult_coeff(gc, match[i], match[j], match[k]) == 0]
+            assert an_pair_covers(n, cs.classes[i].name, cs.classes[j].name) \
+                == (not missed, missed), (n, i, j)
 
 
 def test_class_sizes_sum_to_group_order():
