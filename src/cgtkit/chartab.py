@@ -7,6 +7,13 @@ field through the discrete Fourier transform on the cyclic group generated
 by a class representative (using complete power maps).  Every table is
 verified against the full orthogonality relations, exactly, before it is
 returned.
+
+The mod-p stage runs on int64 numpy arrays: each class-sum matrix comes
+from batched class lookups, the splitting is ``fflinalg``'s mod-p layer,
+and the lift of every character on a class of order o is one (k x o) by
+(o x o) product mod p.  That layer's bound n*(p-1)^2 < 2^63 holds with
+room to spare for Dixon primes: the largest for a catalog group is J1's
+43 891, below 2^16.
 """
 
 from __future__ import annotations
@@ -19,9 +26,11 @@ import numpy as np
 
 from ._ntheory import is_prime, primitive_root
 from .cyclotomic import Cyclotomic, sum_of_products
-from .fflinalg import SplitFailure, simultaneous_eigenspaces_modp
-# not used here: the layer spans of perfbench/tracing.py patch these names on this module
-from .fflinalg import modp_charpoly, modp_kernel, modp_matvec, modp_roots, modp_rref  # noqa: F401
+from .fflinalg import (SplitFailure, check_int64_bound, modp_matvec,
+                       simultaneous_eigenspaces_modp)
+# not used here: the layer spans of perfbench/tracing.py patch these names on
+# this module, beside modp_matvec, which the lift calls
+from .fflinalg import modp_charpoly, modp_kernel, modp_roots, modp_rref  # noqa: F401
 from .permgroup import ClassSystem, GroupClasses, conjugacy_classes
 
 __all__ = ["ClassInfo", "CharacterTable", "dixon_table", "class_mult_coeff",
@@ -176,7 +185,7 @@ def table_from_rows(name: str, order: int, classes: list, rows: list) -> Charact
 
 # For x in C_i, z x^-1 runs over w z with w in the inverse class of C_i
 # (apply w, then z), whose base images are z[w[base]]; the counts below
-# run over those w, one batched lookup per representative z.
+# look up the products for all those w at once.
 
 def class_mult_coeff(gc: GroupClasses, i: int, j: int, k: int) -> int:
     """a_{ijk} = #{(x,y) in C_i x C_j : xy = z} for a fixed z in C_k."""
@@ -185,14 +194,26 @@ def class_mult_coeff(gc: GroupClasses, i: int, j: int, k: int) -> int:
     return int(np.count_nonzero(gc.classes_of_base_images(z[w]) == j))
 
 
-def _class_sum_matrix_modp(gc: GroupClasses, i: int, p: int):
-    """(M_i)[j][k] = a_{ijk} mod p, one bincount over C_i per column k."""
+# rows of one batched class lookup in _class_sum_matrix_modp; a class larger
+# than this is looked up one representative at a time
+_LOOKUP_ROWS = 4096
+
+
+def _class_sum_matrix_modp(gc: GroupClasses, i: int, p: int) -> np.ndarray:
+    """(M_i)[j][k] = a_{ijk} mod p.  The products for a batch of
+    representatives z go through one class lookup, and one bincount of
+    class + k * (z's place in the batch) counts them per column."""
     k = len(gc.classes)
     w = gc.base_images_of_class(gc.inverse_class(i))
-    cols = [np.bincount(gc.classes_of_base_images(np.array(c.representative.images)[w]),
-                        minlength=k)
-            for c in gc.classes]
-    return (np.stack(cols, axis=1) % p).tolist()
+    reps = np.array([c.representative.images for c in gc.classes])
+    batch = max(1, _LOOKUP_ROWS // len(w))
+    cols = []
+    for lo in range(0, k, batch):
+        z = reps[lo:lo + batch]
+        found = (gc.classes_of_base_images(z[:, w].reshape(-1, w.shape[1]))
+                 + np.repeat(np.arange(len(z)) * k, len(w)))
+        cols.append(np.bincount(found, minlength=len(z) * k).reshape(len(z), k))
+    return np.concatenate(cols).T % p
 
 
 def dixon_prime(order: int, exponent: int, skip: int = 0) -> int:
@@ -238,81 +259,73 @@ def _dixon_with_prime(gc: GroupClasses, name: str, e: int, p: int) -> CharacterT
     spaces = simultaneous_eigenspaces_modp(k, mats, p)
     if not all(len(b) == 1 for b in spaces):
         raise SplitFailure(f"family did not split into 1-dim spaces over GF({p})")
-    vectors = [b[0] for b in spaces]
-    if len(vectors) != k:
+    if len(spaces) != k:
         raise SplitFailure("wrong number of common eigenvectors")
 
-    sizes = [c.size for c in gc.classes]
-    inv_sizes = [pow(s, -1, p) for s in sizes]
+    # one eigenvector per row, scaled to 1 at the identity class
+    w = np.array([b[0] for b in spaces], dtype=np.int64)
+    if not w[:, 0].all():
+        raise SplitFailure("eigenvector vanishes at the identity class")
+    w = w * np.array([pow(x, -1, p) for x in w[:, 0].tolist()])[:, None] % p
+    inv_sizes = np.array([pow(c.size, -1, p) for c in gc.classes])
     inv_class = [gc.inverse_class(j) for j in range(k)]
-    g0 = primitive_root(p)
-    z_e = pow(g0, (p - 1) // e, p)
-
-    rows = []
-    sqrt_bound = isqrt(order)
-    for w in vectors:
-        if w[0] % p == 0:
-            raise SplitFailure("eigenvector vanishes at the identity class")
-        norm = pow(w[0], -1, p)
-        w = [x * norm % p for x in w]
-        # |G| / d^2 = sum_j w_j w_{j*} / |C_j|
-        c = sum(w[j] * w[inv_class[j]] % p * inv_sizes[j] for j in range(k)) % p
-        if c == 0:
-            raise SplitFailure("degree functional vanished")
-        d2 = order * pow(c, -1, p) % p
-        d = None
-        for cand in range(1, sqrt_bound + 1):
-            if cand * cand % p == d2:
-                d = cand
-                break
-        if d is None or order % d:
-            raise SplitFailure("no valid degree recovered")
-        chi_mod = [d * w[j] % p * inv_sizes[j] % p for j in range(k)]
-        row = _lift_row(gc, chi_mod, d, e, z_e, p)
-        rows.append(row)
-
-    return table_from_rows(name, order, gc.classes, rows)
+    # |G| / d^2 = sum_j w_j w_{j*} / |C_j|, for every row at once
+    functional = modp_matvec(w * w[:, inv_class] % p, inv_sizes, p).tolist()
+    if 0 in functional:
+        raise SplitFailure("degree functional vanished")
+    # d is the least d <= sqrt|G| with d^2 = |G| / functional mod p
+    least_root = {}
+    for cand in range(isqrt(order), 0, -1):
+        least_root[cand * cand % p] = cand
+    degrees = [least_root.get(order * pow(c, -1, p) % p) for c in functional]
+    if any(d is None or order % d for d in degrees):
+        raise SplitFailure("no valid degree recovered")
+    chi_mod = np.array(degrees)[:, None] * w % p * inv_sizes % p
+    return table_from_rows(name, order, gc.classes, _lift(gc, chi_mod, degrees, e, p))
 
 
-def _lift_row(gc: GroupClasses, chi_mod, d: int, e: int, z_e: int, p: int):
-    """Lift one character from mod-p values to exact cyclotomics."""
-    k = len(gc.classes)
-    row = []
-    for j in range(k):
-        o = gc.classes[j].rep_order
+def _lift(gc: GroupClasses, chi_mod: np.ndarray, degrees: list, e: int, p: int) -> list:
+    """Lift the characters with mod-p values `chi_mod` (one row each) to
+    exact cyclotomics.
+
+    On a class of order o, the multiplicity of zeta_o^l as an eigenvalue
+    is (1/o) sum_t chi(x^t) z_o^(-lt) mod p, z_o a primitive o-th root of
+    unity mod p.  For all characters at once that is one product of their
+    values on the powers of x (k x o) with the DFT matrix (o x o).
+    """
+    check_int64_bound(p, max(c.rep_order for c in gc.classes))
+    z_e = pow(primitive_root(p), (p - 1) // e, p)
+    bound = np.array(degrees)[:, None]
+    dft = {}
+    cols = []
+    for c in gc.classes:
+        o = c.rep_order
         if o == 1:
-            row.append(Cyclotomic.from_rational(d))
+            cols.append([Cyclotomic.from_rational(d) for d in degrees])
             continue
-        pm = gc.classes[j].power_map
-        z_o = pow(z_e, e // o, p)
-        z_o_inv = pow(z_o, -1, p)
-        inv_o = pow(o, -1, p)
-        chis = [chi_mod[pm[t]] for t in range(o)]
-        coeffs = {}
-        for l in range(o):
-            zpow = 1
-            zstep = pow(z_o_inv, l, p)
-            m = 0
-            for t in range(o):
-                m += chis[t] * zpow
-                zpow = zpow * zstep % p
-            m = m % p * inv_o % p
-            if m > d:
-                raise SplitFailure(
-                    f"eigenvalue multiplicity {m} exceeds degree {d} (bad lift)")
-            if m:
-                coeffs[l] = m
-        row.append(Cyclotomic(o, coeffs))
-    return row
+        if o not in dft:
+            z_inv = pow(z_e, -(e // o), p)
+            zpow = np.array([pow(z_inv, t, p) for t in range(o)])
+            dft[o] = zpow[np.outer(np.arange(o), np.arange(o)) % o]
+        on_powers = chi_mod[:, [c.power_map[t] for t in range(o)]]
+        mult = modp_matvec(on_powers, dft[o], p) * pow(o, -1, p) % p
+        if (mult > bound).any():
+            i, l = np.argwhere(mult > bound)[0]
+            raise SplitFailure(f"eigenvalue multiplicity {mult[i, l]} exceeds "
+                               f"degree {degrees[i]} (bad lift)")
+        cols.append([Cyclotomic(o, {l: m for l, m in enumerate(row) if m})
+                     for row in mult.tolist()])
+    return [list(row) for row in zip(*cols)]
 
 
 def indicator(table: CharacterTable, i: int) -> int:
-    """Frobenius-Schur indicator of the i-th character."""
-    total = Cyclotomic.zero()
-    for j, c in enumerate(table.classes):
-        sq = table.power_class(j, 2)
-        total = total + c.size * table.values[i][sq]
-    val = total / table.order
+    """Frobenius-Schur indicator of the i-th character,
+    (1/|G|) sum_j |C_j| chi(x_j^2), as one exact sum."""
+    one = Cyclotomic.one()
+    val = sum_of_products(table.exponent(),
+                          ((table.values[i][table.power_class(j, 2)], one,
+                            Fraction(c.size, table.order))
+                           for j, c in enumerate(table.classes)))
     if not val.is_integer() or val.integer() not in (-1, 0, 1):
         raise TableInvariantError(f"indicator out of range: {val}")
     return val.integer()

@@ -7,15 +7,24 @@ Two layers:
   module-theoretic computations (fixed spaces, Scott bounds, tensor
   modules).
 
-* plain mod-p helpers on lists of ints (``modp_*``) for the class-algebra
-  splitting inside the character-table engine, where p is a large Dixon
-  prime and k = 1.  ``ff_simultaneous_eigenspaces`` is the public entry
-  point for the common-eigenspace decomposition of a commuting family.
+* the mod-p layer of the character-table engine (``modp_*`` and
+  ``simultaneous_eigenspaces_modp``), where p is a large Dixon prime and
+  k = 1.  Matrices are int64 numpy arrays of residues in [0, p); a
+  product is one int64 matmul reduced mod p, and elimination clears one
+  pivot at a time over whole rows.  An entry of a product of rows of
+  length n sums n terms below (p-1)^2, so the layer accepts only
+  n*(p-1)^2 < 2^63 and ``check_int64_bound`` refuses anything beyond it
+  with a ValueError before an array is built.  ``modp_roots`` keeps its
+  polynomials as lists of Python ints.  ``ff_simultaneous_eigenspaces``
+  is the public entry point for the common-eigenspace decomposition of a
+  commuting family.
 """
 
 from __future__ import annotations
 
 import random
+
+import numpy as np
 
 from .finitefield import FiniteField, _pdivmod, _pgcd, _ppowmod, _psub, _ptrim
 
@@ -302,31 +311,51 @@ def ff_rank(m: FFMatrix) -> int:
     return m.rank()
 
 
-# -- mod-p dense helpers (k = 1, large p) -----------------------------------
+# -- mod-p layer on int64 arrays (k = 1, large p) ---------------------------
 
-def modp_matmul(A, B, p):
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) % p for col in Bt] for row in A]
+def check_int64_bound(p: int, n: int) -> None:
+    """Refuse GF(p) work on rows of length n unless n*(p-1)^2 < 2^63.
 
-def modp_matvec(A, v, p):
-    return [sum(a * b for a, b in zip(row, v)) % p for row in A]
+    This is the one bound of the mod-p layer.  An entry of a product is a
+    sum of at most n products of residues in [0, p), and a row update
+    x - f*y stays above -(p-1)^2, so below the bound every int64 value is
+    exact.  Callers check before they build an array.
+    """
+    if n * (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"GF({p}) on rows of length {n} is beyond the int64 "
+                         f"bound n*(p-1)^2 < 2^63 of the mod-p layer")
+
+def _row_length(A) -> int:
+    return len(A[0]) if len(A) else 0
+
+def modp_matvec(A, x, p):
+    """A x mod p as an int64 array; x is a vector or a matrix whose columns
+    are the vectors."""
+    check_int64_bound(p, _row_length(A))
+    # np.dot, not @: the same int64 product, without paging in numpy's
+    # separate matmul loops (64 KB more peak RSS in the benchmark processes)
+    return np.dot(np.asarray(A, dtype=np.int64), np.asarray(x, dtype=np.int64)) % p
 
 def modp_rref(M, p):
-    m = [list(r) for r in M]
-    cols = len(m[0]) if m else 0
+    """Reduced row echelon form of M mod p: (its nonzero rows as an int64
+    array, pivot columns).  Each pivot is cleared from every other row in
+    one whole-array update; the form is unique, so any nonzero entry of a
+    column can serve as its pivot."""
+    check_int64_bound(p, _row_length(M))
+    m = np.array(M, dtype=np.int64) % p
     pivots = []
     r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] % p), None)
-        if pr is None:
+    for c in range(m.shape[1]):
+        pr = r + int(m[r:, c].argmax())
+        x = int(m[pr, c])
+        if not x:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        row = m[pr] * pow(x, -1, p) % p
+        m -= m[:, c, None] * row
+        m %= p
+        # row pr is now zero: move row r there and the pivot row to r
+        m[pr] = m[r]
+        m[r] = row
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -334,32 +363,31 @@ def modp_rref(M, p):
     return m[:r], pivots
 
 def modp_kernel(M, p):
-    """Right-kernel basis (list of vectors) of M mod p."""
+    """Right-kernel basis of M mod p: one vector per row of an int64 array,
+    with a 1 at each free column in turn."""
     red, pivots = modp_rref(M, p)
-    cols = len(M[0]) if M else 0
+    cols = red.shape[1]
     free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * cols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-red[i][fc]) % p
-        basis.append(v)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (p - red[:, free].T) % p
     return basis
 
 def modp_charpoly(A, p):
-    """Characteristic polynomial mod p by Faddeev-LeVerrier (needs p > n)."""
+    """Characteristic polynomial mod p, little-endian Python ints, by
+    Faddeev-LeVerrier (needs p > n)."""
     n = len(A)
     if p <= n:
         raise ValueError("Faddeev-LeVerrier needs p > n")
-    I = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    M = [row[:] for row in I]
+    check_int64_bound(p, n)
+    A = np.asarray(A, dtype=np.int64) % p
+    M = np.eye(n, dtype=np.int64)
     coeffs = [1]  # x^n coefficient, descending
     for k in range(1, n + 1):
-        AM = modp_matmul(A, M, p)
-        c = (-sum(AM[i][i] for i in range(n)) * pow(k, -1, p)) % p
+        M = modp_matvec(A, M, p)
+        c = -int(M.trace()) * pow(k, -1, p) % p
         coeffs.append(c)
-        M = [[(AM[i][j] + (c if i == j else 0)) % p for j in range(n)] for i in range(n)]
+        M.flat[::n + 1] = (M.flat[::n + 1] + c) % p
     return coeffs[::-1]  # little-endian
 
 def modp_roots(f, p):
@@ -413,79 +441,51 @@ def simultaneous_eigenspaces_modp(n, mats, p):
     the family split completely.  Raises SplitFailure when some restricted
     matrix fails to split into eigenspaces over GF(p).
     """
-    # every stored basis is kept in rref form so coordinates fall out of the
-    # pivot columns directly
-    spaces = [([_unit(n, i) for i in range(n)], list(range(n)))]
+    check_int64_bound(p, n)
+    # every stored basis is an rref int64 array, so coordinates fall out of
+    # the pivot columns directly
+    spaces = [(np.eye(n, dtype=np.int64), list(range(n)))]
     mats = iter(mats)
     while any(len(basis) > 1 for basis, _ in spaces):
         M = next(mats, None)
         if M is None:
             break
+        M = np.asarray(M, dtype=np.int64) % p
         new_spaces = []
         for basis, pivots in spaces:
             if len(basis) == 1:
                 new_spaces.append((basis, pivots))
                 continue
             A = _restriction(M, basis, pivots, p)
-            cp = modp_charpoly(A, p)
-            roots = modp_roots(cp, p)
+            roots = modp_roots(modp_charpoly(A, p), p)
             total = 0
             for lam in roots:
-                Ashift = [[(A[i][j] - (lam if i == j else 0)) % p
-                           for j in range(len(A))] for i in range(len(A))]
-                ker = modp_kernel(Ashift, p)
-                if not ker:
+                ker = modp_kernel((A - lam * np.eye(len(A), dtype=np.int64)) % p, p)
+                if not len(ker):
                     continue
                 total += len(ker)
-                sub = [_combine(basis, coords, p) for coords in ker]
-                new_spaces.append(modp_rref(sub, p))
+                new_spaces.append(modp_rref(modp_matvec(ker, basis, p), p))
             if total != len(basis):
                 raise SplitFailure(
                     f"matrix failed to split over GF({p}) "
                     f"(recovered {total} of {len(basis)} dimensions)")
         spaces = new_spaces
-    return [basis for basis, _ in spaces]
+    return [basis.tolist() for basis, _ in spaces]
 
-
-def _unit(n, i):
-    v = [0] * n
-    v[i] = 1
-    return v
-
-def _combine(basis, coords, p):
-    n = len(basis[0])
-    out = [0] * n
-    for c, vec in zip(coords, basis):
-        if c:
-            for i in range(n):
-                out[i] = (out[i] + c * vec[i]) % p
-    return out
 
 def _restriction(M, basis, pivots, p):
     """Matrix of M (acting on column vectors) restricted to span(basis).
 
     basis must be in rref form with the given pivot columns; the span must
     be M-invariant (guaranteed for intersections of eigenspaces of earlier
-    members of a commuting family).
+    members of a commuting family).  Row i of basis @ M^T is M b_i, and its
+    coordinates in the basis are its entries at the pivot columns.
     """
-    cols = []
-    for b in basis:
-        img = modp_matvec(M, b, p)
-        cols.append(_coords(basis, pivots, img, p))
-    return [list(row) for row in zip(*cols)]
-
-def _coords(red, pivots, vec, p):
-    """Coordinates of vec in the rref basis red (pivot columns known)."""
-    v = list(vec)
-    coords = [0] * len(red)
-    for i, pc in enumerate(pivots):
-        if v[pc]:
-            c = v[pc] % p
-            coords[i] = c
-            v = [(x - c * y) % p for x, y in zip(v, red[i])]
-    if any(v):
+    images = modp_matvec(basis, M.T, p)
+    coords = images[:, pivots]
+    if not np.array_equal(modp_matvec(coords, basis, p), images):
         raise SplitFailure("vector not in invariant subspace (non-commuting family?)")
-    return coords
+    return coords.T
 
 
 def ff_simultaneous_eigenspaces(mats):

@@ -1,7 +1,10 @@
 import itertools
 import json
+import re
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 
 from cgtkit import catalog, chartab
@@ -55,6 +58,108 @@ def test_dixon_gives_up_after_max_prime_retries(monkeypatch):
         dixon_table(_gc("A5"), "A5", max_prime_retries=3)
 
 
+def _retry_after(monkeypatch, name, corrupt_family=None, corrupt_spaces=None):
+    """Run dixon_table on `name` with the first prime's class sums or
+    eigenvectors corrupted.  Returns the table, the skips passed to
+    dixon_prime and the SplitFailure messages of the failed attempts."""
+    gc = _gc(name)
+    first = chartab.dixon_prime(gc.order, gc.exponent())
+    tried, errors = [], []
+    real_prime, real_attempt = chartab.dixon_prime, chartab._dixon_with_prime
+    real_matrix = chartab._class_sum_matrix_modp
+    real_split = chartab.simultaneous_eigenspaces_modp
+    drawn = []
+
+    def prime(order, exponent, skip=0):
+        tried.append(skip)
+        return real_prime(order, exponent, skip)
+
+    def attempt(*args):
+        try:
+            return real_attempt(*args)
+        except SplitFailure as err:
+            errors.append(str(err))
+            raise
+
+    def matrix(gc, i, p):
+        M = real_matrix(gc, i, p)
+        if p == first and corrupt_family:
+            drawn.append(i)
+            M = corrupt_family(len(drawn) - 1, M)
+        return M
+
+    def split(n, mats, p):
+        spaces = real_split(n, mats, p)
+        return corrupt_spaces(gc, p, spaces) if p == first and corrupt_spaces else spaces
+
+    monkeypatch.setattr(chartab, "dixon_prime", prime)
+    monkeypatch.setattr(chartab, "_dixon_with_prime", attempt)
+    monkeypatch.setattr(chartab, "_class_sum_matrix_modp", matrix)
+    monkeypatch.setattr(chartab, "simultaneous_eigenspaces_modp", split)
+    return dixon_table(gc, name), tried, errors
+
+
+def _replace_first(vector):
+    return lambda gc, p, spaces: [[vector(gc, p)]] + spaces[1:]
+
+
+def _zero_at_identity(gc, p):
+    return [0] + [1] * (len(gc.classes) - 1)
+
+
+def _isotropic(gc, p):
+    # 1 + w_j^2 / |C_j| = 0 at a real class j: the degree functional vanishes
+    for j, c in enumerate(gc.classes[1:], start=1):
+        if gc.inverse_class(j) == j:
+            root = next((x for x in range(p) if (x * x + c.size) % p == 0), None)
+            if root is not None:
+                return [1] + [root if i == j else 0 for i in range(1, len(gc.classes))]
+    raise AssertionError("no class gives an isotropic vector")
+
+
+def _identity_only(gc, p):
+    # functional 1, so d^2 = |G| mod p, which no d <= sqrt|G| solves for A5
+    assert all((d * d - gc.order) % p for d in range(1, isqrt(gc.order) + 1))
+    return [1] + [0] * (len(gc.classes) - 1)
+
+
+def _trivial_negated_at_3a(gc, p):
+    # the trivial character's eigenvector with the sign of a real class of
+    # order 3 flipped: degree 1 still, but the lift on 3a gives
+    # multiplicity -1/3 mod p for eigenvalue 1
+    j = gc.class_named("3a")
+    assert gc.inverse_class(j) == j
+    return [(-c.size if i == j else c.size) % p for i, c in enumerate(gc.classes)]
+
+
+@pytest.mark.parametrize("vector,message", [
+    (_zero_at_identity, "eigenvector vanishes at the identity class"),
+    (_isotropic, "degree functional vanished"),
+    (_identity_only, "no valid degree recovered"),
+    (_trivial_negated_at_3a, r"eigenvalue multiplicity \d+ exceeds degree 1 \(bad lift\)"),
+])
+def test_dixon_moves_on_after_a_corrupt_eigenvector(monkeypatch, vector, message):
+    want = dixon_table(_gc("A5"), "A5").to_json()
+    table, tried, errors = _retry_after(monkeypatch, "A5",
+                                        corrupt_spaces=_replace_first(vector))
+    assert len(errors) == 1 and re.fullmatch(message, errors[0])
+    assert tried == [0, 1]
+    assert table.to_json() == want
+
+
+def test_dixon_moves_on_after_a_space_that_is_not_invariant(monkeypatch):
+    # L2(7) needs two class sums; the second is replaced by a cyclic shift
+    # of the coordinates, which does not keep the plane the first leaves
+    def shift(index, M):
+        return np.roll(np.eye(len(M), dtype=np.int64), 1, axis=0) if index == 1 else M
+
+    want = dixon_table(_gc("L2(7)"), "L2(7)").to_json()
+    table, tried, errors = _retry_after(monkeypatch, "L2(7)", corrupt_family=shift)
+    assert errors == ["vector not in invariant subspace (non-commuting family?)"]
+    assert tried == [0, 1]
+    assert table.to_json() == want
+
+
 def test_class_mult_coeff_patterns():
     gc = _gc("A5")
     # a_{i, i^-1, 1} = |C_i|
@@ -86,6 +191,23 @@ def test_m11_table():
 def test_indicator_a5_all_real():
     t = catalog.character_table("A5")
     assert [indicator(t, i) for i in range(5)] == [1] * 5
+
+
+@pytest.mark.parametrize("name,want", [
+    ("A5", [1, 1, 1, 1, 1]),
+    ("L2(7)", [1, 0, 0, 1, 1, 1]),
+    ("M11", [1, 0, 0, 1, 1, 0, 0, 1, 1, 1]),
+    ("SL3(2)", [1, 0, 0, 1, 1, 1]),
+])
+def test_indicator_of_every_row(name, want):
+    # the one-sum indicator against the recorded values and the operator fold
+    t = catalog.character_table(name)
+    assert [indicator(t, i) for i in range(t.n_classes)] == want
+    for i, row in enumerate(t.values):
+        total = Cyclotomic.zero()
+        for j, c in enumerate(t.classes):
+            total = total + c.size * row[t.power_class(j, 2)]
+        assert total / t.order == Cyclotomic.from_rational(want[i])
 
 
 def test_inverse_formula_oracle_equivalence():

@@ -1,9 +1,14 @@
+import random
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgtkit._ntheory import is_prime
 from cgtkit.finitefield import FiniteField
 from cgtkit.fflinalg import (FFMatrix, SplitFailure, ff_rank, ff_simultaneous_eigenspaces,
+                             modp_charpoly, modp_kernel, modp_matvec, modp_rref,
                              simultaneous_eigenspaces_modp)
 
 F2 = FiniteField(2, 1)
@@ -134,3 +139,114 @@ def test_minimal_polynomial_is_the_least_annihilator(p, k, n, seed):
     powers = [M ** i for i in range(n + 1)]
     flat = FFMatrix(F, [[x for row in P.data for x in row] for P in powers])
     assert len(mp) - 1 == flat.rank()
+
+
+# -- the int64 mod-p layer -------------------------------------------------------
+
+def _py_rref(M, p):
+    """Reduced row echelon form mod p in Python ints: (rows, pivots)."""
+    m = [[x % p for x in row] for row in M]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def _py_kernel(M, p):
+    red, pivots = _py_rref(M, p)
+    cols = len(M[0])
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[fc] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] % p
+        basis.append(v)
+    return basis
+
+
+def _py_charpoly3(A, p):
+    """det(xI - A) of a 3 x 3 matrix from its trace, principal minors and
+    determinant, little-endian mod p."""
+    (a, b, c), (d, e, f), (g, h, i) = A
+    minors = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return [-det % p, minors % p, -(a + e + i) % p, 1]
+
+
+def _int64_edge_primes(n):
+    """The largest prime p with n*(p-1)^2 < 2^63, and the next prime."""
+    top = isqrt(((1 << 63) - 1) // n) + 1
+    below = next(q for q in range(top, 2, -1) if is_prime(q))
+    above = next(q for q in range(top + 1, top + 10 ** 4) if is_prime(q))
+    return below, above
+
+
+def test_int64_bound_edge_matches_python_ints():
+    p, above = _int64_edge_primes(3)
+    assert 3 * (p - 1) ** 2 < 1 << 63 <= 3 * (above - 1) ** 2
+    rng = random.Random(63)
+    for _ in range(20):
+        # entries near p - 1 make every product sum as large as it gets
+        A = [[p - 1 - rng.randrange(3) for _ in range(3)] for _ in range(3)]
+        assert modp_charpoly(A, p) == _py_charpoly3(A, p)
+        x, y = rng.randrange(p), rng.randrange(p)
+        S = [A[0], A[1], [(x * u + y * v) % p for u, v in zip(A[0], A[1])]]
+        ker = modp_kernel(S, p)
+        assert ker.tolist() == _py_kernel(S, p)
+        assert all(sum(s * v for s, v in zip(row, k)) % p == 0
+                   for row in S for k in ker.tolist())
+        assert modp_matvec(A, A[0], p).tolist() == [
+            sum(a * b for a, b in zip(row, A[0])) % p for row in A]
+    A = [[above - 1] * 3 for _ in range(3)]
+    for call in (lambda: modp_charpoly(A, above), lambda: modp_kernel(A, above),
+                 lambda: modp_rref(A, above), lambda: modp_matvec(A, A[0], above),
+                 lambda: simultaneous_eigenspaces_modp(3, [A], above)):
+        with pytest.raises(ValueError, match=r"n\*\(p-1\)\^2 < 2\^63"):
+            call()
+
+
+def _random_invertible(n, p, rng):
+    while True:
+        P = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if len(_py_rref(P, p)[1]) == n:
+            return P
+
+
+def _py_inverse(P, p):
+    n = len(P)
+    red, _ = _py_rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(P)], p)
+    return [row[n:] for row in red]
+
+
+@pytest.mark.parametrize("p", [11, 101, 7919])
+def test_simultaneous_eigenspaces_are_the_eigenvector_spans(p):
+    # commuting diagonalisable families P D_i P^-1: the common eigenspaces
+    # are the spans of P's columns grouped by their eigenvalue tuples
+    rng = random.Random(p)
+    for _ in range(25):
+        n = rng.randint(1, 8)
+        P = _random_invertible(n, p, rng)
+        Pinv = _py_inverse(P, p)
+        # few distinct values, so eigenvalues repeat within and across the D_i
+        diags = [[rng.randrange(3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        mats = [[[sum(P[i][t] * D[t] * Pinv[t][j] for t in range(n)) % p
+                  for j in range(n)] for i in range(n)] for D in diags]
+        groups: dict = {}
+        for j in range(n):
+            groups.setdefault(tuple(D[j] for D in diags), []).append([row[j] for row in P])
+        want = sorted(_py_rref(cols, p)[0] for cols in groups.values())
+        spaces = simultaneous_eigenspaces_modp(n, mats, p)
+        assert all(basis == _py_rref(basis, p)[0] for basis in spaces)
+        assert sorted(spaces) == want
