@@ -12,6 +12,9 @@ triple reports.  The outputs covered:
 - ``elements``: the rows of ``elements_of_class(k)`` (dtype and bytes), for
   every class k, of every one of those groups whose class system is a
   ``permgroup.GroupClasses``, so the element order is covered too;
+- ``classsum``: every class-sum matrix (M_i)[j][k] = a_ijk mod p, as
+  integer lists, p the first Dixon prime, of every one of those groups whose
+  class system is a ``permgroup.GroupClasses`` of at most 10^5 elements;
 - ``dixon``: ``dixon_table(...).to_json()`` for A5-A8, the class-algebra
   engine on the groups the combinatorial one also covers;
 - ``triples``: ``enumerate_triples(...).to_json()`` (totals, histograms,
@@ -58,7 +61,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cgtkit import catalog, cli, verify
-from cgtkit.chartab import dixon_prime, dixon_table
+from cgtkit.chartab import _class_sum_matrix_modp, dixon_prime, dixon_table
 from cgtkit.finitefield import conway_polynomial
 from cgtkit.gentriples import (build_lemma42, build_lemma43, enumerate_triples,
                                search_triple)
@@ -72,6 +75,7 @@ except ImportError:  # older checkouts take the Dixon primitive root from sympy
     from sympy import primitive_root
 
 DIXON_GROUPS = ["A5", "A6", "A7", "A8"]
+CLASSSUM_BOUND = 10 ** 5
 # (group, class, a, classify)
 TRIPLES = [("A5", "5a", 1, True), ("A5", "3a", -2, True),
            ("L2(7)", "7a", 1, True), ("L2(7)", "7a", -2, True),
@@ -117,6 +121,11 @@ def index_sha(gc) -> str:
     return h.hexdigest()
 
 
+def class_sums_sha(gc) -> str:
+    p = dixon_prime(gc.order, gc.exponent())
+    return sha([_class_sum_matrix_modp(gc, i, p).tolist() for i in range(len(gc.classes))])
+
+
 def chain_data(chain) -> list:
     return [[lv.base, [list(g) for g in lv.gens],
              [[beta, list(u)] for beta, u in lv.transversal.items()]]
@@ -140,6 +149,10 @@ def main() -> int:
         cs = catalog.class_system(name)
         if isinstance(cs, GroupClasses):
             print("elements", name, index_sha(cs), flush=True)
+    for name in verify.NEUMANN_GROUPS:
+        cs = catalog.class_system(name)
+        if isinstance(cs, GroupClasses) and cs.order <= CLASSSUM_BOUND:
+            print("classsum", name, class_sums_sha(cs), flush=True)
     for name in DIXON_GROUPS:
         chain = catalog.load_group(name)[1]
         print("dixon", name, sha(dixon_table(conjugacy_classes(chain), name).to_json()),

@@ -9,11 +9,12 @@ verified against the full orthogonality relations, exactly, before it is
 returned.
 
 The mod-p stage runs on int64 numpy arrays: each class-sum matrix comes
-from batched class lookups, the splitting is ``fflinalg``'s mod-p layer,
-and the lift of every character on a class of order o is one (k x o) by
-(o x o) product mod p.  That layer's bound n*(p-1)^2 < 2^63 holds with
-room to spare for Dixon primes: the largest for a catalog group is J1's
-43 891, below 2^16.
+from gathers in the element index's Cayley table along one short word per
+column (``GroupClasses.product_counts``), the splitting is ``fflinalg``'s
+mod-p layer, and the lift of every character on a class of order o is one
+(k x o) by (o x o) product mod p.  That layer's bound n*(p-1)^2 < 2^63
+holds with room to spare for Dixon primes: the largest for a catalog group
+is J1's 43 891, below 2^16.
 """
 
 from __future__ import annotations
@@ -184,8 +185,9 @@ def table_from_rows(name: str, order: int, classes: list, rows: list) -> Charact
 
 
 # For x in C_i, z x^-1 runs over w z with w in the inverse class of C_i
-# (apply w, then z), whose base images are z[w[base]]; the counts below
-# look up the products for all those w at once.
+# (apply w, then z).  class_mult_coeff looks up all those products at once
+# by their base images z[w[base]], on the coordinates: it is the oracle
+# independent of the Cayley-table gathers of _class_sum_matrix_modp.
 
 def class_mult_coeff(gc: GroupClasses, i: int, j: int, k: int) -> int:
     """a_{ijk} = #{(x,y) in C_i x C_j : xy = z} for a fixed z in C_k."""
@@ -194,26 +196,10 @@ def class_mult_coeff(gc: GroupClasses, i: int, j: int, k: int) -> int:
     return int(np.count_nonzero(gc.classes_of_base_images(z[w]) == j))
 
 
-# rows of one batched class lookup in _class_sum_matrix_modp; a class larger
-# than this is looked up one representative at a time
-_LOOKUP_ROWS = 4096
-
-
 def _class_sum_matrix_modp(gc: GroupClasses, i: int, p: int) -> np.ndarray:
-    """(M_i)[j][k] = a_{ijk} mod p.  The products for a batch of
-    representatives z go through one class lookup, and one bincount of
-    class + k * (z's place in the batch) counts them per column."""
-    k = len(gc.classes)
-    w = gc.base_images_of_class(gc.inverse_class(i))
-    reps = np.array([c.representative.images for c in gc.classes])
-    batch = max(1, _LOOKUP_ROWS // len(w))
-    cols = []
-    for lo in range(0, k, batch):
-        z = reps[lo:lo + batch]
-        found = (gc.classes_of_base_images(z[:, w].reshape(-1, w.shape[1]))
-                 + np.repeat(np.arange(len(z)) * k, len(w)))
-        cols.append(np.bincount(found, minlength=len(z) * k).reshape(len(z), k))
-    return np.concatenate(cols).T % p
+    """(M_i)[j][k] = a_{ijk} mod p.  a_{ijk} does not depend on the z in C_k,
+    so z is C_k's entry, and x^-1 runs over the inverse class of C_i."""
+    return gc.product_counts(gc.inverse_class(i)) % p
 
 
 def dixon_prime(order: int, exponent: int, skip: int = 0) -> int:

@@ -45,6 +45,9 @@ class ModuleRep:
             if m.rows != self.dim or m.cols != self.dim or m.field is not self.field:
                 raise ValueError("mixed matrix shapes or fields")
         self._spot_check()
+        # letter -i - 1 of a word: inverted once here, not at every use
+        self._perm_inverses = [g.inverse() for g in self.chain.generators]
+        self._matrix_inverses = [m.inverse() for m in self.matrices]
 
     def _spot_check(self, samples: int = 12, seed: int = 11):
         """Orders of words must agree between matrices and permutations:
@@ -69,14 +72,14 @@ class ModuleRep:
     def perm_of_word(self, word) -> Permutation:
         p = Permutation.identity(self.chain.degree)
         for i in word:
-            g = self.chain.generators[i] if i >= 0 else self.chain.generators[-i - 1].inverse()
+            g = self.chain.generators[i] if i >= 0 else self._perm_inverses[-i - 1]
             p = p * g
         return p
 
     def matrix_of_word(self, word) -> FFMatrix:
         m = FFMatrix.identity(self.field, self.dim)
         for i in word:
-            g = self.matrices[i] if i >= 0 else self.matrices[-i - 1].inverse()
+            g = self.matrices[i] if i >= 0 else self._matrix_inverses[-i - 1]
             m = m * g
         return m
 

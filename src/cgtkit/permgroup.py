@@ -19,9 +19,11 @@ of every entry (computed once, when the entry is made, so sifting only
 multiplies) and the list of its orbit points (what `random_element` draws
 from).  Conjugacy classes come from a full element-to-class index, built
 in numpy passes: breadth-first element enumeration one frontier at a
-time, conjugation by each generator as one index permutation, and classes
-as its orbits by min-label propagation.  The index also yields complete
-power maps.
+time, which keeps every product x g_s it finds as a Cayley table;
+conjugation by each generator as one index permutation, read off that
+table along the BFS tree; and classes as its orbits by min-label
+propagation.  The index also yields complete power maps, and the table the
+class-sum counts of Dixon's class algebra (Dixon 1967; Schneider 1990).
 
 Elements are found by their stabilizer-chain coordinates: stripping an
 element's base images level by level gives one orbit position per level,
@@ -31,10 +33,10 @@ coordinate to the element's place in the index.
 
 Bound of the index (`GroupTooLargeError` beyond it): at most
 `DEFAULT_CLASS_BOUND` = 2^21 elements, by default.  Memory: about
-N*(n*itemsize + 8) bytes for N elements of degree n (itemsize 1 up to
-degree 255, else 2): the image rows plus an int32 coordinate table and an
-int32 class per element.  J2 holds 62 MiB; building it lifts the peak RSS
-by about 100 MiB.
+N*(n*itemsize + 8 + 4*S) bytes for N elements of degree n and S generators
+(itemsize 1 up to degree 255, else 2): the image rows, an int32 coordinate
+table, an int32 class per element and the int32 Cayley table.  J2 holds
+67 MiB; building it lifts the peak RSS by about 100 MiB.
 """
 
 from __future__ import annotations
@@ -497,9 +499,29 @@ class GroupClasses(ClassSystem):
     The index is one N x n array of element images (`_rows`), in the
     breadth-first order of right multiplication by the generators, plus
     an int32 table `_at` from each element's stabilizer-chain coordinate
-    to its row.  Base images determine an element of the group, so every
-    lookup goes through `_index`; the public ones also compare the whole
-    row, so a non-member raises KeyError.
+    to its row, and the S x N int32 Cayley table `_times`: `_times[s, x]`
+    is the row of x g_s, kept from the enumeration, which finds every such
+    product anyway.
+
+    The enumeration also records its spanning tree: each row's parent y
+    and letter s, with x = y g_s.  Along it, left multiplication by any g
+    is one gather per BFS level, g x = (g y) g_s, so conjugation by a
+    generator needs neither coordinates nor rows.  The tree is dropped once
+    each class's entry, its first element, has been spelled as a word in
+    the generators (`_entry_words`), a shortest one, since the BFS goes
+    level by level.
+
+    What uses what:
+    - the Cayley table: class finding (conjugation) and the class-sum
+      counts (`product_counts`), which apply an entry's word to a whole
+      class by gathers;
+    - coordinates: every lookup of an arbitrary permutation or base image
+      (`class_of_images`, `classes_of_base_images`, the power maps and
+      `iter_class_images_with_product`).  Base images determine an element
+      of the group, so these go through `_index`; the public lookups also
+      compare the whole row, so a non-member raises KeyError;
+    - rows: the lex-least representatives, `elements_of_class` and
+      `centralizer_generators`.
     """
 
     def __init__(self, chain: StabilizerChain, bound: int = DEFAULT_CLASS_BOUND):
@@ -556,35 +578,61 @@ class GroupClasses(ClassSystem):
         # a group given by no generators is generated by the identity
         gens = np.array([g.images for g in self.chain.generators] or [range(n)],
                         dtype=dtype)
-        base = self.base
+        base, order, n_gens = self.base, self.order, len(gens)
         # filled level by level; the order is known, so no block is copied
-        rows = np.empty((self.order, n), dtype=dtype)
+        rows = np.empty((order, n), dtype=dtype)
         rows[0] = np.arange(n)
-        at = np.full(self.order, -1, dtype=np.int32)
+        at = np.full(order, -1, dtype=np.int32)
         at[self._coordinates(rows[:1, base])] = 0
+        times = np.empty((n_gens, order), dtype=np.int32)
+        parent = np.zeros(order, dtype=np.int32)
+        letter = np.zeros(order, dtype=np.min_scalar_type(n_gens - 1))
+        levels = []
         lo, hi = 0, 1
         while lo < hi:
             frontier = rows[lo:hi]
-            # candidate j * len(gens) + s is gens[s][frontier[j]]
+            # candidate j * n_gens + s is gens[s][frontier[j]]
             coords = np.stack([self._coordinates(g[frontier[:, base]]) for g in gens],
                               axis=1).ravel()
             fresh = np.flatnonzero(at[coords] < 0)
             first = np.sort(fresh[np.unique(coords[fresh], return_index=True)[1]])
-            j, s = np.divmod(first, len(gens))
-            rows[hi:hi + len(first)] = gens[s[:, None], frontier[j]]
+            j, s = np.divmod(first, n_gens)
+            new = slice(hi, hi + len(first))
+            rows[new] = gens[s[:, None], frontier[j]]
+            parent[new] = lo + j
+            letter[new] = s
             at[coords[first]] = np.arange(hi, hi + len(first))
+            times[:, lo:hi] = at[coords].reshape(hi - lo, n_gens).T
+            if len(first):
+                levels.append(new)
             lo, hi = hi, hi + len(first)
         if hi != self.order:
             raise AssertionError("element enumeration does not match group order")
         self._rows = rows
         self._at = at
-        self._gens = gens
+        self._times = times
+        # the BFS tree: row x = parent[x] * g_letter[x], level by level
+        self._parent, self._letter, self._tree_levels = parent, letter, levels
+
+    def _left_times(self, g_row: int) -> np.ndarray:
+        """The rows of g x for every row x, where g is the element in row
+        `g_row`: along the tree, x = y g_s gives g x = (g y) g_s, one gather
+        per BFS level."""
+        left = np.empty(self.order, dtype=np.int32)
+        left[0] = g_row
+        for new in self._tree_levels:
+            left[new] = self._times[self._letter[new], left[self._parent[new]]]
+        return left
+
+    def _conjugations(self) -> list:
+        """Conjugation by each generator g, as an index permutation: x ->
+        g^-1 x g, the row of (g^-1 x) g.  g^-1 is the one row that g takes
+        to the identity, row 0."""
+        return [t[self._left_times(int(t.argmin()))] for t in self._times]
 
     def _find_classes(self):
-        rows, base = self._rows, self.base
-        # conjugation by each generator g, as an index permutation:
-        # x -> g^-1 x g, whose base images are g[x[g^-1[base]]]
-        conj = [self._index(g[rows[:, np.argsort(g)[base]]]) for g in self._gens]
+        rows = self._rows
+        conj = self._conjugations()
         # min-label propagation: label[i] stays an element of i's class and
         # at most i, so at the fixed point it is the class's first element
         label = np.arange(len(rows), dtype=np.int32)
@@ -596,7 +644,25 @@ class GroupClasses(ClassSystem):
             label = label[label]
             if np.array_equal(label, before):
                 break
-        _, raw_class_of = np.unique(label, return_inverse=True)
+        del conj
+        # a class's first element is labelled by itself; the classes are
+        # numbered in the order of their first elements
+        entries = np.flatnonzero(label == np.arange(len(label), dtype=np.int32))
+        raw_class_of = np.empty(len(label), dtype=np.int32)
+        raw_class_of[entries] = np.arange(len(entries))
+        raw_class_of = raw_class_of[label]
+        del label
+        # each class's entry, its first element, spelled along the tree: a
+        # shortest word in the generators, since the BFS goes level by level;
+        # the tree is not needed after this
+        self._raw_words = []
+        for x in entries.tolist():
+            word = []
+            while x:
+                word.append(int(self._letter[x]))
+                x = int(self._parent[x])
+            self._raw_words.append(tuple(reversed(word)))
+        del self._parent, self._letter, self._tree_levels
         sizes = np.bincount(raw_class_of)
         # lex-min representative: compare the rows of each class a few points
         # at a time, packed into one int64, and keep only the rows that tie
@@ -642,7 +708,8 @@ class GroupClasses(ClassSystem):
                 rep_order=o,
                 name=f"{o}{class_letter(k)}",
             ))
-        del self._raw_class_of, self._raw_reps, self._raw_sizes
+        self._entry_words = [self._raw_words[old] for old in perm]
+        del self._raw_class_of, self._raw_words, self._raw_reps, self._raw_sizes
         total = sum(c.size for c in self.classes)
         if total != self.order:
             raise AssertionError("class sizes do not sum to group order")
@@ -686,6 +753,28 @@ class GroupClasses(ClassSystem):
     def elements_of_class(self, k: int) -> np.ndarray:
         """The elements of class k, one row each, in element order."""
         return self._rows[self.class_of_idx == k]
+
+    def product_counts(self, k: int) -> np.ndarray:
+        """Count matrix, [j, c] = #{x in class k : x z_c in class j}, where
+        z_c is class c's entry (its first element).  Each entry's word is
+        applied to all of class k by gathers in the Cayley table; the words
+        are taken in sorted order, so a prefix shared with the previous one
+        is not gathered again."""
+        n_classes = len(self.classes)
+        counts = np.empty((n_classes, n_classes), dtype=np.int64)
+        # stack[d] is class k times the first d letters of `done`
+        stack, done = [np.flatnonzero(self.class_of_idx == k)], ()
+        for c in sorted(range(n_classes), key=self._entry_words.__getitem__):
+            word = self._entry_words[c]
+            shared = 0
+            while shared < min(len(word), len(done)) and word[shared] == done[shared]:
+                shared += 1
+            del stack[shared + 1:]
+            for s in word[shared:]:
+                stack.append(self._times[s, stack[-1]])
+            counts[:, c] = np.bincount(self.class_of_idx[stack[-1]], minlength=n_classes)
+            done = word
+        return counts
 
     def base_images_of_class(self, k: int) -> np.ndarray:
         """Images of the base points under the elements of class k."""

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from math import factorial, gcd
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 
 from cgtkit import catalog
+from cgtkit.chartab import _class_sum_matrix_modp, dixon_prime, dixon_table
 from cgtkit.gentriples import build_lemma42, build_lemma43
 from cgtkit.perms import Permutation, _mul, parse_perm
-from cgtkit.permgroup import (GroupTooLargeError, build_chain, class_letter,
-                              conjugacy_classes, derived_subgroup,
+from cgtkit.permgroup import (GroupClasses, GroupTooLargeError, build_chain,
+                              class_letter, conjugacy_classes, derived_subgroup,
                               is_primitive, is_transitive, known_order, orbits)
+from cgtkit.sl2 import l2_order, sl2_order
 
 
 def A(n):
@@ -253,6 +256,27 @@ def test_class_named_resolves_every_name_of_a_long_base_group():
     assert time.perf_counter() - start < 2.0
 
 
+def test_uint16_index_agrees_with_the_unpadded_group():
+    # A5 on 260 points (255 fixed) against A5 on 5: the uint16 rows feed
+    # the same Cayley table, classes, class sums and character table
+    small = conjugacy_classes(_padded_a5(5))
+    wide = conjugacy_classes(_padded_a5(260))
+    assert wide._rows.dtype == np.uint16 and small._rows.dtype == np.uint8
+    assert np.array_equal(small._times, wide._times)
+    assert small._entry_words == wide._entry_words
+    assert np.array_equal(small.class_of_idx, wide.class_of_idx)
+    fixed = tuple(range(5, 260))
+    for a, b in zip(small.classes, wide.classes):
+        assert (a.name, a.size, a.rep_order, a.power_map) == \
+            (b.name, b.size, b.rep_order, b.power_map)
+        assert b.representative.images == a.representative.images + fixed
+    p = dixon_prime(small.order, small.exponent())
+    for i in range(len(small.classes)):
+        assert np.array_equal(_class_sum_matrix_modp(small, i, p),
+                              _class_sum_matrix_modp(wide, i, p))
+    assert dixon_table(small, "A5").to_json() == dixon_table(wide, "A5").to_json()
+
+
 @pytest.mark.parametrize("group", ["A5", "L2(7)", "M11", "A5 on 256 points"])
 def test_coordinates_are_a_bijection_onto_the_element_order(group):
     chain = _padded_a5(256) if group == "A5 on 256 points" else catalog.load_group(group)[1]
@@ -264,6 +288,80 @@ def test_coordinates_are_a_bijection_onto_the_element_order(group):
     if chain.degree == 256:  # a point no element moves a base point to
         with pytest.raises(KeyError):
             gc.classes_of_base_images(np.array([[200] * len(gc.base)]))
+
+
+def _catalog_order(name):
+    m = re.fullmatch(r"([AS])(\d+)", name)
+    if m:
+        return factorial(int(m[2])) // (2 if m[1] == "A" else 1)
+    m = re.fullmatch(r"(S?L)2\((\d+)\)", name)
+    if m:
+        return (l2_order if m[1] == "L" else sl2_order)(int(m[2]))
+    return catalog.STORED_GROUPS[name][1]
+
+
+# every catalog group whose class system is an element index of at most
+# 10^5 elements, then the trivial group and a cyclic group of order 12
+CAYLEY_GROUPS = ([n for n in catalog.catalog_names() if _catalog_order(n) <= 10 ** 5]
+                 + ["trivial", "C12"])
+
+
+def cayley_chain(name):
+    if name == "trivial":
+        return build_chain([], 4)
+    if name == "C12":
+        return build_chain([parse_perm("(1,2,3)(4,5,6,7)", 7)])
+    return catalog.load_group(name)[1]
+
+
+def _batched_lookup_class_sums(gc, i, p, lookup_rows=4096):
+    """(M_i)[j][k] = a_{ijk} mod p by coordinate lookups: for each class
+    representative z, the classes of w z, w over the inverse class of C_i
+    (base images z[w[base]]), a batch of representatives per lookup.  The
+    shape of a batch is spelled out for the trivial group's empty base."""
+    k = len(gc.classes)
+    w = gc.base_images_of_class(gc.inverse_class(i))
+    reps = np.array([c.representative.images for c in gc.classes])
+    batch = max(1, lookup_rows // len(w))
+    cols = []
+    for lo in range(0, k, batch):
+        z = reps[lo:lo + batch]
+        found = (gc.classes_of_base_images(z[:, w].reshape(len(z) * len(w), w.shape[1]))
+                 + np.repeat(np.arange(len(z)) * k, len(w)))
+        cols.append(np.bincount(found, minlength=len(z) * k).reshape(len(z), k))
+    return np.concatenate(cols).T % p
+
+
+class _RecordingClasses(GroupClasses):
+    def _conjugations(self):
+        self.conj = super()._conjugations()
+        return self.conj
+
+
+@pytest.mark.parametrize("name", CAYLEY_GROUPS)
+def test_cayley_table_matches_the_coordinate_lookups(name):
+    chain = cayley_chain(name)
+    gc = _RecordingClasses(chain)
+    rows, base = gc._rows, gc.base
+    gens = [g.images for g in chain.generators] or [tuple(range(chain.degree))]
+    assert gc._times.shape == (len(gens), gc.order) and gc._times.dtype == np.int32
+    for s, g in enumerate(np.array(gens, dtype=rows.dtype)):
+        # x g_s has base images g_s[x[base]]
+        assert np.array_equal(gc._times[s], gc._index(g[rows[:, base]]))
+        # x -> g^-1 x g, whose base images are g[x[g^-1[base]]]
+        assert np.array_equal(gc.conj[s], gc._index(g[rows[:, np.argsort(g)[base]]]))
+    # each entry is its class's first element, and its word spells it
+    assert len(gc._entry_words) == len(gc.classes)
+    for k, word in enumerate(gc._entry_words):
+        x = 0
+        for s in word:
+            x = gc._times[s, x]
+        assert x == np.flatnonzero(gc.class_of_idx == k)[0]
+    p = dixon_prime(gc.order, gc.exponent())
+    for i in range(len(gc.classes)):
+        M = _class_sum_matrix_modp(gc, i, p)
+        assert M.dtype == np.int64
+        assert np.array_equal(M, _batched_lookup_class_sums(gc, i, p))
 
 
 @pytest.mark.parametrize("gens, degree", [([], 4), ([(0,)], 1), ([(0, 1, 2)], 3)])
