@@ -18,12 +18,15 @@ random.  Each level keeps its transversal u_beta, the inverse u_beta^-1
 of every entry (computed once, when the entry is made, so sifting only
 multiplies) and the list of its orbit points (what `random_element` draws
 from).  Conjugacy classes come from a full element-to-class index, built
-in numpy passes: breadth-first element enumeration one frontier at a
-time, which keeps every product x g_s it finds as a Cayley table;
-conjugation by each generator as one index permutation, read off that
-table along the BFS tree; and classes as its orbits by min-label
-propagation.  The index also yields complete power maps, and the table the
-class-sum counts of Dixon's class algebra (Dixon 1967; Schneider 1990).
+in numpy passes with no sort and no scatter in a loop: breadth-first
+element enumeration one frontier at a time, which keeps the first
+occurrence of each new element and every product x g_s it finds, as a
+Cayley table; conjugation by each generator, and its inverse, as index
+permutations read off that table along the BFS tree; classes as their
+orbits by min-label propagation, gathers only; and each class's lex-least
+row one point at a time.  The index also yields complete power maps, and
+the table the class-sum counts of Dixon's class algebra (Dixon 1967;
+Schneider 1990).
 
 Elements are found by their stabilizer-chain coordinates: stripping an
 element's base images level by level gives one orbit position per level,
@@ -36,7 +39,8 @@ Bound of the index (`GroupTooLargeError` beyond it): at most
 N*(n*itemsize + 8 + 4*S) bytes for N elements of degree n and S generators
 (itemsize 1 up to degree 255, else 2): the image rows, an int32 coordinate
 table, an int32 class per element and the int32 Cayley table.  J2 holds
-67 MiB; building it lifts the peak RSS by about 100 MiB.
+67 MiB; building it lifts the peak RSS by about 92 MiB (tracemalloc puts
+the build's peak at 90.6 MiB, set by the enumeration).
 """
 
 from __future__ import annotations
@@ -501,15 +505,22 @@ class GroupClasses(ClassSystem):
     an int32 table `_at` from each element's stabilizer-chain coordinate
     to its row, and the S x N int32 Cayley table `_times`: `_times[s, x]`
     is the row of x g_s, kept from the enumeration, which finds every such
-    product anyway.
+    product anyway.  Of the candidates x g_s of one BFS level, in (x, s)
+    order, the first one with a coordinate not seen before becomes a new
+    row: every unseen slot of `_at` (-1) takes the least mark of its
+    candidates by one `np.minimum.at`, marks being below -1 and rising
+    with the position, and then its row.  Each new row is filled by a
+    gather through its letter's generator.
 
     The enumeration also records its spanning tree: each row's parent y
     and letter s, with x = y g_s.  Along it, left multiplication by any g
     is one gather per BFS level, g x = (g y) g_s, so conjugation by a
-    generator needs neither coordinates nor rows.  The tree is dropped once
-    each class's entry, its first element, has been spelled as a word in
-    the generators (`_entry_words`), a shortest one, since the BFS goes
-    level by level.
+    generator needs neither coordinates nor rows.  Classes are the orbits
+    of these conjugations, found by min-label propagation through each one
+    and its inverse, gathers only, so the label of a row ends as its
+    class's first row.  The tree is dropped once each class's entry, its
+    first element, has been spelled as a word in the generators
+    (`_entry_words`), a shortest one, since the BFS goes level by level.
 
     What uses what:
     - the Cayley table: class finding (conjugation) and the class-sum
@@ -520,8 +531,9 @@ class GroupClasses(ClassSystem):
       `iter_class_images_with_product`).  Base images determine an element
       of the group, so these go through `_index`; the public lookups also
       compare the whole row, so a non-member raises KeyError;
-    - rows: the lex-least representatives, `elements_of_class` and
-      `centralizer_generators`.
+    - rows: the lex-least representatives (one point at a time, keeping
+      the rows that tie with their class's least image so far),
+      `elements_of_class` and `centralizer_generators`.
     """
 
     def __init__(self, chain: StabilizerChain, bound: int = DEFAULT_CLASS_BOUND):
@@ -579,6 +591,10 @@ class GroupClasses(ClassSystem):
         gens = np.array([g.images for g in self.chain.generators] or [range(n)],
                         dtype=dtype)
         base, order, n_gens = self.base, self.order, len(gens)
+        # candidate positions and rows are int32
+        if order * n_gens >= 1 << 31:
+            raise GroupTooLargeError(
+                f"{n_gens} generators of a group of order {order} overflow int32 positions")
         # filled level by level; the order is known, so no block is copied
         rows = np.empty((order, n), dtype=dtype)
         rows[0] = np.arange(n)
@@ -595,12 +611,20 @@ class GroupClasses(ClassSystem):
             coords = np.stack([self._coordinates(g[frontier[:, base]]) for g in gens],
                               axis=1).ravel()
             fresh = np.flatnonzero(at[coords] < 0)
-            first = np.sort(fresh[np.unique(coords[fresh], return_index=True)[1]])
+            # each unseen slot of `at` (-1) takes the least mark of its
+            # candidates; marks are below -1 and rise with the position, so
+            # the candidate whose mark stays is the first occurrence
+            mark = fresh.astype(np.int32) - np.int32(len(coords) + 1)
+            np.minimum.at(at, coords[fresh], mark)
+            first = fresh[at[coords[fresh]] == mark]
             j, s = np.divmod(first, n_gens)
             new = slice(hi, hi + len(first))
-            rows[new] = gens[s[:, None], frontier[j]]
+            for t, g in enumerate(gens):
+                pick = np.flatnonzero(s == t)
+                rows[new][pick] = g[frontier[j[pick]]]
             parent[new] = lo + j
             letter[new] = s
+            # every marked slot holds a first occurrence: no mark is left
             at[coords[first]] = np.arange(hi, hi + len(first))
             times[:, lo:hi] = at[coords].reshape(hi - lo, n_gens).T
             if len(first):
@@ -632,19 +656,25 @@ class GroupClasses(ClassSystem):
 
     def _find_classes(self):
         rows = self._rows
-        conj = self._conjugations()
+        # each conjugation and its inverse, so that labels flow both ways
+        # along it by gathers alone
+        conj = []
+        for c in self._conjugations():
+            inverse = np.empty_like(c)
+            inverse[c] = np.arange(len(c), dtype=np.int32)
+            conj += [c, inverse]
         # min-label propagation: label[i] stays an element of i's class and
         # at most i, so at the fixed point it is the class's first element
         label = np.arange(len(rows), dtype=np.int32)
+        gathered, before = np.empty_like(label), np.empty_like(label)
         while True:
-            before = label.copy()
+            before[:] = label
             for c in conj:
-                np.minimum(label, label[c], out=label)
-                label[c] = np.minimum(label[c], label)
-            label = label[label]
+                np.minimum(label, label.take(c, out=gathered), out=label)
+            label, gathered = label.take(label, out=gathered), label
             if np.array_equal(label, before):
                 break
-        del conj
+        del conj, gathered, before
         # a class's first element is labelled by itself; the classes are
         # numbered in the order of their first elements
         entries = np.flatnonzero(label == np.arange(len(label), dtype=np.int32))
@@ -664,27 +694,21 @@ class GroupClasses(ClassSystem):
             self._raw_words.append(tuple(reversed(word)))
         del self._parent, self._letter, self._tree_levels
         sizes = np.bincount(raw_class_of)
-        # lex-min representative: compare the rows of each class a few points
-        # at a time, packed into one int64, and keep only the rows that tie
-        # with their class's minimum; rows are distinct, so this ends with
-        # one row per class, mostly after the first few points
-        n = self.degree
-        width = 1
-        while width < n and n ** (width + 1) < 1 << 63:
-            width += 1
-        cand = np.arange(len(rows))
-        for lo in range(0, n, width):
+        # lex-min representative: compare the rows of each class one point
+        # at a time and keep only the rows that tie with their class's
+        # minimum; rows are distinct, so this ends with one row per class,
+        # mostly after the first few points
+        cand, cls = np.arange(len(rows)), raw_class_of
+        for col in rows.T:
             if len(cand) == len(sizes):
                 break
-            packed = np.zeros(len(cand), dtype=np.int64)
-            for col in rows[cand, lo:lo + width].T:
-                packed *= n
-                packed += col
-            low = np.full(len(sizes), np.iinfo(np.int64).max)
-            np.minimum.at(low, raw_class_of[cand], packed)
-            cand = cand[packed == low[raw_class_of[cand]]]
+            point = col[cand]
+            low = np.full(len(sizes), self.degree - 1, dtype=rows.dtype)
+            np.minimum.at(low, cls, point)
+            tie = point == low[cls]
+            cand, cls = cand[tie], cls[tie]
         self._raw_class_of = raw_class_of
-        self._raw_reps = rows[cand[np.argsort(raw_class_of[cand])]]
+        self._raw_reps = rows[cand[np.argsort(cls)]]
         self._raw_sizes = [int(s) for s in sizes]
 
     def _order_and_name_classes(self):
@@ -718,13 +742,17 @@ class GroupClasses(ClassSystem):
                 raise AssertionError("class size does not divide group order")
 
     def _power_maps(self):
+        reps = np.array([c.representative.images for c in self.classes],
+                        dtype=self._rows.dtype)
+        # the base images of each representative's t-th power, x^(t+1)
+        # having the images x[x^t[i]]
+        images = np.tile(self.base, (len(reps), 1))
         powers = []
-        for c in self.classes:
-            cur = Permutation.identity(self.degree)
-            for _ in range(c.rep_order):
-                powers.append(cur.images)
-                cur = cur * c.representative
-        found = iter(self.classes_of_base_images(np.array(powers)[:, self.base]).tolist())
+        for _ in range(max(c.rep_order for c in self.classes)):
+            powers.append(images)
+            images = np.take_along_axis(reps, images, axis=1)
+        below = np.arange(len(powers)) < np.array([[c.rep_order] for c in self.classes])
+        found = iter(self.classes_of_base_images(np.stack(powers, axis=1)[below]).tolist())
         for c in self.classes:
             c.power_map = {t: next(found) for t in range(c.rep_order)}
 

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from cgtkit import catalog
-from cgtkit.chartab import class_mult_coeff
+from cgtkit.chartab import class_mult_coeff, dixon_table
 from cgtkit.classalg import (covers, eps_a, n_a, thompson_check, triple_count,
                              two_mth_powers)
+from cgtkit.permgroup import build_chain, conjugacy_classes
 
 
 def test_forced_solution_patterns():
@@ -32,21 +34,33 @@ def test_total_triple_count_is_cyclically_invariant():
         assert total == t.classes[kk].size * triple_count(t, kk, i, j)
 
 
+def _check_random_triples(gc, t, rng):
+    # tc(i,j,kinv) * |C_i| = |C_k| * (fixed-z count) for 50 random triples
+    nk = len(gc.classes)
+    for _ in range(50):
+        i, j, kk = rng.randrange(nk), rng.randrange(nk), rng.randrange(nk)
+        kinv = t.inverse_class(kk)
+        lhs = t.classes[i].size * triple_count(t, i, j, kinv)
+        rhs = t.classes[kk].size * class_mult_coeff(gc, i, j, kk)
+        assert lhs == rhs
+
+
 def test_brute_force_equivalence_random_triples():
-    # tc(i,j,kinv) * |C_i| = |C_k| * (fixed-z count) for 50 random triples;
     # J1 (266 points) runs the count on the uint16 element index
     for name in ("A5", "L2(7)", "M11", "M12", "J1"):
-        gc = catalog.class_system(name)
-        t = catalog.character_table(name)
-        import random
-        rng = random.Random(9)
-        nk = len(gc.classes)
-        for _ in range(50):
-            i, j, kk = rng.randrange(nk), rng.randrange(nk), rng.randrange(nk)
-            kinv = t.inverse_class(kk)
-            lhs = t.classes[i].size * triple_count(t, i, j, kinv)
-            rhs = t.classes[kk].size * class_mult_coeff(gc, i, j, kk)
-            assert lhs == rhs
+        _check_random_triples(catalog.class_system(name), catalog.character_table(name),
+                              random.Random(9))
+    # seeded random 2-generated subgroups of catalog groups, each on its own
+    # element index and Dixon table, until two proper ones were checked
+    rng = random.Random(17)
+    for name in ("S6", "A7", "L2(11)", "SL2(7)", "M11", "U3(3)"):
+        chain = catalog.load_group(name)[1]
+        proper = 0
+        while proper < 2:
+            sub = build_chain([chain.random_element(rng) for _ in range(2)], chain.degree)
+            gc = conjugacy_classes(sub)
+            _check_random_triples(gc, dixon_table(gc), rng)
+            proper += sub.order() < chain.order()
 
 
 def test_na_reference_value_m11():

@@ -364,6 +364,71 @@ def test_cayley_table_matches_the_coordinate_lookups(name):
         assert np.array_equal(M, _batched_lookup_class_sums(gc, i, p))
 
 
+def _reference_index(chain):
+    """The element index built one element at a time over image tuples.
+    Each product x g_s, x in element order and s in generator order, is
+    appended the first time it is met, and spelled as its parent's word
+    plus s.  Coordinates strip one transversal entry per level.  The
+    classes are `_brute_classes`, ordered as GroupClasses orders them: by
+    representative order, size and lex-least element.  Returns the rows,
+    the coordinate table, the Cayley table, each element's class and each
+    class's first element's word."""
+    n = chain.degree
+    gens = [g.images for g in chain.generators] or [tuple(range(n))]
+    rows, words = [tuple(range(n))], [()]
+    place = {rows[0]: 0}
+    times = [[] for _ in gens]
+    i = 0
+    while i < len(rows):
+        for s, g in enumerate(gens):
+            y = _mul(rows[i], g)
+            if y not in place:
+                place[y] = len(rows)
+                rows.append(y)
+                words.append(words[i] + (s,))
+            times[s].append(place[y])
+        i += 1
+    at = [None] * len(rows)
+    for i, x in enumerate(rows):
+        coord = 0
+        for lv in chain.levels:
+            beta = x[lv.base]
+            coord = coord * len(lv.points) + lv.points.index(beta)
+            x = _mul(x, lv.inverse[beta])
+        at[coord] = i
+    classes = sorted(_brute_classes(chain),
+                     key=lambda c: (Permutation(min(c)).order(), len(c), min(c)))
+    class_of = [None] * len(rows)
+    for k, c in enumerate(classes):
+        for x in c:
+            class_of[place[x]] = k
+    entry_words = [words[min(place[x] for x in c)] for c in classes]
+    return rows, at, times, class_of, entry_words
+
+
+@pytest.mark.parametrize("gens, degree", [
+    (["(1,2)", "(1,2,3,4)"], 4),
+    (["(1,2)", "(1,2,3,4)", "(1,2)"], 4),  # a generator repeated
+    (["()", "(1,2,3)", "(1,2,3,4,5)"], 5),  # the identity among the generators
+    (["(1,2,3)(4,5,6,7)"], 7),
+    ([], 3),  # the trivial group
+    ("L2(7)", None),
+    ("M11", None),
+])
+def test_element_index_matches_a_one_at_a_time_bfs(gens, degree):
+    if degree is None:
+        chain = catalog.load_group(gens)[1]
+    else:
+        chain = build_chain([parse_perm(g, degree) for g in gens], degree)
+    gc = conjugacy_classes(chain)
+    rows, at, times, class_of, entry_words = _reference_index(chain)
+    assert np.array_equal(gc._rows, np.array(rows, dtype=gc._rows.dtype))
+    assert np.array_equal(gc._at, at)
+    assert np.array_equal(gc._times, times)
+    assert np.array_equal(gc.class_of_idx, class_of)
+    assert gc._entry_words == entry_words
+
+
 @pytest.mark.parametrize("gens, degree", [([], 4), ([(0,)], 1), ([(0, 1, 2)], 3)])
 def test_trivial_group_classes(gens, degree):
     gc = conjugacy_classes(build_chain([Permutation(g) for g in gens], degree))
