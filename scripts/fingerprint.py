@@ -29,6 +29,11 @@ triple reports.  The outputs covered:
 - ``triples-an``: ``enumerate_triples(..., classify=True).to_json()`` on
   ``symmchar.AnClassSystem``, split classes (A7 7a, A9 9a) included;
 - ``search``: the witness of a seeded ``search_triple``;
+- ``beauville``: ``str()`` of what ``beauville_search`` returns (the two
+  generating pairs, or None) for A5, A6 and L2(7);
+- ``spread``: (class, ok, failing) of ``spread_class_check`` for every
+  nontrivial class of A5, A6, L2(7), A7 and M11 on
+  ``catalog.class_system``, and of A5-A7 on ``symmchar.AnClassSystem(n)``;
 - ``an-classes``: names, representatives, sizes and power maps of
   ``symmchar.AnClassSystem(n)`` for n = 3..18;
 - ``an-elements``: the order in which ``AnClassSystem.iter_class_images``
@@ -63,8 +68,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cgtkit import catalog, cli, verify
 from cgtkit.chartab import _class_sum_matrix_modp, dixon_prime, dixon_table
 from cgtkit.finitefield import conway_polynomial
-from cgtkit.gentriples import (build_lemma42, build_lemma43, enumerate_triples,
-                               search_triple)
+from cgtkit.gentriples import (beauville_search, build_lemma42, build_lemma43,
+                               enumerate_triples, search_triple, spread_class_check)
 from cgtkit.permgroup import GroupClasses, build_chain, conjugacy_classes
 from cgtkit.symmchar import AnClassSystem, an_pair_covers, an_table, sn_table
 from cgtkit.zsigmondy import is_prime_power, prime_divisors, scan_reports
@@ -91,6 +96,10 @@ PROP77_ALL_PAIRS_NS = range(5, 11)
 # (group, class, a, seed); A_n (n >= 9) uses AnClassSystem through the catalog
 SEARCHES = [("A7", "7a", 1, 1), ("M11", "11a", 1, 2), ("A10", "7a", 1, 3),
             ("A12", "11a", 1, 4)]
+BEAUVILLE_GROUPS = ["A5", "A6", "L2(7)"]
+# (group, engine): "catalog" is catalog.class_system, "an" is AnClassSystem(n)
+SPREAD = [(name, "catalog") for name in ("A5", "A6", "L2(7)", "A7", "M11")] + \
+    [(f"A{n}", "an") for n in (5, 6, 7)]
 
 
 def sha(obj) -> str:
@@ -181,6 +190,15 @@ def main() -> int:
                           cname, a, seed=seed)
         print("search", f"{name}:{cname}:{a}:{seed}", sha([str(p) for p in w]),
               flush=True)
+    for name in BEAUVILLE_GROUPS:
+        got = beauville_search(catalog.load_group(name)[1], catalog.class_system(name))
+        print("beauville", name, sha(str(got).encode()), flush=True)
+    for name, engine in SPREAD:
+        chain = catalog.load_group(name)[1]
+        cs = AnClassSystem(int(name[1:])) if engine == "an" else catalog.class_system(name)
+        rows = [[c.name, *spread_class_check(chain, cs, c.name)]
+                for c in cs.classes if c.rep_order > 1]
+        print("spread", f"{name}:{engine}", sha(rows), flush=True)
     for n in AN_CLASS_NS:
         print("an-classes", f"A{n}", sha(class_data(AnClassSystem(n))), flush=True)
     for n, names in AN_ELEMENTS:

@@ -7,9 +7,19 @@ conjugate to x^-2).  Totals are cross-asserted against the
 character-formula triple_count with the matching z-slot whenever a table
 is supplied, which is the central cross-oracle of the whole artifact.
 
+The exhaustive searches (enumerate_triples' classification,
+spread_class_check, beauville_search) share one scan, _pair_orbits: for a
+fixed x it keeps the first y in scan order of each orbit of C_G(x) acting by
+conjugation, and builds one chain of <x, y> per orbit, proved against the
+order of the group of `chain` when the pair lies in it and has its orbits
+(permgroup.known_order).  For c in C_G(x), <x, y^c> = <x, y>^c, and y^c and
+x*y^c = (xy)^c keep the orders of y and xy, so each search returns what a
+scan over every y returns: the first hit in scan order opens its own orbit.
+
 Class systems are duck-typed: both permgroup.GroupClasses (element-indexed
 small groups) and symmchar.AnClassSystem (combinatorial A_n classes) work;
-their shared lookups come from permgroup.ClassSystem.
+their shared lookups come from permgroup.ClassSystem, and C_G(x) from their
+centralizer_generators.
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ from dataclasses import dataclass, field
 from math import factorial, gcd
 
 from .perms import Permutation, _inv, _mul
-from .permgroup import StabilizerChain, build_chain, known_order, orbits
+from .permgroup import (StabilizerChain, build_chain, conjugacy_classes,
+                        known_order, orbits)
 
 __all__ = ["TripleReport", "enumerate_triples", "search_triple",
            "build_lemma42", "build_lemma43", "translation_search",
@@ -74,15 +85,11 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
 
     cs is a class system for the group of `chain`.  When `classify` is
     set, every accepted pair is sorted into the (order, orbit-structure)
-    histogram of the subgroup it generates.  The accepted set is closed
-    under conjugation by the centralizer C_G(x) (from
-    `cs.centralizer_generators`), and <x, y^c> = <x, y>^c has the same
-    order and orbit lengths, so one stabilizer chain per C_G(x)-orbit is
-    built, from the orbit's first member in scan order, and its key and
-    generating count are weighted by the orbit's size.  The witness is the
-    first generating y in scan order, which opens its orbit.  A pair that
-    lies in the group of `chain` and has its orbits gets a chain proved
-    against that group's order (`permgroup.known_order`).
+    histogram of the subgroup it generates, from one chain per
+    C_G(x)-orbit of the accepted y (the module's orbit scan) weighted by
+    the orbit's size; AssertionError is raised when the orbit sizes do
+    not add up to the accepted set, which must be closed under C_G(x).
+    The witness is the first generating y in scan order.
     """
     ci = _resolve_class(cs, class_spec)
     cls = cs.classes[ci]
@@ -92,34 +99,29 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
     # accept y iff x*y lies in C^a ("xy conjugate to x^a"); equivalently
     # z := (xy)^-1 lies in (C^a)^-1
     target = cs.power_class(ci, a)
-    order = cs.group_order
     x = cls.representative
     x_img = x.images
-    n = len(x_img)
-    total = 0
+    ys = cs.iter_class_images_with_product(ci, x_img, target)
     generating = 0
     hist: dict = {}
     witness = None
-    if classify:
-        conjugators = [(c, _inv(c)) for c in cs.centralizer_generators(x_img)]
-        classified: set = set()
-    for y_img in cs.iter_class_images_with_product(ci, x_img, target):
-        total += 1
-        if not classify or y_img in classified:
-            continue
-        orbit = _conjugation_orbit(y_img, conjugators)
-        classified |= orbit
-        gens = [x_img, y_img]
-        sub = build_chain(gens, n, within=known_order(gens, chain))
-        key = _subgroup_key(sub)
-        hist[key] = hist.get(key, 0) + len(orbit)
-        if sub.order() == order:
-            generating += len(orbit)
-            if witness is None:
-                z_img = _inv(_mul(x_img, y_img))
-                witness = (x, Permutation(y_img), Permutation(z_img))
-    if classify and len(classified) != total:
-        raise AssertionError("the accepted y are not closed under conjugation by C_G(x)")
+    if not classify:
+        total = sum(1 for _ in ys)
+    else:
+        ys = list(ys)
+        total = len(ys)
+        covered = 0
+        for y_img, size, sub in _pair_orbits(chain, cs, x_img, ys):
+            covered += size
+            key = _subgroup_key(sub)
+            hist[key] = hist.get(key, 0) + size
+            if sub.order() == cs.group_order:
+                generating += size
+                if witness is None:
+                    z_img = _inv(_mul(x_img, y_img))
+                    witness = (x, Permutation(y_img), Permutation(z_img))
+        if covered != total:
+            raise AssertionError("the accepted y are not closed under conjugation by C_G(x)")
     if table is not None:
         from .classalg import triple_count
         i = table.class_named(cls.name)
@@ -129,6 +131,22 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
             raise AssertionError(
                 f"enumerate_triples total {total} != character formula {want}")
     return TripleReport(group_name, cls.name, a, total, generating, hist, witness)
+
+
+def _pair_orbits(chain: StabilizerChain, cs, x_img: tuple, ys):
+    """The module's orbit scan: yields (y, orbit size, chain of <x, y>) for
+    the first member y, in the order of `ys`, of each C_G(x)-orbit that
+    meets `ys`; C_G(x) comes from `cs.centralizer_generators`."""
+    conjugators = [(c, _inv(c)) for c in cs.centralizer_generators(x_img)]
+    seen: set = set()
+    for y_img in ys:
+        if y_img in seen:
+            continue
+        orbit = _conjugation_orbit(y_img, conjugators)
+        seen |= orbit
+        gens = [x_img, y_img]
+        yield y_img, len(orbit), build_chain(gens, len(x_img),
+                                             within=known_order(gens, chain))
 
 
 def _conjugation_orbit(y_img: tuple, conjugators) -> set:
@@ -261,14 +279,6 @@ def build_lemma43(n: int) -> LemmaConstruction:
     return LemmaConstruction(n, x, y, vu, triple, chain)
 
 
-def block_counterexample_lemma43(n: int = 12):
-    """The fixed points {2,4,6} of x are not a block: x(1)=3 and x(5)=7."""
-    c = build_lemma43(n)
-    f = [i for i in range(n) if c.x(i) == i]
-    assert f == [1, 3, 5]
-    return c.x(0) == 2 and c.x(4) == 6  # 1-based: x(1)=3, x(5)=7
-
-
 # -- translation lemma search --------------------------------------------------
 
 def translation_search(chain: StabilizerChain, x: Permutation, y: Permutation,
@@ -336,17 +346,12 @@ def spread_class_check(chain: StabilizerChain, cs, class_spec):
     ci = _resolve_class(cs, class_spec)
     order = cs.group_order
     failing = []
-    for k, cls in enumerate(cs.classes):
+    for cls in cs.classes:
         if cls.rep_order == 1:
             continue
-        s = cls.representative
-        ok = False
-        for y_img in cs.iter_class_images(ci):
-            sub = build_chain([s.images, y_img], chain.degree)
-            if sub.order() == order:
-                ok = True
-                break
-        if not ok:
+        scan = _pair_orbits(chain, cs, cls.representative.images,
+                            cs.iter_class_images(ci))
+        if not any(sub.order() == order for _, _, sub in scan):
             failing.append(cls.name)
     return (not failing), failing
 
@@ -416,8 +421,9 @@ def beauville_search(chain: StabilizerChain, cs=None):
     """Unmixed Beauville structure by exhaustive order-triple scan.
 
     Scans generating pairs (x, y) with x a class representative (every
-    generating pair is conjugate to one such), collecting the realized
-    order triples {o(x), o(y), o(xy)}.  Returns a pair of generating
+    generating pair is conjugate to one such) and y nontrivial, one y per
+    C_G(x)-orbit (the module's orbit scan), collecting the realized order
+    triples {o(x), o(y), o(xy)}.  Returns a pair of generating
     systems with coprime order triples, or None after exhausting all
     combinations (a proof of non-existence at this group size).
     """
@@ -425,24 +431,18 @@ def beauville_search(chain: StabilizerChain, cs=None):
     if order > BEAUVILLE_BOUND:
         raise ValueError(f"group order exceeds Beauville bound {BEAUVILLE_BOUND}")
     if cs is None:
-        from .permgroup import conjugacy_classes
         cs = conjugacy_classes(chain)
+    nontrivial = [k for k, cls in enumerate(cs.classes) if cls.rep_order > 1]
     triples: dict = {}
-    for cls in cs.classes:
-        if cls.rep_order == 1:
-            continue
-        x = cls.representative
-        for k2 in range(len(cs.classes)):
-            if cs.classes[k2].rep_order == 1:
+    for k in nontrivial:
+        x = cs.classes[k].representative
+        ys = (y_img for k2 in nontrivial for y_img in cs.iter_class_images(k2))
+        for y_img, _, sub in _pair_orbits(chain, cs, x.images, ys):
+            if sub.order() != order:
                 continue
-            for y_img in cs.iter_class_images(k2):
-                sub = build_chain([x.images, y_img], chain.degree)
-                if sub.order() != order:
-                    continue
-                y = Permutation(y_img)
-                key = tuple(sorted((x.order(), y.order(), (x * y).order())))
-                if key not in triples:
-                    triples[key] = (x, y)
+            y = Permutation(y_img)
+            key = tuple(sorted((x.order(), y.order(), (x * y).order())))
+            triples.setdefault(key, (x, y))
     keys = sorted(triples)
     for i, t1 in enumerate(keys):
         for t2 in keys[i:]:

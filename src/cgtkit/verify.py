@@ -402,15 +402,13 @@ def suite_powers() -> VerifyReport:
 def suite_section8(seed: int = DEFAULT_SEED) -> VerifyReport:
     rep = VerifyReport("section8", seed)
     for name, cname in [("A5", "5a"), ("A7", "7a"), ("M11", "11a")]:
+        chain, cs = _chain(name), _cs(name)
         t0 = time.perf_counter()
-        chain = _chain(name)
-        cs = _cs(name)
         ok, failing = spread_class_check(chain, cs, cname)
         rep.add(f"spread.{name}.{cname}", (True, []), (ok, failing), t0)
     for name in ("A5", "A6", "L2(7)"):
+        chain, cs = _chain(name), _cs(name)
         t0 = time.perf_counter()
-        chain = _chain(name)
-        cs = _cs(name)
         maximals = catalog.maximal_subgroup_generators(name)
         bad = []
         for k, cls in enumerate(cs.classes):
@@ -419,9 +417,8 @@ def suite_section8(seed: int = DEFAULT_SEED) -> VerifyReport:
             if not two_subgroup_cover(chain, cs, k, list(maximals.values())):
                 bad.append(cls.name)
         rep.add(f"cover2.{name}", [], bad, t0)
+    chain, cs = _chain("SL3(2)"), _cs("SL3(2)")
     t0 = time.perf_counter()
-    chain = _chain("SL3(2)")
-    cs = _cs("SL3(2)")
     stabs = catalog.sl32_transvection_cover_subgroups()
     from .gentriples import _subgroup_elements
     sets = [_subgroup_elements(chain, gens)[0] for gens in stabs]
@@ -432,12 +429,13 @@ def suite_section8(seed: int = DEFAULT_SEED) -> VerifyReport:
         for i in range(3) for j in range(i + 1, 3))
     rep.add("cover2.SL3(2).three_subgroups", (True, False),
             (covered3, pair_covered), t0)
+    chain, cs = _chain("A5"), _cs("A5")
     t0 = time.perf_counter()
-    got = beauville_search(_chain("A5"), _cs("A5"))
-    rep.add("beauville.A5_none", None, got, t0)
+    rep.add("beauville.A5_none", None, beauville_search(chain, cs), t0)
     for name in ("A6", "L2(7)"):
+        chain, cs = _chain(name), _cs(name)
         t0 = time.perf_counter()
-        got = beauville_search(_chain(name), _cs(name))
+        got = beauville_search(chain, cs)
         ok = got is not None
         if ok:
             (x1, y1), (x2, y2) = got

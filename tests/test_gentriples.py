@@ -3,11 +3,11 @@ import pytest
 from cgtkit import catalog
 from cgtkit.classalg import n_a
 from cgtkit.gentriples import (beauville_search, build_lemma42, build_lemma43,
-                               block_counterexample_lemma43, enumerate_triples,
-                               search_triple, spread_class_check,
-                               translation_search, two_subgroup_cover,
-                               union_cover_check, _subgroup_elements)
-from cgtkit.perms import _mul, parse_perm
+                               enumerate_triples, search_triple,
+                               spread_class_check, translation_search,
+                               two_subgroup_cover, union_cover_check,
+                               _subgroup_elements)
+from cgtkit.perms import Permutation, _mul, parse_perm
 from cgtkit.permgroup import build_chain, conjugacy_classes, orbits
 from cgtkit.symmchar import AnClassSystem
 
@@ -68,7 +68,9 @@ def test_lemma_constructions():
     c = build_lemma43(12)
     assert c.involution.support_size() == 12
     assert c.x.cycle_type()[0] == 9
-    assert block_counterexample_lemma43(12)
+    # the fixed points {2, 4, 6} of x are not a block: x(1) = 3, x(5) = 7
+    assert [i for i in range(12) if c.x(i) == i] == [1, 3, 5]
+    assert c.x(0) == 2 and c.x(4) == 6
     with pytest.raises(ValueError):
         build_lemma42(12)
     with pytest.raises(ValueError):
@@ -220,3 +222,53 @@ def test_orbit_weighting_builds_one_chain_per_orbit(monkeypatch):
     # C_A8(x) is <x> for the 7-cycle x; only <x, x^k>-type pairs have a
     # smaller orbit, so far fewer chains than pairs are built
     assert 0 < len(calls) < r.total_pairs / 5
+
+
+def _spread_reference(chain, cs, cname):
+    """spread_class_check with one deterministic chain per (s, y) pair."""
+    ci = cs.class_named(cname)
+    failing = []
+    for cls in cs.classes:
+        if cls.rep_order == 1:
+            continue
+        s = cls.representative.images
+        if not any(build_chain([s, y], chain.degree).order() == cs.group_order
+                   for y in cs.iter_class_images(ci)):
+            failing.append(cls.name)
+    return (not failing), failing
+
+
+def _beauville_reference(chain, cs):
+    """beauville_search with one deterministic chain per (x, y) pair."""
+    from math import gcd
+    order = chain.order()
+    nontrivial = [k for k, cls in enumerate(cs.classes) if cls.rep_order > 1]
+    triples = {}
+    for k in nontrivial:
+        x = cs.classes[k].representative
+        for k2 in nontrivial:
+            for y_img in cs.iter_class_images(k2):
+                if build_chain([x.images, y_img], chain.degree).order() != order:
+                    continue
+                y = Permutation(y_img)
+                key = tuple(sorted((x.order(), y.order(), (x * y).order())))
+                triples.setdefault(key, (x, y))
+    keys = sorted(triples)
+    for i, t1 in enumerate(keys):
+        for t2 in keys[i:]:
+            if all(gcd(a, b) == 1 for a in t1 for b in t2):
+                return triples[t1], triples[t2]
+    return None
+
+
+@pytest.mark.parametrize("name,engine", [
+    ("A5", "index"), ("A6", "index"), ("L2(7)", "index"), ("A5", "an"), ("A6", "an"),
+])
+def test_orbit_scans_match_per_pair_spread_and_beauville(name, engine):
+    chain = catalog.load_group(name)[1]
+    cs = AnClassSystem(int(name[1:])) if engine == "an" else catalog.class_system(name)
+    for cls in cs.classes:
+        if cls.rep_order > 1:
+            assert (spread_class_check(chain, cs, cls.name)
+                    == _spread_reference(chain, cs, cls.name))
+    assert beauville_search(chain, cs) == _beauville_reference(chain, cs)
