@@ -49,6 +49,15 @@ triple reports.  The outputs covered:
 - ``ntheory``: ``conway_polynomial(p, k)`` for every prime power p^k <= 1024,
   ``is_prime_power(q)`` for q < 4096, and (``dixon_prime(order, exponent)``,
   the primitive root mod that prime) for every ``verify.NEUMANN_GROUPS`` group;
+- ``roots``: ``fflinalg.modp_roots`` on seeded polynomials over GF(p) for
+  p in ``ROOT_PRIMES``: products of linear factors with multiplicities, an
+  irreducible quadratic factor, unreduced and untrimmed coefficients, the
+  zero polynomial and constants;
+- ``minpoly``: ``minimal_polynomial`` and ``has_distinct_eigenvalues`` of
+  seeded ``FFMatrix``es (random, sparse, diagonal, triangular, scalar) over
+  every field in ``MINPOLY_FIELDS``;
+- ``even-q``: every report of ``sl2.even_q_eigen_facts(q)`` for q in
+  ``EVEN_Q``;
 - ``verify-paper`` (with ``--verify-paper``): ``verify-paper --json`` with
   every ``elapsed`` field masked.
 
@@ -59,6 +68,7 @@ import argparse
 import hashlib
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -67,10 +77,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cgtkit import catalog, cli, verify
 from cgtkit.chartab import _class_sum_matrix_modp, dixon_prime, dixon_table
-from cgtkit.finitefield import conway_polynomial
+from cgtkit.fflinalg import FFMatrix, modp_roots
+from cgtkit.finitefield import FiniteField, conway_polynomial
 from cgtkit.gentriples import (beauville_search, build_lemma42, build_lemma43,
                                enumerate_triples, search_triple, spread_class_check)
 from cgtkit.permgroup import GroupClasses, build_chain, conjugacy_classes
+from cgtkit.sl2 import even_q_eigen_facts
 from cgtkit.symmchar import AnClassSystem, an_pair_covers, an_table, sn_table
 from cgtkit.zsigmondy import is_prime_power, prime_divisors, scan_reports
 
@@ -100,6 +112,10 @@ BEAUVILLE_GROUPS = ["A5", "A6", "L2(7)"]
 # (group, engine): "catalog" is catalog.class_system, "an" is AnClassSystem(n)
 SPREAD = [(name, "catalog") for name in ("A5", "A6", "L2(7)", "A7", "M11")] + \
     [(f"A{n}", "an") for n in (5, 6, 7)]
+ROOT_PRIMES = [2, 3, 7, 43891, 65537]
+# (p, k) of GF(p^k)
+MINPOLY_FIELDS = [(2, 1), (2, 2), (7, 1), (3, 2), (2, 4)]
+EVEN_Q = [4, 8, 16, 32]
 
 
 def sha(obj) -> str:
@@ -143,6 +159,77 @@ def chain_data(chain) -> list:
 
 def pair_covers_sha(n, firsts, seconds) -> str:
     return sha([[a, b, *an_pair_covers(n, a, b)] for a in firsts for b in seconds])
+
+
+def _poly_mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+def root_polynomials(p) -> list:
+    """Seeded test polynomials over GF(p), little-endian.  No root has a
+    multiplicity divisible by p, and over GF(2) no polynomial has two
+    distinct roots: the Cantor-Zassenhaus splitter of older checkouts drops
+    such a root (f / gcd(f, f') loses the whole factor) and never separates
+    x from x + 1.  Tier-1 tests cover both cases."""
+    rng = random.Random(p)
+    if p == 2:
+        # x^3, (x+1)^3, x^2+x+1, x^3 (x^2+x+1), (x+1)(x^2+x+1)^2
+        polys = [[0, 0, 0, 1], [1, 1, 1, 1], [1, 1, 1], [0, 0, 0, 1, 1, 1],
+                 [1, 1, 1, 1, 1, 1]]
+    else:
+        # x^2 - n, n the least quadratic non-residue, has no root in GF(p)
+        n = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+        polys = [[(-n) % p, 0, 1]]
+        for _ in range(12):
+            roots = rng.sample(range(p), min(p, rng.randint(1, 6)))
+            roots[0] = rng.choice([roots[0], p - 1, p - 2, 0])
+            f = [rng.randrange(1, p)]
+            for r in dict.fromkeys(roots):
+                for _ in range(rng.randint(1, min(3, p - 1))):
+                    f = _poly_mul(f, [(-r) % p, 1], p)
+            if rng.random() < 0.5:
+                f = _poly_mul(f, polys[0], p)
+            polys.append(f)
+    zero_and_constants = [[], [0], [0, 0, p], [1], [p + 1, 0, 0], [-1]]
+    unreduced = [[c + p * rng.randint(-2, 2) for c in f] + [0, p] for f in polys]
+    return polys + unreduced + zero_and_constants
+
+
+def minpoly_matrices(F) -> list:
+    """Seeded square matrices over F, sizes 1 to 6."""
+    rng = random.Random(F.q)
+    mats = []
+    for n in range(1, 7):
+        few = [rng.randrange(F.q) for _ in range(2)]
+        mats.append([[rng.randrange(F.q) for _ in range(n)] for _ in range(n)])
+        mats.append([[rng.randrange(F.q) if rng.random() < 0.3 else 0
+                      for _ in range(n)] for _ in range(n)])
+        mats.append([[rng.choice(few) if i == j else 0 for j in range(n)]
+                     for i in range(n)])
+        mats.append([[rng.choice(few) if i == j else rng.randrange(F.q) if i < j else 0
+                      for j in range(n)] for i in range(n)])
+        mats.append([[few[0] if i == j else 0 for j in range(n)] for i in range(n)])
+    return [FFMatrix(F, m) for m in mats]
+
+
+def polynomial_lines() -> None:
+    """Print the roots, minpoly and even-q lines."""
+    for p in ROOT_PRIMES:
+        print("roots", f"p={p}", sha([[f, modp_roots(f, p)] for f in root_polynomials(p)]),
+              flush=True)
+    for p, k in MINPOLY_FIELDS:
+        F = FiniteField(p, k)
+        print("minpoly", repr(F), sha([[M.data, M.minimal_polynomial(),
+                                         M.has_distinct_eigenvalues()]
+                                        for M in minpoly_matrices(F)]), flush=True)
+    for q in EVEN_Q:
+        print("even-q", f"q={q}", sha([[r.q, r.twists, r.dim, r.distinct_eigenvalues,
+                                         r.fixed_dim] for r in even_q_eigen_facts(q)]),
+              flush=True)
 
 
 def main() -> int:
@@ -234,6 +321,7 @@ def main() -> int:
         p = dixon_prime(table.order, table.exponent())
         dixon.append([name, p, primitive_root(p)])
     print("ntheory", "dixon:neumann", sha(dixon), flush=True)
+    polynomial_lines()
     if args.verify_paper:
         out = io.StringIO()
         with redirect_stdout(out):

@@ -172,30 +172,20 @@ TWO_MTH_POWER_BOUND = 10 ** 5
 
 
 def two_mth_powers(gc: GroupClasses, m: int) -> PowerReport:
-    """Brute-force check that P * P = G for P = {g^m : g in G}."""
+    """Brute-force check that P * P = G for P = {g^m : g in G}.
+
+    Class t is covered when its entry z_t is x y with x and y in P, that is
+    when w z_t lies in a power class for some w in the inverse of a power
+    class; `product_counts` counts these products for every t at once.
+    """
     if gc.order > TWO_MTH_POWER_BOUND:
         raise ValueError(
             f"group order {gc.order} exceeds the {TWO_MTH_POWER_BOUND} brute-force bound")
     k = len(gc.classes)
     power_classes = sorted({gc.power_class(i, m) for i in range(k)})
-    in_p = np.zeros(k, dtype=bool)
-    in_p[power_classes] = True
     covered = np.zeros(k, dtype=bool)
-    reps = np.array([c.representative.images for c in gc.classes])
-    # t is covered once z_t x^-1 lies in P for some x in P; x^-1 runs over
-    # the inverse class w, and w z_t has base images z_t[w[base]].  Chunks
-    # grow from one row, so a cover found early ends the scan early; each
-    # chunk is one lookup for every class not yet covered.
     for i in power_classes:
-        w = gc.base_images_of_class(gc.inverse_class(i))
-        lo, step = 0, 1
-        while lo < len(w) and not covered.all():
-            todo = np.flatnonzero(~covered)
-            chunk = w[lo:lo + step]
-            found = gc.classes_of_base_images(
-                reps[todo[:, None, None], chunk].reshape(len(todo) * len(chunk), -1))
-            covered[todo] = in_p[found].reshape(len(todo), -1).any(axis=1)
-            lo, step = lo + step, 2 * step
+        covered |= gc.product_counts(gc.inverse_class(i))[power_classes].any(axis=0)
         if covered.all():
             break
     missing = [gc.classes[t].name for t in range(k) if not covered[t]]

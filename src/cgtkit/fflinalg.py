@@ -14,19 +14,20 @@ Two layers:
   pivot at a time over whole rows.  An entry of a product of rows of
   length n sums n terms below (p-1)^2, so the layer accepts only
   n*(p-1)^2 < 2^63 and ``check_int64_bound`` refuses anything beyond it
-  with a ValueError before an array is built.  ``modp_roots`` keeps its
-  polynomials as lists of Python ints.  ``ff_simultaneous_eigenspaces``
-  is the public entry point for the common-eigenspace decomposition of a
-  commuting family.
+  with a ValueError before an array is built.  ``modp_roots`` evaluates a
+  polynomial at every residue by Horner's rule on int64 arrays.
+  ``ff_simultaneous_eigenspaces`` is the public entry point for the
+  common-eigenspace decomposition of a commuting family.
+
+Polynomial arithmetic over a field (the minimal polynomial and its gcd
+with its derivative) is ``finitefield``'s one polynomial kit.
 """
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
-from .finitefield import FiniteField, _pdivmod, _pgcd, _ppowmod, _psub, _ptrim
+from .finitefield import FiniteField, _pgcd, _pmul, _ptrim
 
 __all__ = ["FFMatrix", "ff_rank", "ff_simultaneous_eigenspaces"]
 
@@ -229,12 +230,10 @@ class FFMatrix:
         if len(mp) - 1 != self.rows:
             return False
         F = self.field
-        dmp = [F.mul(i % F.p, mp[i]) for i in range(1, len(mp))]
-        while dmp and dmp[-1] == 0:
-            dmp.pop()
+        dmp = _ptrim([F.mul(i % F.p, mp[i]) for i in range(1, len(mp))])
         if not dmp:
             return False
-        return len(_pgcd_field(F, mp, dmp)) == 1
+        return len(_pgcd(F, mp, dmp)) == 1
 
 
 def _matvec(M: FFMatrix, v):
@@ -270,41 +269,6 @@ def _dependency(F, basis, vec):
     for row, pc in zip(red, pivots):
         coords[pc] = row[k]
     return coords
-
-def _pmul(F, f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
-    return out
-
-def _pgcd_field(F, f, g):
-    f, g = list(f), list(g)
-    while g and any(g):
-        # f mod g
-        dg = max(i for i, c in enumerate(g) if c)
-        g = g[:dg + 1]
-        inv = F.inv(g[-1])
-        while len(f) >= len(g) and any(f):
-            df = max(i for i, c in enumerate(f) if c)
-            f = f[:df + 1]
-            if df < dg:
-                break
-            c = F.mul(f[-1], inv)
-            for j in range(len(g)):
-                f[df - dg + j] = F.sub(f[df - dg + j], F.mul(c, g[j]))
-            while f and f[-1] == 0:
-                f.pop()
-        f, g = g, f
-    while f and f[-1] == 0:
-        f.pop()
-    if f:
-        inv = F.inv(f[-1])
-        f = [F.mul(inv, c) for c in f]
-    return f
-
 
 def ff_rank(m: FFMatrix) -> int:
     """Rank via exact row reduction."""
@@ -390,42 +354,27 @@ def modp_charpoly(A, p):
         M.flat[::n + 1] = (M.flat[::n + 1] + c) % p
     return coeffs[::-1]  # little-endian
 
-def modp_roots(f, p):
-    """All roots in GF(p) of f (assumed to split), by Cantor-Zassenhaus.
+_ROOT_CHUNK = 1 << 16
 
-    The roots come back sorted, so the seeded random splitting choices
-    never show in the result.
-    """
-    rng = random.Random(0x5EED)
+def modp_roots(f, p):
+    """The distinct roots in GF(p) of f, ascending; none for the zero
+    polynomial and for constants.  f is evaluated at every residue by
+    Horner's rule, 2^16 residues at a time; each step a*x + c stays below
+    2(p-1)^2."""
     f = _ptrim([c % p for c in f])
     if len(f) <= 1:
         return []
-    # strip multiplicities
-    deriv = [(i * c) % p for i, c in enumerate(f)][1:]
-    g = _pgcd(f, deriv, p)
-    if len(g) > 1:
-        f = _pdivmod(f, g, p)[0]
-    # keep only the part that splits into linears: gcd with x^p - x
-    xp = _ppowmod([0, 1], p, f, p)
-    f = _pgcd(f, _psub(xp, [0, 1], p), p)
+    check_int64_bound(p, 2)
     roots = []
-    stack = [f]
-    while stack:
-        h = stack.pop()
-        if len(h) <= 1:
-            continue
-        if len(h) == 2:
-            roots.append((-h[0] * pow(h[1], -1, p)) % p)
-            continue
-        while True:
-            c = rng.randrange(p)
-            probe = _psub(_ppowmod([c, 1], (p - 1) // 2, h, p), [1], p)
-            d = _pgcd(h, probe, p)
-            if 1 < len(d) < len(h):
-                stack.append(d)
-                stack.append(_pdivmod(h, d, p)[0])
-                break
-    return sorted(roots)
+    for lo in range(0, p, _ROOT_CHUNK):
+        x = np.arange(lo, min(lo + _ROOT_CHUNK, p), dtype=np.int64)
+        acc = np.full_like(x, f[-1])
+        for c in f[-2::-1]:
+            acc *= x
+            acc += c
+            acc %= p
+        roots.extend((lo + np.flatnonzero(acc == 0)).tolist())
+    return roots
 
 
 class SplitFailure(RuntimeError):

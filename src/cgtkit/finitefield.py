@@ -10,79 +10,88 @@ g^((p^K-1)/(p^k-1)).
 Elements are integer codes in [0, p^k): the base-p digits are the
 coefficients of the polynomial residue, little-endian.  Small fields get
 log/exp tables so multiplication is two lookups.
+
+The module holds the toolkit's one set of polynomial helpers: dense
+little-endian lists of codes over any ``FiniteField`` F (trim, multiply,
+divmod, powmod, monic gcd), on F's own arithmetic.  The Conway search and
+the tableless multiplication run them over GF(p), and ``fflinalg``'s
+minimal polynomials over the matrix's field.  C_{p,1} = x - r for the
+least primitive root r, so GF(p) itself needs no polynomial arithmetic.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from ._ntheory import factorize, is_prime
+from ._ntheory import factorize, is_prime, primitive_root
 
 __all__ = ["FiniteField", "FFElement", "conway_polynomial"]
 
 _LOG_TABLE_LIMIT = 1 << 16
 
 
-# -- polynomial helpers over GF(p), dense little-endian int lists ----------
+# -- polynomials over a FiniteField F: dense little-endian lists of codes --
+# A trimmed list ends in a nonzero code; [] is the zero polynomial.
 
 def _ptrim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
 
-def _pmulmod(f, g, mod, p):
+def _pmul(F, f, g):
     out = [0] * (len(f) + len(g) - 1) if f and g else []
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
                 if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-    return _pdivmod(out, mod, p)[1]
+                    out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return out
 
-def _pdivmod(f, g, p):
+def _pdivmod(F, f, g):
+    """(quotient, trimmed remainder) of f by the trimmed nonzero g."""
     f = list(f)
     dg = len(g) - 1
-    inv_lead = pow(g[-1], -1, p)
+    inv_lead = F.inv(g[-1])
     q = [0] * max(0, len(f) - dg)
     for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] % p
-        if c:
-            c = c * inv_lead % p
+        if f[i]:
+            c = F.mul(f[i], inv_lead)
             q[i - dg] = c
             for j, b in enumerate(g):
-                f[i - dg + j] = (f[i - dg + j] - c * b) % p
+                f[i - dg + j] = F.sub(f[i - dg + j], F.mul(c, b))
     return q, _ptrim(f)
 
-def _ppowmod(f, n, mod, p):
+def _ppowmod(F, f, n, mod):
+    """f^n reduced mod `mod`."""
     r = [1]
-    b = _pdivmod(f, mod, p)[1]
+    b = _pdivmod(F, f, mod)[1]
     while n:
         if n & 1:
-            r = _pmulmod(r, b, mod, p)
-        b = _pmulmod(b, b, mod, p)
+            r = _pdivmod(F, _pmul(F, r, b), mod)[1]
+        b = _pdivmod(F, _pmul(F, b, b), mod)[1]
         n >>= 1
     return r
 
-def _pgcd(f, g, p):
+def _pgcd(F, f, g):
+    """Monic gcd of f and g ([] when both are zero)."""
     f, g = _ptrim(list(f)), _ptrim(list(g))
     while g:
-        f, g = g, _pdivmod(f, g, p)[1]
+        f, g = g, _pdivmod(F, f, g)[1]
     if f:
-        inv = pow(f[-1], -1, p)
-        f = [c * inv % p for c in f]
+        inv = F.inv(f[-1])
+        f = [F.mul(c, inv) for c in f]
     return f
-
-def _psub(f, g, p):
-    n = max(len(f), len(g))
-    f = list(f) + [0] * (n - len(f))
-    g = list(g) + [0] * (n - len(g))
-    return _ptrim([(a - b) % p for a, b in zip(f, g)])
 
 @lru_cache(maxsize=None)
 def conway_polynomial(p: int, k: int) -> tuple:
     """Conway polynomial C_{p,k}, little-endian monic coefficient tuple."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if k == 1:
+        # x - r, r the least residue of order p - 1: the first primitive
+        # polynomial in the Conway word order
+        return ((-primitive_root(p)) % p, 1)
+    Fp = FiniteField(p)
     q = p ** k
     qfactors = [r for r, _ in factorize(q - 1)]
     subs = [(d, conway_polynomial(p, d)) for d in range(1, k) if k % d == 0]
@@ -91,17 +100,17 @@ def conway_polynomial(p: int, k: int) -> tuple:
         # x of order q - 1 mod f makes GF(p)[x]/(f) a field: a ring of q
         # elements with a zero divisor has fewer than q - 1 units
         x = [0, 1]
-        return _ppowmod(x, q - 1, f, p) == [1] and all(
-            _ppowmod(x, (q - 1) // r, f, p) != [1] for r in qfactors)
+        return _ppowmod(Fp, x, q - 1, f) == [1] and all(
+            _ppowmod(Fp, x, (q - 1) // r, f) != [1] for r in qfactors)
 
     def compatible(f):
         for d, cd in subs:
-            y = _ppowmod([0, 1], (q - 1) // (p ** d - 1), f, p)
+            y = _ppowmod(Fp, [0, 1], (q - 1) // (p ** d - 1), f)
             # evaluate C_{p,d} at y mod f, by Horner's rule
             acc = []
             for c in reversed(cd):
-                acc = _pmulmod(acc, y, f, p) or [0]
-                acc[0] = (acc[0] + c) % p
+                acc = _pdivmod(Fp, _pmul(Fp, acc, y), f)[1] or [0]
+                acc[0] = Fp.add(acc[0], c)
             if _ptrim(acc):
                 return False
         return True
@@ -237,8 +246,9 @@ class FiniteField:
             return 0
         if self._log is not None:
             return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        f = _pmulmod(self.digits(a), self.digits(b), list(self.poly), self.p)
-        return self.from_digits(f + [0] * self.k)
+        Fp = FiniteField(self.p)
+        return self.from_digits(
+            _pdivmod(Fp, _pmul(Fp, self.digits(a), self.digits(b)), self.poly)[1])
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -15,7 +15,9 @@ from math import gcd
 from .fflinalg import FFMatrix
 from .finitefield import FiniteField
 from .perms import Permutation
-from .permgroup import StabilizerChain, build_chain
+# not used here: the layer spans of perfbench/tracing.py patch this name on
+# this module
+from .permgroup import build_chain  # noqa: F401
 from .zsigmondy import is_prime_power
 
 __all__ = ["gf", "sl2_generators", "projective_line_rep", "trace_image",
@@ -99,15 +101,6 @@ def projective_line_rep(q: int):
         images = [index[_point_image(v, m)] for v in pts]
         perms.append(Permutation(images))
     return perms
-
-
-def projective_line_chain(q: int) -> StabilizerChain:
-    chain = build_chain(projective_line_rep(q))
-    if chain.order() != l2_order(q):
-        raise AssertionError(
-            f"projective line rep of L2({q}) has order {chain.order()}, "
-            f"expected {l2_order(q)}")
-    return chain
 
 
 def _conjugation_orbit(x: FFMatrix, gens):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import catalog
-from .classalg import covers, eps_a, n_a, two_mth_powers
+from .classalg import covers, eps_a, n_a, triple_count, two_mth_powers
 from .cyclotomic import sqrt_int
 from .fixspace import (catalog_module_rep, diagonal_tuple_fixed_dim,
                        neumann_scan, random_scott_tuples, scott_check,
@@ -128,10 +128,8 @@ TABLE5 = [
 def suite_table5() -> VerifyReport:
     rep = VerifyReport("table5")
     for name, cname, want1, want2 in TABLE5:
+        chain, gc, table = _chain(name), _cs(name), _table(name)
         t0 = time.perf_counter()
-        chain = _chain(name)
-        gc = _cs(name)
-        table = _table(name)
         f = (n_a(table, cname, 1), n_a(table, cname, -2))
         rep.add(f"table5.{name}.formula", (want1, want2), f, t0)
         t0 = time.perf_counter()
@@ -143,13 +141,12 @@ def suite_table5() -> VerifyReport:
     # overgroup columns reproducible from catalog tables: the L2(11)
     # contribution 2|14 (M11/M12/M22 rows) and the U3(3) contribution 397
     # (J2 row; total over the two fused 7-classes)
-    t0 = time.perf_counter()
     t11 = _table("L2(11)")
+    t0 = time.perf_counter()
     rep.add("table5.overgroup.L2(11)", (2, 14),
             (n_a(t11, "11a", 1), n_a(t11, "11a", -2)), t0)
-    t0 = time.perf_counter()
     tu = _table("U3(3)")
-    from .classalg import triple_count
+    t0 = time.perf_counter()
     i7a, i7b = tu.class_named("7a"), tu.class_named("7b")
     total = sum(triple_count(tu, i7a, j, tu.inverse_class(k))
                 for j in (i7a, i7b) for k in (i7a, i7b))
@@ -161,10 +158,8 @@ def suite_table5() -> VerifyReport:
 
 def suite_a10() -> VerifyReport:
     rep = VerifyReport("a10")
+    chain, cs, table = _chain("A10"), _cs("A10"), _table("A10")
     t0 = time.perf_counter()
-    chain = _chain("A10")
-    cs = _cs("A10")
-    table = _table("A10")
     r = enumerate_triples(chain, cs, "7a", 1, classify=True, table=table,
                           group_name="A10")
     rep.add("a10.total", 7446, r.total_pairs, t0)
@@ -205,9 +200,8 @@ def suite_smalln(seed: int = DEFAULT_SEED) -> VerifyReport:
     targets = [("A5", "5a"), ("A6", "5a"), ("A7", "7a"), ("A8", "7a"),
                ("A9", "7a"), ("A10", "7a")]
     for name, cname in targets:
+        chain, cs = _chain(name), _cs(name)
         t0 = time.perf_counter()
-        chain = _chain(name)
-        cs = _cs(name)
         # a = -1: the witness triple (x, y, (xy)^-1) lies entirely inside C
         w = search_triple(chain, cs, cname, -1, seed=seed)
         ok = w is not None
@@ -216,10 +210,8 @@ def suite_smalln(seed: int = DEFAULT_SEED) -> VerifyReport:
             ok = (x * y * z).is_identity() and \
                 cs.class_of_images(z.images) == cs.class_of_images(x.images)
         rep.add(f"smalln.{name}", True, ok, t0)
+    chain, gc, table = _chain("L2(7)"), _cs("L2(7)"), _table("L2(7)")
     t0 = time.perf_counter()
-    chain = _chain("L2(7)")
-    gc = _cs("L2(7)")
-    table = _table("L2(7)")
     r1 = enumerate_triples(chain, gc, "7a", 1, table=table, group_name="L2(7)")
     rep.add("smalln.L2(7).a1_fails", 0, r1.generating_pairs, t0)
     t0 = time.perf_counter()
@@ -237,13 +229,13 @@ MACBEATH_EVEN = [8, 16, 32]
 def suite_macbeath() -> VerifyReport:
     rep = VerifyReport("macbeath")
     for q in MACBEATH_ODD + MACBEATH_EVEN:
-        t0 = time.perf_counter()
         table = _table(f"L2({q})")
+        t0 = time.perf_counter()
         reports = macbeath_cover(table, q)
         bad = [r.class_name for r in reports if r.in_hypothesis and not r.covered]
         rep.add(f"macbeath.q{q}", [], bad, t0)
-    t0 = time.perf_counter()
     table = _table("U3(3)")
+    t0 = time.perf_counter()
     bad = []
     for cname in ("7a", "7b", "8a", "8b"):
         if not covers(table, cname, cname).covered:
@@ -256,8 +248,8 @@ def suite_macbeath() -> VerifyReport:
 
 def suite_sz8() -> VerifyReport:
     rep = VerifyReport("sz8")
-    t0 = time.perf_counter()
     table = _table("Sz(8)")
+    t0 = time.perf_counter()
     got = n_a(table, "13a", 1)
     rep.add("sz8.n1_13a", 273, got, t0)
     t0 = time.perf_counter()
@@ -289,8 +281,8 @@ SCOTT_REPS = ["A5:std4", "SL2(4):nat", "SL2(8):nat", "SL3(2):nat"]
 def suite_neumann(seed: int = DEFAULT_SEED) -> VerifyReport:
     rep = VerifyReport("neumann", seed)
     for name in NEUMANN_GROUPS:
-        t0 = time.perf_counter()
         table = _table(name)
+        t0 = time.perf_counter()
         rep.add(f"neumann.{name}", True, neumann_scan(table)["ok"], t0)
     t0 = time.perf_counter()
     failures = 0
@@ -342,13 +334,14 @@ PROP77_ORDERS = {7: (5, 7), 8: (3, 7), 9: (3, 7), 10: (5, 7), 11: (5, 11),
 def suite_crosscheck() -> VerifyReport:
     rep = VerifyReport("crosscheck")
     for n in (5, 6, 7, 8):
+        chain = _chain(f"A{n}")
         t0 = time.perf_counter()
         ta = an_table(n)
-        td = dixon_table(conjugacy_classes(_chain(f"A{n}")), f"A{n}")
+        td = dixon_table(conjugacy_classes(chain), f"A{n}")
         rep.add(f"crosscheck.A{n}_tables", True, tables_equivalent(ta, td), t0)
     for n, (o1, o2) in PROP77_ORDERS.items():
-        t0 = time.perf_counter()
         cs = _an_class_system(n)
+        t0 = time.perf_counter()
         c1s = [c.name for c in cs.classes if c.rep_order == o1]
         c2s = [c.name for c in cs.classes if c.rep_order == o2]
         found = None
@@ -373,8 +366,8 @@ def suite_crosscheck() -> VerifyReport:
                     (ok15, ok9), t0)
             continue
         rep.add(f"prop77.A{n}.orders{o1}_{o2}", True, found is not None, t0)
-    t0 = time.perf_counter()
     cs18 = _an_class_system(18)
+    t0 = time.perf_counter()
     seventeens = [c.name for c in cs18.classes if c.rep_order == 17]
     ok, missed = an_pair_covers(18, seventeens[0], seventeens[1])
     rep.add("prop77.A18.two_17_classes", True, ok, t0)

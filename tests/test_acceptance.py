@@ -5,8 +5,11 @@ live); each sub-check carries its expected and computed value, and every
 comparison is exact -- there are no tolerances in this artifact.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from cgtkit import verify
 from cgtkit.verify import SUITES, run_suite
 
 CRITERIA = [
@@ -44,3 +47,29 @@ def test_acceptance_criterion(number, suite, label):
 
 def test_all_suites_registered():
     assert {c[1] for c in CRITERIA} == set(SUITES)
+
+
+LOADING_SUITES = ["table5", "a10", "smalln", "macbeath", "sz8", "neumann",
+                  "crosscheck", "section8"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("suite", LOADING_SUITES)
+def test_check_elapsed_excludes_loading(monkeypatch, suite):
+    """Each check's `elapsed` times the check only: on a clock that moves
+    only while a chain, class system or table loads, every check reads 0."""
+    clock = [0.0]
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    def loading(load):
+        def timed(*args):
+            out = load(*args)
+            clock[0] += 1.0
+            return out
+        return timed
+
+    for name in ("_chain", "_cs", "_table", "_an_class_system"):
+        monkeypatch.setattr(verify, name, loading(getattr(verify, name)))
+    checks = [c for rep in run_suite(suite) for c in rep.checks]
+    assert clock[0] > 0
+    assert [c.check_id for c in checks if c.elapsed] == []

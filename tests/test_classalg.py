@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cgtkit import catalog
@@ -132,6 +133,23 @@ def test_two_mth_powers():
     assert not r.ok and len(r.witnesses_missing) == len(gc.classes) - 1
     with pytest.raises(ValueError):
         two_mth_powers(catalog.class_system("M22"), 2)
+
+
+@pytest.mark.parametrize("name", ["A5", "A6", "L2(7)", "SL3(2)"])
+def test_two_mth_powers_matches_element_products(name):
+    """Reference: P * P built as a set of elements of the catalog chain."""
+    gc = catalog.class_system(name)
+    elements = np.array([g.images for g in catalog.load_group(name)[1].elements()])
+    for m in (2, 3, 4, 5, 6, 60):
+        powers = elements
+        for _ in range(m - 1):
+            powers = np.take_along_axis(elements, powers, axis=1)
+        p = np.unique(powers, axis=0)
+        # x*y has images y[x[i]]
+        products = {tuple(row) for row in p[:, p].reshape(-1, p.shape[1]).tolist()}
+        want = [c.name for c in gc.classes if tuple(c.representative.images) not in products]
+        got = two_mth_powers(gc, m)
+        assert (got.ok, got.witnesses_missing) == (not want, want), (name, m)
 
 
 def test_sz8_eps_closed_form():

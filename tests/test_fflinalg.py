@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cgtkit._ntheory import is_prime
 from cgtkit.finitefield import FiniteField
 from cgtkit.fflinalg import (FFMatrix, SplitFailure, ff_rank, ff_simultaneous_eigenspaces,
-                             modp_charpoly, modp_kernel, modp_matvec, modp_rref,
+                             modp_charpoly, modp_kernel, modp_matvec, modp_roots, modp_rref,
                              simultaneous_eigenspaces_modp)
 
 F2 = FiniteField(2, 1)
@@ -250,3 +250,69 @@ def test_simultaneous_eigenspaces_are_the_eigenvector_spans(p):
         spaces = simultaneous_eigenspaces_modp(n, mats, p)
         assert all(basis == _py_rref(basis, p)[0] for basis in spaces)
         assert sorted(spaces) == want
+
+
+# -- roots by evaluation ---------------------------------------------------------
+
+def _py_roots(f, p):
+    """The residues where f vanishes, by Horner's rule in Python ints."""
+    f = [c % p for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    if len(f) <= 1:
+        return []
+
+    def at(x):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * x + c) % p
+        return acc
+    return [x for x in range(p) if at(x) == 0]
+
+
+def _py_poly(p, *factors):
+    """The product of little-endian factors mod p."""
+    out = [1]
+    for g in factors:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] = (prod[i + j] + a * b) % p
+        out = prod
+    return out
+
+
+def _root_cases(p):
+    """Zero and constant polynomials, repeated roots (multiplicity p for
+    p <= 7), an irreducible quadratic factor, unreduced and untrimmed
+    coefficients, and seeded products of linear factors."""
+    rng = random.Random(p)
+    if p == 2:
+        quad = [1, 1, 1]
+    else:
+        quad = [-next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1), 0, 1]
+
+    def lin(r):
+        return [-r, 1]
+    cases = [[], [0, 0], [p], [5], [p + 3, 0, 0], quad,
+             _py_poly(p, lin(0), lin(1)), _py_poly(p, lin(1), lin(1), quad),
+             _py_poly(p, *[lin(p - 1)] * min(p, 7), lin(0), quad),
+             [c + 2 * p for c in _py_poly(p, lin(1), quad)] + [0, -p]]
+    for _ in range(2 if p > 1000 else 6):
+        roots = [rng.randrange(p) for _ in range(rng.randint(1, 5))]
+        cases.append(_py_poly(p, [rng.randrange(1, p)], *map(lin, roots)))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 43891, 65537])
+def test_modp_roots_match_python_evaluation(p):
+    for f in _root_cases(p):
+        assert modp_roots(f, p) == _py_roots(f, p), f
+
+
+def test_modp_roots_across_the_chunk_boundary():
+    p = 65537  # residues 0..65535 form the first chunk, 65536 the second
+    assert modp_roots(_py_poly(p, [-65535, 1], [-65536, 1]), p) == [65535, 65536]
+    # x^2 + 3 has no root: p = 2 mod 3 makes -3 a non-residue
+    assert modp_roots(_py_poly(p, [-65536, 1], [-65536, 1], [3, 0, 1]), p) == [65536]
+    assert modp_roots(_py_poly(p, [0, 1], [-65536, 1]), p) == [0, 65536]

@@ -1,3 +1,6 @@
+import random
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,34 @@ KNOWN_CONWAY = {
 def test_conway_against_published_values():
     for (p, k), want in KNOWN_CONWAY.items():
         assert conway_polynomial(p, k) == want, (p, k)
+
+
+def test_conway_degree_one_is_x_minus_the_least_primitive_root():
+    for p in (n for n in range(2, 500) if all(n % d for d in range(2, isqrt(n) + 1))):
+        def order(g):
+            o, x = 1, g
+            while x != 1:
+                x, o = x * g % p, o + 1
+            return o
+        r = next(g for g in range(1, p) if order(g) == p - 1)
+        assert conway_polynomial(p, 1) == ((-r) % p, 1), p
+
+
+def test_multiplication_beyond_the_log_tables():
+    p = 257
+    F = FiniteField(p, 2)  # q = 66049: no log/exp tables
+    assert F._log is None
+    c0, c1, _ = F.poly
+    rng = random.Random(p)
+    for _ in range(100):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        (a0, a1), (b0, b1) = divmod(a, p)[::-1], divmod(b, p)[::-1]
+        # (a0 + a1 x)(b0 + b1 x) with x^2 = -c1 x - c0
+        top = a1 * b1
+        want = (a0 * b0 - top * c0) % p + p * ((a0 * b1 + a1 * b0 - top * c1) % p)
+        assert F.mul(a, b) == want
+        if a:
+            assert F.mul(a, F.inv(a)) == 1
 
 
 def test_conway_polynomials_are_primitive():

@@ -2,16 +2,17 @@ import pytest
 
 from cgtkit import catalog
 from cgtkit.fflinalg import FFMatrix
+from cgtkit.permgroup import build_chain
 from cgtkit.sl2 import (element_of_order_q_plus_1, even_q_eigen_facts, gf,
-                        l2_order, macbeath_cover, projective_line_chain,
+                        l2_order, macbeath_cover, projective_line_rep,
                         trace_image)
 
 
 def test_projective_line_classical_isomorphisms():
     for q, pts, order in [(4, 5, 60), (7, 8, 168), (9, 10, 360), (8, 9, 504),
                           (11, 12, 660)]:
-        ch = projective_line_chain(q)
-        assert ch.degree == pts and ch.order() == order
+        ch = build_chain(projective_line_rep(q))
+        assert ch.degree == pts and ch.order() == order == l2_order(q)
 
 
 def test_trace_image_full_at_13():
@@ -106,5 +107,5 @@ def test_projective_line_order_formula_up_to_64():
     for q in range(4, 65):
         if is_prime_power(q) is None:
             continue
-        ch = projective_line_chain(q)  # order formula asserted inside
-        assert ch.degree == q + 1
+        ch = build_chain(projective_line_rep(q))
+        assert ch.degree == q + 1 and ch.order() == l2_order(q), q
