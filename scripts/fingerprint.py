@@ -5,8 +5,8 @@ One line per output: ``<kind> <name> <sha256>``.  Two checkouts that print
 the same lines produce byte-identical class data, character tables and
 triple reports.  The outputs covered:
 
-- ``classes``: names, representatives, sizes and power maps of
-  ``catalog.class_system(name)`` for every ``verify.NEUMANN_GROUPS`` group;
+- ``classes``: names, representatives, sizes and power maps (read through
+  ``power_class``) of ``catalog.class_system(name)`` for every ``verify.NEUMANN_GROUPS`` group;
 - ``table``: ``catalog.character_table(name, use_file_cache=False).to_json()``
   for the same groups (the combinatorial engine for A_n);
 - ``elements``: the rows of ``elements_of_class(k)`` (dtype and bytes), for
@@ -36,6 +36,7 @@ triple reports.  The outputs covered:
   ``catalog.class_system``, and of A5-A7 on ``symmchar.AnClassSystem(n)``;
 - ``an-classes``: names, representatives, sizes and power maps of
   ``symmchar.AnClassSystem(n)`` for n = 3..18;
+- ``sn-classes``: the same of ``symmchar.SnClassSystem(n)`` for n = 2..12;
 - ``an-elements``: the order in which ``AnClassSystem.iter_class_images``
   lists every class of A_n for n = 3..9, and class 7a of A10;
 - ``sn-table``: ``symmchar.sn_table(n).to_json()`` for n = 3..12;
@@ -83,7 +84,8 @@ from cgtkit.gentriples import (beauville_search, build_lemma42, build_lemma43,
                                enumerate_triples, search_triple, spread_class_check)
 from cgtkit.permgroup import GroupClasses, build_chain, conjugacy_classes
 from cgtkit.sl2 import even_q_eigen_facts
-from cgtkit.symmchar import AnClassSystem, an_pair_covers, an_table, sn_table
+from cgtkit.symmchar import (AnClassSystem, SnClassSystem, an_pair_covers, an_table,
+                             sn_table)
 from cgtkit.zsigmondy import is_prime_power, prime_divisors, scan_reports
 
 try:
@@ -101,6 +103,7 @@ TRIPLES = [("A5", "5a", 1, True), ("A5", "3a", -2, True),
 AN_TRIPLES = [(7, "7a", 1), (7, "7b", -2), (9, "9a", 1), (10, "7a", 1)]
 LEMMA_NS = range(11, 31)
 AN_CLASS_NS = range(3, 19)
+SN_CLASS_NS = range(2, 13)
 # (n, class names or None for all classes) for the an-elements lines
 AN_ELEMENTS = [(n, None) for n in range(3, 10)] + [(10, ["7a"])]
 SN_TABLE_NS = range(3, 13)
@@ -125,7 +128,8 @@ def sha(obj) -> str:
 
 def class_data(cs) -> list:
     return [[c.name, list(c.representative.images), c.size, c.rep_order,
-             sorted(c.power_map.items())] for c in cs.classes]
+             [(t, cs.power_class(k, t)) for t in range(c.rep_order)]]
+            for k, c in enumerate(cs.classes)]
 
 
 def elements_sha(cs, names) -> str:
@@ -288,6 +292,8 @@ def main() -> int:
         print("spread", f"{name}:{engine}", sha(rows), flush=True)
     for n in AN_CLASS_NS:
         print("an-classes", f"A{n}", sha(class_data(AnClassSystem(n))), flush=True)
+    for n in SN_CLASS_NS:
+        print("sn-classes", f"S{n}", sha(class_data(SnClassSystem(n))), flush=True)
     for n, names in AN_ELEMENTS:
         cs = AnClassSystem(n)
         label = ",".join(names) if names else "all"

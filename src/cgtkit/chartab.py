@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -88,6 +88,11 @@ class CharacterTable(ClassSystem):
     # -- verification ----------------------------------------------------------
 
     def verify(self):
+        """Exact invariants; TableInvariantError if one fails.  A class's stored
+        power map must be keyed 0..o-1, o its order, start at the identity and
+        the class, and send t to a class of order o / gcd(t, o).  A swap of two
+        classes of one order passes: catching it needs a Galois check on the
+        values, about as costly as Dixon's lift, so it is left out."""
         k = self.n_classes
         if len(self.values) != k:
             raise TableInvariantError("table is not square")
@@ -109,11 +114,19 @@ class CharacterTable(ClassSystem):
                     raise TableInvariantError("value outside Q(zeta_o) of its class order o")
         if sum(d * d for d in degs) != self.order:
             raise TableInvariantError("sum of squared degrees != group order")
-        for c in self.classes:
+        for j, c in enumerate(self.classes):
             if self.order % c.size:
                 raise TableInvariantError("class size does not divide the group order")
-            if c.power_map.get(1 if c.rep_order > 1 else 0) not in (self.classes.index(c),):
-                raise TableInvariantError("power_map(1) is not the class itself")
+            o, pm = c.rep_order, c.power_map
+            if sorted(pm) != list(range(o)):
+                raise TableInvariantError(f"power map of {c.name} is not keyed 0..{o - 1}")
+            if pm[0] != ic or pm[1 % o] != j:
+                raise TableInvariantError(
+                    f"power map of {c.name} does not start at the identity and {c.name}")
+            for t, v in pm.items():
+                if not 0 <= v < k or self.classes[v].rep_order != o // gcd(t, o):
+                    raise TableInvariantError(f"power map of {c.name} sends {t} to {v}, "
+                                              f"not a class of order {o // gcd(t, o)}")
         conj_rows = [[v.conj() for v in row] for row in self.values]
         self._row_orthogonality(conj_rows)
         self._column_orthogonality(conj_rows)
@@ -174,14 +187,17 @@ class CharacterTable(ClassSystem):
                 f"classes={self.n_classes})")
 
 
-def table_from_rows(name: str, order: int, classes: list, rows: list) -> CharacterTable:
-    """The verified table of `rows` on copies of `classes`, rows ordered by
-    degree, then by the ``sort_key`` of their values."""
-    ident = next(i for i, c in enumerate(classes) if c.rep_order == 1)
+def table_from_rows(name: str, cs: ClassSystem, rows: list) -> CharacterTable:
+    """The verified table of `rows` on the classes of `cs`, power maps read
+    through ``cs.power_class``, rows ordered by degree, then by the
+    ``sort_key`` of their values."""
+    ident = next(i for i, c in enumerate(cs.classes) if c.rep_order == 1)
     rows = sorted(rows, key=lambda row: (row[ident].integer(),
                                          tuple(v.sort_key() for v in row)))
-    infos = [ClassInfo(c.name, c.size, c.rep_order, dict(c.power_map)) for c in classes]
-    return CharacterTable(name, order, infos, rows, verify=True)
+    infos = [ClassInfo(c.name, c.size, c.rep_order,
+                       {t: cs.power_class(k, t) for t in range(c.rep_order)})
+             for k, c in enumerate(cs.classes)]
+    return CharacterTable(name, cs.group_order, infos, rows, verify=True)
 
 
 # For x in C_i, z x^-1 runs over w z with w in the inverse class of C_i
@@ -267,7 +283,7 @@ def _dixon_with_prime(gc: GroupClasses, name: str, e: int, p: int) -> CharacterT
     if any(d is None or order % d for d in degrees):
         raise SplitFailure("no valid degree recovered")
     chi_mod = np.array(degrees)[:, None] * w % p * inv_sizes % p
-    return table_from_rows(name, order, gc.classes, _lift(gc, chi_mod, degrees, e, p))
+    return table_from_rows(name, gc, _lift(gc, chi_mod, degrees, e, p))
 
 
 def _lift(gc: GroupClasses, chi_mod: np.ndarray, degrees: list, e: int, p: int) -> list:
@@ -284,7 +300,7 @@ def _lift(gc: GroupClasses, chi_mod: np.ndarray, degrees: list, e: int, p: int) 
     bound = np.array(degrees)[:, None]
     dft = {}
     cols = []
-    for c in gc.classes:
+    for j, c in enumerate(gc.classes):
         o = c.rep_order
         if o == 1:
             cols.append([Cyclotomic.from_rational(d) for d in degrees])
@@ -293,7 +309,7 @@ def _lift(gc: GroupClasses, chi_mod: np.ndarray, degrees: list, e: int, p: int) 
             z_inv = pow(z_e, -(e // o), p)
             zpow = np.array([pow(z_inv, t, p) for t in range(o)])
             dft[o] = zpow[np.outer(np.arange(o), np.arange(o)) % o]
-        on_powers = chi_mod[:, [c.power_map[t] for t in range(o)]]
+        on_powers = chi_mod[:, [gc.power_class(j, t) for t in range(o)]]
         mult = modp_matvec(on_powers, dft[o], p) * pow(o, -1, p) % p
         if (mult > bound).any():
             i, l = np.argwhere(mult > bound)[0]
@@ -346,14 +362,12 @@ def tables_equivalent(t1: CharacterTable, t2: CharacterTable) -> bool:
         return r1 == r2
 
     def power_ok(j1, j2, sigma_partial):
-        c1, c2 = t1.classes[j1], t2.classes[j2]
-        if c1.rep_order != c2.rep_order:
+        o = t1.classes[j1].rep_order
+        if o != t2.classes[j2].rep_order:
             return False
-        for t, img in c1.power_map.items():
-            img2 = c2.power_map.get(t)
-            if img2 is None:
-                return False
-            if sigma_partial[img] >= 0 and sigma_partial[img] != img2:
+        for t in range(o):
+            img = t1.power_class(j1, t)
+            if sigma_partial[img] >= 0 and sigma_partial[img] != t2.power_class(j2, t):
                 return False
         return True
 

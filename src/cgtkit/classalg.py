@@ -23,15 +23,9 @@ __all__ = ["triple_count", "triple_counts_all_k", "n_a", "eps_a", "covers",
            "thompson_check", "two_mth_powers", "CoverReport", "PowerReport"]
 
 
-def _resolve(table: CharacterTable, c) -> int:
-    if isinstance(c, str):
-        return table.class_named(c)
-    return int(c)
-
-
 def triple_count(table: CharacterTable, i, j, k) -> int:
     """#{(y,z) in C_j x C_k : xyz = 1} for fixed x in C_i (exact integer)."""
-    i, j, k = _resolve(table, i), _resolve(table, j), _resolve(table, k)
+    i, j, k = table.class_index(i), table.class_index(j), table.class_index(k)
     ic = table._identity_col()
     terms = [(row[i] * row[j], row[k], Fraction(1, row[ic].integer()))
              for row in table.values
@@ -59,7 +53,7 @@ def _scale_count(table: CharacterTable, j: int, k: int, total: Cyclotomic) -> in
 
 def triple_counts_all_k(table: CharacterTable, i, j) -> list:
     """[triple_count(i, j, k) for all k], sharing the chi(i)chi(j)/deg part."""
-    i, j = _resolve(table, i), _resolve(table, j)
+    i, j = table.class_index(i), table.class_index(j)
     ic = table._identity_col()
     partial = [(row[i] * row[j], Fraction(1, row[ic].integer()), row)
                for row in table.values
@@ -84,7 +78,7 @@ def na_slot(a: int) -> int:
 
 def n_a(table: CharacterTable, c, a: int) -> int:
     """n_a(C): pairs x,y in C with xy in C^{|a|}, x fixed (see na_slot)."""
-    i = _resolve(table, c)
+    i = table.class_index(c)
     k = table.power_class(i, na_slot(a))
     return triple_count(table, i, i, k)
 
@@ -97,7 +91,7 @@ def eps_a(table: CharacterTable, c, a: int) -> Fraction:
     n_a = d * |G| / |C_G(x)|^2 * (1 + eps_a) is re-verified before
     returning.
     """
-    i = _resolve(table, c)
+    i = table.class_index(c)
     k = table.power_class(i, na_slot(a))
     linear = table.linear_characters()
     ic = table._identity_col()
@@ -137,7 +131,7 @@ class CoverReport:
 
 def covers(table: CharacterTable, i, j) -> CoverReport:
     """Is every nontrivial class inside C_i * C_j?"""
-    i, j = _resolve(table, i), _resolve(table, j)
+    i, j = table.class_index(i), table.class_index(j)
     counts = triple_counts_all_k(table, i, j)
     missed = []
     for k, c in enumerate(table.classes):
@@ -151,7 +145,7 @@ def covers(table: CharacterTable, i, j) -> CoverReport:
 
 def thompson_check(table: CharacterTable, i) -> bool:
     """G = C*C: coverage of G^# plus 1 in C*C (i.e. C real)."""
-    i = _resolve(table, i)
+    i = table.class_index(i)
     if table.classes[i].rep_order == 1:
         return False
     if table.inverse_class(i) != i:

@@ -201,8 +201,8 @@ def eigdims_from_character(table: CharacterTable, char_index: int,
     deg = table.degrees[char_index]
     if o == 1:
         return [(0, deg)]
-    pm = table.classes[class_index].power_map
-    values = [table.values[char_index][pm[t]] for t in range(o)]
+    values = [table.values[char_index][table.power_class(class_index, t)]
+              for t in range(o)]
     roots = [zeta(o, s) for s in range(o)]
     scale = Fraction(1, o)
     out = []

@@ -72,12 +72,6 @@ class TripleReport:
         }
 
 
-def _resolve_class(cs, spec) -> int:
-    if isinstance(spec, int):
-        return spec
-    return cs.class_named(spec)
-
-
 def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
                       classify: bool = True, table=None,
                       group_name: str = "") -> TripleReport:
@@ -91,7 +85,7 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
     not add up to the accepted set, which must be closed under C_G(x).
     The witness is the first generating y in scan order.
     """
-    ci = _resolve_class(cs, class_spec)
+    ci = cs.class_index(class_spec)
     cls = cs.classes[ci]
     if cls.size > ENUMERATION_BOUND:
         raise ValueError(f"class size {cls.size} exceeds exhaustive bound "
@@ -174,7 +168,7 @@ def search_triple(chain: StabilizerChain, cs, class_spec, a: int,
     inconclusive, never a refutation.
     """
     rng = random.Random(seed)
-    ci = _resolve_class(cs, class_spec)
+    ci = cs.class_index(class_spec)
     cls = cs.classes[ci]
     target = cs.power_class(ci, a)
     order = cs.group_order
@@ -343,7 +337,7 @@ def spread_class_check(chain: StabilizerChain, cs, class_spec):
     """For each nontrivial class rep s, does some y in C give <s,y> = G?"""
     if chain.order() > SPREAD_BOUND:
         raise ValueError(f"group order exceeds spread bound {SPREAD_BOUND}")
-    ci = _resolve_class(cs, class_spec)
+    ci = cs.class_index(class_spec)
     order = cs.group_order
     failing = []
     for cls in cs.classes:
@@ -382,7 +376,7 @@ def _all_conjugate_sets(chain: StabilizerChain, elems: frozenset):
 
 def union_cover_check(cs, class_spec, subgroup_sets):
     """Is the class contained in the union of the given element sets?"""
-    ci = _resolve_class(cs, class_spec)
+    ci = cs.class_index(class_spec)
     for y in cs.iter_class_images(ci):
         if not any(y in s for s in subgroup_sets):
             return False
@@ -406,7 +400,7 @@ def two_subgroup_cover(chain: StabilizerChain, cs, class_spec,
         if s not in seen:
             seen.add(s)
             uniq.append(s)
-    ci = _resolve_class(cs, class_spec)
+    ci = cs.class_index(class_spec)
     class_elems = list(cs.iter_class_images(ci))
     for i in range(len(uniq)):
         for j in range(i, len(uniq)):

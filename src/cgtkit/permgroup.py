@@ -452,9 +452,6 @@ class ConjClassData:
     power_map: dict = field(default_factory=dict)
     name: str = ""
 
-    def inverse_class(self) -> int:
-        return self.power_map[(self.rep_order - 1) % self.rep_order if self.rep_order > 1 else 0]
-
 
 def _np_dtype(degree: int):
     return np.uint8 if degree <= 255 else np.uint16
@@ -463,12 +460,18 @@ def _np_dtype(degree: int):
 class ClassSystem:
     """Lookups shared by every class system and character table.
 
-    Subclasses set `self.classes`, a list whose entries carry `name`,
-    `rep_order` and a complete `power_map` (t -> class index for
-    0 <= t < rep_order).
+    The contract: subclasses set `self.classes`, a list of class records
+    that carry `name`, `size` and `rep_order`.  A system either gives every
+    record a complete `power_map` (t -> class index for 0 <= t < rep_order)
+    or overrides `power_class`.  Callers read power maps only through
+    `power_class`, and name classes through `class_index`.
     """
 
     classes: list
+
+    def class_index(self, spec) -> int:
+        """The class a name or an integer (numpy's too) stands for."""
+        return self.class_named(spec) if isinstance(spec, str) else int(spec)
 
     def class_named(self, name: str) -> int:
         # names are fixed once a system is built: one dict, first match wins
@@ -487,6 +490,7 @@ class ClassSystem:
         raise KeyError(f"no class named {name!r}")
 
     def power_class(self, k: int, a: int) -> int:
+        """The class of x^a for x in class k."""
         c = self.classes[k]
         return c.power_map[a % c.rep_order]
 

@@ -25,14 +25,16 @@ increasing order.  Membership of the two is decided by the sign of any
 aligning conjugator, which is well defined because the centralizer of such
 an element is even-free.
 
-AnClassSystem works from cycle types alone.  Its power maps are closed
-form: x^t has the type of x^gcd(t, order), which splits only when t is
-prime to the order; then x^t is conjugate to x by i -> t*i on each m-cycle,
-whose sign is the Jacobi symbol (t/m), so x^t keeps its letter iff the
-product of (t/m) over the parts is 1.  Class elements come as int8 row
-chunks (_type_rows): each chunk's flat cycle tuples are made in C by
-itertools.permutations for the last cycle and scattered into image rows
-in one numpy step, so no class is ever held whole.
+SnClassSystem and AnClassSystem work from cycle types alone and store no
+power maps: `power_class` reads each power off the cycle type on demand.
+x^t has the type of x^gcd(t, order), in which an m-cycle falls into
+gcd(m, t) cycles of length m / gcd(m, t).  In A_n that type splits only
+when t is prime to the order; then x^t is conjugate to x by i -> t*i on
+each m-cycle, whose sign is the Jacobi symbol (t/m), so x^t keeps its
+letter iff the product of (t/m) over the parts is 1.  Class elements come
+as int8 row chunks (_type_rows): each chunk's flat cycle tuples are made in
+C by itertools.permutations for the last cycle and scattered into image
+rows in one numpy step, so no class is ever held whole.
 """
 
 from __future__ import annotations
@@ -247,7 +249,6 @@ class CombClass:
     representative: Permutation
     size: int
     rep_order: int
-    power_map: dict
     split_letter: str = ""  # "", "a" or "b"
 
 
@@ -268,22 +269,20 @@ class SnClassSystem(ClassSystem):
                 name=type_name(mu), cycle_type=mu,
                 representative=canonical_rep(mu, n),
                 size=class_size_sn(n, mu),
-                rep_order=cycle_type_order(mu), power_map={}))
-        for c in self.classes:
-            c.power_map = {t: self._type_index[_power_type(c.cycle_type, t)]
-                           for t in range(max(c.rep_order, 1))}
+                rep_order=cycle_type_order(mu)))
+
+    def power_class(self, k: int, a: int) -> int:
+        return self._type_index[_power_type(self.classes[k].cycle_type, a)]
 
     def class_of(self, p: Permutation) -> int:
         return self._type_index[p.cycle_type()]
 
 
 def _power_type(mu: tuple, t: int) -> tuple:
+    """The cycle type of x^t for x of type mu, for any integer t."""
     out = []
     for part in mu:
-        g = gcd(part, t) if t else part
-        if t == 0:
-            out.extend([1] * part)
-            continue
+        g = gcd(part, t)
         out.extend([part // g] * g)
     return tuple(sorted(out, reverse=True))
 
@@ -307,43 +306,33 @@ class AnClassSystem(ClassSystem):
             size = class_size_sn(n, mu)
             if splits_in_an(mu):
                 entries.append(CombClass(type_name(mu) + "a", mu, rep,
-                                         size // 2, cycle_type_order(mu), {}, "a"))
+                                         size // 2, cycle_type_order(mu), "a"))
                 entries.append(CombClass(type_name(mu) + "b", mu,
                                          rep.conj(Permutation.from_cycles(n, [[0, 1]])),
-                                         size // 2, cycle_type_order(mu), {}, "b"))
+                                         size // 2, cycle_type_order(mu), "b"))
             else:
                 entries.append(CombClass(type_name(mu), mu, rep, size,
-                                         cycle_type_order(mu), {}, ""))
+                                         cycle_type_order(mu), ""))
         entries.sort(key=lambda c: (c.rep_order, c.size, c.representative.images))
         self.classes = entries
         self._index = {}
         for i, c in enumerate(entries):
             self._index[(c.cycle_type, c.split_letter)] = i
-        for c in self.classes:
-            c.power_map = self._power_map(c)
 
-    def _power_map(self, c: CombClass) -> dict:
-        """t -> class of x^t for x in c, for 0 <= t < order, from c's type.
-
-        x^t has cycle type _power_type(mu, gcd(t, order)).  That type has
-        equal parts unless t is prime to the order, and then a split c goes
-        to the class of its own letter iff the product of the Jacobi
-        symbols (t/m) over its parts m is 1.
-        """
-        o = c.rep_order
-        by_gcd = {}
-        power_map = {}
-        for t in range(o):
-            d = gcd(t, o)
-            if c.split_letter and d == 1:
-                same = prod(_jacobi(t, m) for m in c.cycle_type) == 1
-                letter = c.split_letter if same else {"a": "b", "b": "a"}[c.split_letter]
-                power_map[t] = self._index[(c.cycle_type, letter)]
-                continue
-            if d not in by_gcd:
-                by_gcd[d] = self._index[(_power_type(c.cycle_type, d), "")]
-            power_map[t] = by_gcd[d]
-        return power_map
+    def power_class(self, k: int, a: int) -> int:
+        """The class of x^a for x in class k: x^a has cycle type
+        _power_type(mu, gcd(a, order)).  That type has equal parts unless a
+        is prime to the order, and then a split class goes to the class of
+        its own letter iff the product of the Jacobi symbols (a/m) over its
+        parts m is 1."""
+        c = self.classes[k]
+        a %= c.rep_order
+        d = gcd(a, c.rep_order)
+        if c.split_letter and d == 1:
+            same = prod(_jacobi(a, m) for m in c.cycle_type) == 1
+            letter = c.split_letter if same else {"a": "b", "b": "a"}[c.split_letter]
+            return self._index[(c.cycle_type, letter)]
+        return self._index[(_power_type(c.cycle_type, d), "")]
 
     def class_of(self, p: Permutation) -> int:
         mu = p.cycle_type()
@@ -503,7 +492,7 @@ def sn_table(n: int) -> CharacterTable:
     lams = sorted(partitions(n), key=lambda l: (hook_degree(l), l))
     rows = [[Cyclotomic.from_rational(mn_value(lam, c.cycle_type)) for c in cs.classes]
             for lam in lams]
-    return table_from_rows(f"S{n}", cs.group_order, cs.classes, rows)
+    return table_from_rows(f"S{n}", cs, rows)
 
 
 def _diagonal_hooks(lam: tuple) -> tuple:
@@ -579,7 +568,7 @@ def an_table(n: int) -> CharacterTable:
         for s in (1, -1):
             rows.append([Cyclotomic.from_rational(a // 2) if not b
                          else plus if s * b > 0 else minus for a, b in values])
-    return table_from_rows(f"A{n}", cs.group_order, cs.classes, rows)
+    return table_from_rows(f"A{n}", cs, rows)
 
 
 @lru_cache(maxsize=None)

@@ -164,7 +164,7 @@ def test_class_mult_coeff_patterns():
     gc = _gc("A5")
     # a_{i, i^-1, 1} = |C_i|
     for k, c in enumerate(gc.classes):
-        kinv = c.inverse_class()
+        kinv = gc.inverse_class(k)
         assert class_mult_coeff(gc, k, kinv, 0) == c.size
         # a_{1jk} = delta_jk
         assert class_mult_coeff(gc, 0, k, k) == 1
@@ -245,6 +245,25 @@ def test_roundtrip_and_corruption_detection():
     del obj["classes"]
     with pytest.raises((KeyError, ValueError, TypeError)):
         CharacterTable.from_json(obj)
+
+
+def _corrupt_power_map(blob, name, change):
+    obj = json.loads(blob)
+    change(next(c for c in obj["classes"] if c["name"] == name)["power_map"])
+    return obj
+
+
+def test_corrupt_stored_power_maps_are_refused():
+    # a missing entry would surface later as a KeyError, and a wrong class of
+    # the right kind as silently wrong eigenspace multiplicities
+    blob = json.dumps(catalog.character_table("A5").to_json())
+    corruptions = [("3+1+1", lambda pm: pm.pop("2"), "not keyed"),
+                   ("5a", lambda pm: pm.update({"2": 0}), "sends 2 to 0, not a class of order 5"),
+                   ("5a", lambda pm: pm.update({"3": 7}), "sends 3 to 7"),
+                   ("2+2+1", lambda pm: pm.update({"1": 0}), "start at")]
+    for name, change, message in corruptions:
+        with pytest.raises(TableInvariantError, match=re.escape(name) + ".*" + message):
+            CharacterTable.from_json(_corrupt_power_map(blob, name, change))
 
 
 def test_irrational_corruption_caught_by_both_orthogonality_paths():

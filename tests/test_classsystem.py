@@ -2,6 +2,7 @@
 
 from math import lcm
 
+import numpy as np
 import pytest
 
 from cgtkit import catalog
@@ -52,6 +53,14 @@ def test_class_named_with_order_letter_fallback(kind):
         cs.class_named(f"{max(by_order)}{chr(ord('a') + len(cs.classes))}")
     with pytest.raises(KeyError):
         cs.class_named("no such class")
+
+
+@pytest.mark.parametrize("kind", list(SYSTEMS))
+def test_class_index_takes_names_and_any_integer(kind):
+    cs = SYSTEMS[kind][0]()
+    for i, c in enumerate(cs.classes):
+        got = [cs.class_index(spec) for spec in (c.name, i, np.int64(i), np.uint8(i))]
+        assert got == [i] * 4 and all(type(k) is int for k in got)
 
 
 def test_class_named_keeps_the_first_of_duplicate_names():

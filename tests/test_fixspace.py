@@ -3,6 +3,10 @@ from fractions import Fraction
 import pytest
 
 from cgtkit import catalog
+from cgtkit._ntheory import primitive_root
+from cgtkit.chartab import dixon_prime, dixon_table
+from cgtkit.cyclotomic import Cyclotomic
+from cgtkit.fflinalg import FFMatrix
 from cgtkit.finitefield import FiniteField
 from cgtkit.fixspace import (catalog_module_rep, deleted_permutation_rep,
                              diagonal_tuple_fixed_dim, eigdims_from_character,
@@ -112,6 +116,63 @@ def test_matrix_vs_character_eigenspace_agreement():
     char_dims = sorted(mult for _, mult in
                        eigdims_from_character(t, i4, t.class_named("5a")))
     assert mat_dims == char_dims == [0, 1, 1, 1, 1]
+
+
+def _fix_minus_one(gc, table):
+    """The row of `table` whose value on each class of `gc` is the number of
+    points the class fixes, less one: the deleted permutation character,
+    irreducible for a 2-transitive action."""
+    fixed = [sum(i == x for i, x in enumerate(c.representative.images))
+             for c in gc.classes]
+    want = [Cyclotomic.from_rational(f - 1) for f in fixed]
+    return next(i for i, row in enumerate(table.values) if row == want)
+
+
+def _class_words(gc, rep):
+    """A word in the module's generators for each class of `gc`: the class
+    entry's word of the element index."""
+    assert [g.images for g in gc.chain.generators] == \
+        [g.images for g in rep.chain.generators]
+    words = gc._entry_words
+    assert [gc.class_of(rep.perm_of_word(w)) for w in words] == list(range(len(words)))
+    return words
+
+
+# 2-transitive in their catalog actions.  The natural SL2(q) and SL3(2)
+# modules are left out: they are modular (p divides |G|), so no ordinary
+# character gives their eigenspaces.
+@pytest.mark.parametrize("name", ["A5", "A6", "L2(7)", "L2(11)", "M11", "M12"])
+def test_eigdims_match_the_deleted_permutation_module_on_every_class(name):
+    gc = catalog.class_system(name)
+    # p = 1 mod every element order, and p does not divide |G|
+    p = dixon_prime(gc.order, gc.exponent())
+    rep = deleted_permutation_rep(name, gc.chain, p)
+    words = _class_words(gc, rep)
+    table = dixon_table(gc, name)  # class k of the table is class k of gc
+    i = _fix_minus_one(gc, table)
+    F, root = rep.field, primitive_root(p)
+    for k, c in enumerate(gc.classes):
+        o = c.rep_order
+        zeta_o = pow(root, (p - 1) // o, p)
+        M = rep.matrix_of_word(words[k])
+        nullities = sorted(
+            (M - FFMatrix(F, [[pow(zeta_o, l, p) if a == b else 0 for b in range(rep.dim)]
+                              for a in range(rep.dim)])).nullity()
+            for l in range(o))
+        assert nullities == sorted(m for _, m in eigdims_from_character(table, i, k)), \
+            (name, c.name)
+
+
+def test_a5_std4_fixed_spaces_on_every_class():
+    # GF(7) has no 5th roots of unity, so only the fixed spaces compare
+    rep = catalog_module_rep("A5:std4")
+    gc = catalog.class_system("A5")
+    words = _class_words(gc, rep)
+    table = dixon_table(gc, "A5")
+    i = _fix_minus_one(gc, table)
+    for k, c in enumerate(gc.classes):
+        assert fixed_dim_ff(rep, words[k]) == dict(eigdims_from_character(table, i, k))[0], \
+            c.name
 
 
 def test_neumann_scan_a5_order5_witnesses_everything():

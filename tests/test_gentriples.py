@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from cgtkit import catalog
-from cgtkit.classalg import n_a
+from cgtkit.classalg import covers, n_a, triple_count
 from cgtkit.gentriples import (beauville_search, build_lemma42, build_lemma43,
                                enumerate_triples, search_triple,
                                spread_class_check, translation_search,
@@ -89,7 +90,7 @@ def test_translation_search():
     res2 = translation_search(c.chain, inv, x, (inv * x).inverse(), 2)
     assert res2 is not None and res2["index"] in (1, 2)
     assert translation_search(c.chain, inv, x, (inv * x).inverse(), 2,
-                              budget=0) is None or True  # deterministic path allowed
+                              budget=0) is None
     # budget 0 with d >= 2 is inconclusive
     assert translation_search(c.chain, x, inv, z, 3, budget=0) is None
     with pytest.raises(ValueError):
@@ -272,3 +273,24 @@ def test_orbit_scans_match_per_pair_spread_and_beauville(name, engine):
             assert (spread_class_check(chain, cs, cls.name)
                     == _spread_reference(chain, cs, cls.name))
     assert beauville_search(chain, cs) == _beauville_reference(chain, cs)
+
+
+@pytest.mark.parametrize("name, cname", [("A5", "5a"), ("L2(7)", "7a")])
+def test_class_specs_agree_as_name_int_and_numpy_int(name, cname):
+    chain = catalog.load_group(name)[1]
+    cs = catalog.class_system(name)
+    t = catalog.character_table(name)
+    k = cs.class_named(cname)
+    assert t.class_named(cname) == k
+
+    def answers(spec):
+        w = search_triple(chain, cs, spec, 1, seed=3)
+        return (n_a(t, spec, 1), n_a(t, spec, -2), triple_count(t, spec, spec, spec),
+                covers(t, spec, spec),
+                enumerate_triples(chain, cs, spec, 1, table=t).to_json(),
+                None if w is None else [str(p) for p in w],
+                spread_class_check(chain, cs, spec))
+
+    want = answers(cname)
+    assert answers(k) == want
+    assert answers(np.int64(k)) == want
