@@ -63,6 +63,10 @@ triple reports.  The outputs covered:
   every ``elapsed`` field masked.
 
 Usage: python scripts/fingerprint.py [--verify-paper]
+
+``tests/data/fingerprint.txt`` holds the ``--verify-paper`` lines that
+``tests/test_fingerprint.py`` expects; a change that alters an output on
+purpose regenerates it with this script.
 """
 
 import argparse
@@ -236,11 +240,11 @@ def polynomial_lines() -> None:
               flush=True)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--verify-paper", action="store_true",
                     help="also hash `verify-paper --json` with elapsed masked")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     for name in verify.NEUMANN_GROUPS:
         print("classes", name, sha(class_data(catalog.class_system(name))), flush=True)
         table = catalog.character_table(name, use_file_cache=False)

@@ -4,11 +4,13 @@ Groups are loaded by name: A5..A20 and S3..S18 (standard generators),
 L2(q) and SL2(q) for prime powers q <= 32 (constructed from matrices),
 and the stored sporadic/classical permutation groups M11, M12, M22, J1,
 J2, U3(3), Sz(8), SL3(2) (read from data/groups/NAME.perm).  Every load
-re-verifies the declared order; conjugacy-class counts of the stored
-groups are integrity metadata checked by verify_integrity.
+verifies the declared order; conjugacy-class counts of the stored groups
+are integrity metadata checked by verify_integrity.
 
 The data directory defaults to the packaged data/ tree and can be
-overridden per call or with the CGT_DATA_DIR environment variable.
+overridden per call or with the CGT_DATA_DIR environment variable.  The
+process keeps one chain, one class system and one table per group and data
+directory.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial
 from pathlib import Path
 
@@ -133,7 +136,11 @@ def _vector_action_sl2(q: int):
 
 def load_group(name: str, data: str | os.PathLike | None = None):
     """Return (GroupSpec, StabilizerChain), with the order assertion enforced."""
-    name = _normalize(name)
+    return _load_group(_normalize(name), data_dir(data))
+
+
+@lru_cache(maxsize=None)
+def _load_group(name: str, directory: Path):
     m = re.fullmatch(r"A(\d+)", name)
     if m:
         n = int(m.group(1))
@@ -176,8 +183,7 @@ def load_group(name: str, data: str | os.PathLike | None = None):
         return _verified(spec)
     if name in STORED_GROUPS:
         fname, order, nclasses = STORED_GROUPS[name]
-        path = data_dir(data) / "groups" / fname
-        degree, gens = parse_perm_file(path.read_text())
+        degree, gens = parse_perm_file((directory / "groups" / fname).read_text())
         family = "sporadic" if name in ("M11", "M12", "M22", "J1", "J2") \
             else "classical-small"
         spec = GroupSpec(name, family, degree, gens, order,
@@ -218,61 +224,55 @@ def verify_integrity(name: str, data=None):
     spec, chain = load_group(name, data)
     want = known_class_count(name)
     if want is not None:
-        gc = conjugacy_classes(chain)
-        if len(gc.classes) != want:
-            raise AssertionError(
-                f"{name}: {len(gc.classes)} classes, expected {want}")
+        got = len(class_system(name, data).classes)
+        if got != want:
+            raise AssertionError(f"{name}: {got} classes, expected {want}")
     return spec, chain
 
 
 # -- class systems and tables (session caches) --------------------------------
-
-_class_cache: dict = {}
-_table_cache: dict = {}
-
+# Each cache is keyed by canonical name and data directory; a cached function
+# reaches the other loaders through their public names, so wrappers see them.
 
 def class_system(name: str, data=None):
     """GroupClasses (indexed) or AnClassSystem for large alternating groups."""
-    name = _normalize(name)
-    if name in _class_cache:
-        return _class_cache[name]
+    return _class_system(_normalize(name), data_dir(data))
+
+
+@lru_cache(maxsize=None)
+def _class_system(name: str, directory: Path):
     m = re.fullmatch(r"A(\d+)", name)
     if m and int(m.group(1)) >= 9:
         from .symmchar import _an_class_system
-        cs = _an_class_system(int(m.group(1)))
-    else:
-        _, chain = load_group(name, data)
-        cs = conjugacy_classes(chain)
-    _class_cache[name] = cs
-    return cs
+        return _an_class_system(int(m.group(1)))
+    return conjugacy_classes(load_group(name, directory)[1])
 
 
 def character_table(name: str, data=None, use_file_cache: bool = True) -> CharacterTable:
     """Character table by the appropriate engine (symmchar for A_n/S_n,
     Dixon otherwise), optionally loading a verified file from data/tables."""
-    name = _normalize(name)
-    if name in _table_cache:
-        return _table_cache[name]
-    path = data_dir(data) / "tables" / (_table_filename(name))
-    if use_file_cache and path.exists():
+    name, directory = _normalize(name), data_dir(data)
+    from_file = use_file_cache and (directory / "tables" / _table_filename(name)).exists()
+    return _character_table(name, directory, from_file)
+
+
+@lru_cache(maxsize=None)
+def _character_table(name: str, directory: Path, from_file: bool) -> CharacterTable:
+    if from_file:
+        path = directory / "tables" / _table_filename(name)
         table = load_table(path)
         if table.group_name != name:
             raise AssertionError(f"table file {path} holds {table.group_name}")
-        _table_cache[name] = table
         return table
     m = re.fullmatch(r"A(\d+)", name)
     if m:
         from .symmchar import an_table
-        table = an_table(int(m.group(1)))
-    else:
-        m = re.fullmatch(r"S(\d+)", name)
-        if m:
-            from .symmchar import sn_table
-            table = sn_table(int(m.group(1)))
-        else:
-            table = dixon_table(class_system(name, data), name)
-    _table_cache[name] = table
-    return table
+        return an_table(int(m.group(1)))
+    m = re.fullmatch(r"S(\d+)", name)
+    if m:
+        from .symmchar import sn_table
+        return sn_table(int(m.group(1)))
+    return dixon_table(class_system(name, directory), name)
 
 
 def _table_filename(name: str) -> str:

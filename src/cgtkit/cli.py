@@ -128,11 +128,6 @@ def build_parser():
     return ap
 
 
-def _setup_data(args):
-    if args.data_dir:
-        os.environ["CGT_DATA_DIR"] = args.data_dir
-
-
 def cmd_zsigmondy(args) -> int:
     if args.scan:
         qmax, emax = args.scan
@@ -343,47 +338,32 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+COMMANDS = {
+    "zsigmondy": cmd_zsigmondy, "chartab": cmd_chartab, "na": cmd_na,
+    "cover": cmd_cover, "triples": cmd_triples, "searchtriple": cmd_searchtriple,
+    "lemma42": lambda args: cmd_lemma(args, build_lemma42),
+    "lemma43": lambda args: cmd_lemma(args, build_lemma43),
+    "scott": cmd_scott, "neumann": cmd_neumann, "tensorpower": cmd_tensorpower,
+    "macbeath": cmd_macbeath, "traceimage": cmd_traceimage, "spread": cmd_spread,
+    "beauville": cmd_beauville, "verify-paper": cmd_verify,
+}
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    _setup_data(args)
+    args = build_parser().parse_args(argv)
+    saved = os.environ.get("CGT_DATA_DIR")
+    if args.data_dir:
+        os.environ["CGT_DATA_DIR"] = args.data_dir
     try:
-        if args.command == "zsigmondy":
-            return cmd_zsigmondy(args)
-        if args.command == "chartab":
-            return cmd_chartab(args)
-        if args.command == "na":
-            return cmd_na(args)
-        if args.command == "cover":
-            return cmd_cover(args)
-        if args.command == "triples":
-            return cmd_triples(args)
-        if args.command == "searchtriple":
-            return cmd_searchtriple(args)
-        if args.command == "lemma42":
-            return cmd_lemma(args, build_lemma42)
-        if args.command == "lemma43":
-            return cmd_lemma(args, build_lemma43)
-        if args.command == "scott":
-            return cmd_scott(args)
-        if args.command == "neumann":
-            return cmd_neumann(args)
-        if args.command == "tensorpower":
-            return cmd_tensorpower(args)
-        if args.command == "macbeath":
-            return cmd_macbeath(args)
-        if args.command == "traceimage":
-            return cmd_traceimage(args)
-        if args.command == "spread":
-            return cmd_spread(args)
-        if args.command == "beauville":
-            return cmd_beauville(args)
-        if args.command == "verify-paper":
-            return cmd_verify(args)
+        return COMMANDS[args.command](args)
     except (KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
+    finally:  # --data-dir applies to this command only
+        if saved is None:
+            os.environ.pop("CGT_DATA_DIR", None)
+        else:
+            os.environ["CGT_DATA_DIR"] = saved
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 must still exist, or ``perfbench/run.py --trace 1`` fails to install."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 from cgtkit import zsigmondy
 from cgtkit.cyclotomic import Cyclotomic
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -54,3 +56,25 @@ def test_certified_zsigmondy_table_is_lazy_and_cleared_each_round():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "0"
+
+
+def test_reset_session_empties_every_catalog_cache():
+    # catalog's session lives in module-level lru_caches, which reset_session
+    # reaches through its cache_clear walk: every round starts from nothing
+    probe = "\n".join([
+        "import json, sys",
+        f"sys.path.insert(0, {str(PERFBENCH)!r})",
+        "from cgtkit import catalog",
+        "import workloads",
+        "catalog.character_table('A5'); catalog.character_table('L2(7)')",
+        "catalog.verify_integrity('M11')",
+        "caches = {k: v for k, v in vars(catalog).items() if hasattr(v, 'cache_info')}",
+        "before = {k: v.cache_info().currsize for k, v in caches.items()}",
+        "workloads.reset_session()",
+        "print(json.dumps([before, {k: v.cache_info().currsize for k, v in caches.items()}]))",
+    ])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    before, after = json.loads(out.stdout)
+    assert len(before) >= 3 and all(before.values()), before
+    assert set(after.values()) == {0}, after

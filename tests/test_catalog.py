@@ -24,15 +24,49 @@ def test_unknown_group():
         catalog.load_group("A99")
 
 
-def test_corrupt_data_detected(tmp_path):
+def _plant_corrupt_m11(data):
     src = catalog.data_dir() / "groups" / "M11.perm"
-    groups = tmp_path / "groups"
+    groups = data / "groups"
     groups.mkdir()
     text = src.read_text().splitlines()
     text[2] = "(1,2)"  # replace a generator: order assertion must fire
     (groups / "M11.perm").write_text("\n".join(text) + "\n")
+
+
+def test_corrupt_data_detected(tmp_path):
+    _plant_corrupt_m11(tmp_path)
     with pytest.raises(AssertionError):
         catalog.load_group("M11", data=tmp_path)
+
+
+def test_corrupt_data_detected_after_a_packaged_load(tmp_path):
+    # the session keys class systems by data directory as well as by name
+    catalog.class_system("M11")
+    _plant_corrupt_m11(tmp_path)
+    with pytest.raises(AssertionError, match="declared"):
+        catalog.class_system("M11", data=tmp_path)
+    with pytest.raises(AssertionError, match="declared"):  # a failed load is not kept
+        catalog.load_group("M11", data=tmp_path)
+
+
+@pytest.mark.parametrize("name", ["A5", "L2(7)"])
+def test_file_table_stays_with_its_directory(tmp_path, name):
+    computed = catalog.character_table(name, use_file_cache=False).to_json()
+    planted = dict(computed, characters=computed["characters"][::-1])
+    (tmp_path / "tables").mkdir()
+    (tmp_path / "tables" / catalog._table_filename(name)).write_text(json.dumps(planted))
+    assert catalog.character_table(name, data=tmp_path).to_json() == planted
+    for table in (catalog.character_table(name, data=tmp_path, use_file_cache=False),
+                  catalog.character_table(name)):
+        assert table.to_json() == computed
+
+
+def test_session_shares_one_chain_per_group_and_directory():
+    for name in ("M11", "L2(7)"):
+        assert catalog.class_system(name).chain is catalog.load_group(name)[1]
+    assert catalog.load_group("Sz8")[1] is catalog.load_group("Sz(8)")[1]
+    assert catalog.class_system("Sz8") is catalog.class_system("Sz(8)")
+    assert catalog.character_table("Sz8") is catalog.character_table("Sz(8)")
 
 
 def test_class_count_integrity_m11():

@@ -1,10 +1,12 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from cgtkit import catalog
 from cgtkit.cli import main
 
 
@@ -136,3 +138,21 @@ def test_chartab_save(capsys, tmp_path):
 def test_unknown_group_exit_code(capsys):
     code, _ = run(capsys, "na", "--group", "Nope", "--class", "1a", "--a", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("before", [None, "/no/such/dir"])
+def test_data_dir_applies_to_one_command(capsys, tmp_path, monkeypatch, before):
+    shutil.copytree(catalog.data_dir() / "groups", tmp_path / "groups")
+    if before is None:
+        monkeypatch.delenv("CGT_DATA_DIR", raising=False)
+    else:
+        monkeypatch.setenv("CGT_DATA_DIR", before)
+    env = dict(os.environ)
+    na = ["na", "--class", "11a", "--a", "1", "--data-dir"]
+    assert run(capsys, *na, str(tmp_path), "--group", "M11")[0] == 0
+    assert dict(os.environ) == env
+    assert run(capsys, *na, str(tmp_path), "--group", "Monster")[0] == 2
+    assert dict(os.environ) == env
+    with pytest.raises(FileNotFoundError):  # no groups/ there: the load raises
+        main([*na, str(tmp_path / "empty"), "--group", "M12"])
+    assert dict(os.environ) == env
