@@ -24,9 +24,9 @@ from math import factorial
 from pathlib import Path
 
 from .chartab import CharacterTable, dixon_table
-from .perms import Permutation, parse_perm, parse_perm_file
-from .permgroup import StabilizerChain, build_chain, conjugacy_classes
-from .sl2 import l2_order, projective_line_rep, sl2_generators, sl2_order, gf
+from .perms import parse_perm, parse_perm_file
+from .permgroup import build_chain, conjugacy_classes
+from .sl2 import _point_action, l2_order, projective_line_rep, sl2_order
 from .zsigmondy import is_prime_power
 
 __all__ = ["GroupSpec", "load_group", "character_table", "class_system",
@@ -121,19 +121,6 @@ def _normalize(name: str) -> str:
     return s
 
 
-def _vector_action_sl2(q: int):
-    F = gf(q)
-    vecs = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
-    idx = {v: i for i, v in enumerate(vecs)}
-    perms = []
-    for m in sl2_generators(q):
-        (a, b), (c, d) = m.data
-        images = [idx[(F.add(F.mul(x, a), F.mul(y, c)),
-                       F.add(F.mul(x, b), F.mul(y, d)))] for (x, y) in vecs]
-        perms.append(Permutation(images))
-    return perms
-
-
 def load_group(name: str, data: str | os.PathLike | None = None):
     """Return (GroupSpec, StabilizerChain), with the order assertion enforced."""
     return _load_group(_normalize(name), data_dir(data))
@@ -178,7 +165,7 @@ def _load_group(name: str, directory: Path):
         q = int(m.group(1))
         if q > 32 or q < 4:
             raise KeyError(f"SL2({q}) outside the catalog range (4 <= q <= 32)")
-        gens = _vector_action_sl2(q)
+        gens = _point_action(q)
         spec = GroupSpec(name, "sl2", q * q - 1, gens, sl2_order(q))
         return _verified(spec)
     if name in STORED_GROUPS:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .chartab import CharacterTable, TableInvariantError
 from .cyclotomic import Cyclotomic, sum_of_products, zeta
@@ -260,9 +260,8 @@ def tensor_power_min_ratio(table: CharacterTable, char_index: int, m: int,
     """Minimum of fixed-dim/dim over nontrivial class tuples for the m-fold
     tensor power of the given character row (one class per direct factor).
 
-    The fixed dimension of the tuple (h_1..h_m) of order d is
-    (1/d) sum_{j<d} prod_i chi(h_i^j); symmetry over the factors reduces
-    tuples to multisets.
+    Each tuple's fixed dimension comes from `_tuple_fixed_dim`; symmetry
+    over the factors reduces tuples to multisets.
     """
     if m > max_m:
         raise ValueError(f"m = {m} beyond the tuple-scan budget {max_m}")
@@ -276,22 +275,8 @@ def tensor_power_min_ratio(table: CharacterTable, char_index: int, m: int,
     for tup in _multisets(k, m):
         if all(t == ident for t in tup):
             continue
-        d = 1
-        for t in tup:
-            o = table.classes[t].rep_order
-            d = d * o // gcd(d, o)
-        total = Cyclotomic.zero()
-        for j in range(d):
-            prod = Cyclotomic.one()
-            for t in tup:
-                prod = prod * row[table.power_class(t, j)]
-                if prod.is_zero():
-                    break
-            total = total + prod
-        fix = total / d
-        if not fix.is_integer() or fix.integer() < 0:
-            raise TableInvariantError(f"non-integral fixed dimension {fix}")
-        ratio = Fraction(fix.integer()) / dim_total
+        fix = _tuple_fixed_dim(table, row, tup)
+        ratio = Fraction(fix) / dim_total
         names = tuple(table.classes[t].name for t in tup)
         if best is None or ratio < best:
             best = ratio
@@ -306,14 +291,25 @@ def diagonal_tuple_fixed_dim(table: CharacterTable, char_index: int,
     """Fixed dimension of the diagonal tuple (h, ..., h) on the m-fold
     tensor power."""
     j = table.class_named(class_name)
-    row = table.values[char_index]
-    o = table.classes[j].rep_order
+    return _tuple_fixed_dim(table, table.values[char_index], (j,) * m)
+
+
+def _tuple_fixed_dim(table: CharacterTable, row, tup) -> int:
+    """Fixed dimension of the class tuple (h_1..h_m) on the m-fold tensor
+    power of the character `row`: (1/d) sum_{j<d} prod_t chi(h_t^j), d the
+    lcm of the orders of the h_t."""
+    d = lcm(*(table.classes[t].rep_order for t in tup))
     total = Cyclotomic.zero()
-    for t in range(o):
-        total = total + row[table.power_class(j, t)] ** m
-    fix = total / o
-    if not fix.is_integer():
-        raise TableInvariantError("non-integral diagonal fixed dimension")
+    for j in range(d):
+        prod = Cyclotomic.one()
+        for t in tup:
+            prod = prod * row[table.power_class(t, j)]
+            if prod.is_zero():
+                break
+        total = total + prod
+    fix = total / d
+    if not fix.is_integer() or fix.integer() < 0:
+        raise TableInvariantError(f"non-integral fixed dimension {fix}")
     return fix.integer()
 
 

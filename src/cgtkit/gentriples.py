@@ -30,7 +30,7 @@ from math import factorial, gcd
 
 from .perms import Permutation, _inv, _mul
 from .permgroup import (StabilizerChain, build_chain, conjugacy_classes,
-                        known_order, orbits)
+                        known_order, orbit, orbits)
 
 __all__ = ["TripleReport", "enumerate_triples", "search_triple",
            "build_lemma42", "build_lemma43", "translation_search",
@@ -136,28 +136,17 @@ def _pair_orbits(chain: StabilizerChain, cs, x_img: tuple, ys):
     for y_img in ys:
         if y_img in seen:
             continue
-        orbit = _conjugation_orbit(y_img, conjugators)
-        seen |= orbit
+        orb = orbit(y_img, conjugators, _conjugate)
+        seen.update(orb)
         gens = [x_img, y_img]
-        yield y_img, len(orbit), build_chain(gens, len(x_img),
-                                             within=known_order(gens, chain))
+        yield y_img, len(orb), build_chain(gens, len(x_img),
+                                           within=known_order(gens, chain))
 
 
-def _conjugation_orbit(y_img: tuple, conjugators) -> set:
-    """The orbit of y under conjugation by the group the (c, c^-1) pairs
-    generate; y^c = c^-1 y c has images c[y[c^-1[i]]]."""
-    orbit = {y_img}
-    frontier = [y_img]
-    while frontier:
-        new = []
-        for p in frontier:
-            for c, c_inv in conjugators:
-                q = _mul(_mul(c_inv, p), c)
-                if q not in orbit:
-                    orbit.add(q)
-                    new.append(q)
-        frontier = new
-    return orbit
+def _conjugate(c_pair, y_img: tuple) -> tuple:
+    """y^c = c^-1 y c for c_pair = (c, c^-1)."""
+    c, c_inv = c_pair
+    return _mul(_mul(c_inv, y_img), c)
 
 
 def search_triple(chain: StabilizerChain, cs, class_spec, a: int,
@@ -321,9 +310,9 @@ def translation_search(chain: StabilizerChain, x: Permutation, y: Permutation,
     rng = random.Random(seed)
     for _ in range(budget):
         cs = [chain.random_element(rng) for _ in range(d - 1)]
-        # solve the last conjugate for the product identity: need
-        # zs product = (x^d y^d)^-1; choose c_d by brute scan over a few
-        # random candidates and test directly
+        # the product identity needs zs product = (x^d y^d)^-1; c_d is not
+        # solved for: one more random element is drawn, and the whole
+        # tuple is tested as it stands
         cs.append(chain.random_element(rng))
         got = try_conjugators(cs)
         if got:
@@ -358,20 +347,10 @@ def _subgroup_elements(chain: StabilizerChain, gens):
 
 
 def _all_conjugate_sets(chain: StabilizerChain, elems: frozenset):
-    """Element sets of all conjugates of a subgroup (tiny groups only)."""
-    out = {elems}
-    frontier = [elems]
-    gens = chain.generators
-    while frontier:
-        new = []
-        for es in frontier:
-            for g in gens:
-                conj = frozenset(Permutation(e).conj(g).images for e in es)
-                if conj not in out:
-                    out.add(conj)
-                    new.append(conj)
-        frontier = new
-    return sorted(out, key=lambda s: sorted(s)[:2])
+    """Element sets of all conjugates of a subgroup (tiny groups only), in
+    the order the orbit walk under the generators of `chain` reaches them."""
+    return orbit(elems, chain.generators,
+                 lambda g, es: frozenset(Permutation(e).conj(g).images for e in es))
 
 
 def union_cover_check(cs, class_spec, subgroup_sets):
@@ -393,13 +372,8 @@ def two_subgroup_cover(chain: StabilizerChain, cs, class_spec,
     for gens in maximal_gens:
         base, _ = _subgroup_elements(chain, gens)
         conjugate_sets.extend(_all_conjugate_sets(chain, base))
-    # deduplicate (different listed subgroups may share conjugates)
-    uniq = []
-    seen = set()
-    for s in conjugate_sets:
-        if s not in seen:
-            seen.add(s)
-            uniq.append(s)
+    # different listed subgroups may share conjugates
+    uniq = list(dict.fromkeys(conjugate_sets))
     ci = cs.class_index(class_spec)
     class_elems = list(cs.iter_class_images(ci))
     for i in range(len(uniq)):

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm, prod
+from operator import getitem
 import random
 import re
 
@@ -356,6 +357,22 @@ def known_order(gens, group: StabilizerChain) -> int | None:
 
 # -- orbit / block machinery -------------------------------------------------
 
+def orbit(seed, gens, act) -> list:
+    """The orbit of `seed` under the group generated by `gens`, where
+    act(g, p) is the image of the point p under g (points are hashable):
+    breadth first with a FIFO queue, seed first, each point listed when it
+    is first reached (Seress 2003, sec. 2.1)."""
+    out = [seed]
+    seen = {seed}
+    for p in out:  # a list iterated while it grows is the FIFO queue
+        for g in gens:
+            q = act(g, p)
+            if q not in seen:
+                seen.add(q)
+                out.append(q)
+    return out
+
+
 def orbits(chain_or_gens, degree: int | None = None):
     if isinstance(chain_or_gens, StabilizerChain):
         gens = [g.images for g in chain_or_gens.generators]
@@ -364,25 +381,13 @@ def orbits(chain_or_gens, degree: int | None = None):
         gens = [g.images if isinstance(g, Permutation) else tuple(g) for g in chain_or_gens]
         if degree is None:
             degree = len(gens[0])
-    seen = [False] * degree
+    seen: set = set()
     out = []
     for start in range(degree):
-        if seen[start]:
-            continue
-        orb = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for b in frontier:
-                for g in gens:
-                    c = g[b]
-                    if not seen[c]:
-                        seen[c] = True
-                        orb.append(c)
-                        nxt.append(c)
-            frontier = nxt
-        out.append(sorted(orb))
+        if start not in seen:
+            orb = orbit(start, gens, getitem)
+            seen.update(orb)
+            out.append(sorted(orb))
     return out
 
 
@@ -831,18 +836,22 @@ class GroupClasses(ClassSystem):
         C_G(x), the rows c with c[x[i]] = x[c[i]]; walking them in element
         order, c is kept only when the kept ones do not generate it, and
         the walk stops once they generate all of C_G(x), so at most
-        log2 |C_G(x)| tuples are made."""
+        log2 |C_G(x)| tuples are made.  One chain is built per kept tuple,
+        proved against |C_G(x)| when the tuples generate all of it."""
         x = np.asarray(x_images, dtype=self._rows.dtype)
         cent = self._rows[(self._rows[:, x] == x[self._rows]).all(axis=1)]
+        ident = tuple(range(self.degree))
         gens: list[tuple] = []
-        sub = build_chain(gens, self.degree)
+        sub = None  # the chain of <gens>; the trivial group needs none
         for row in cent:
-            if sub.order() == len(cent):
+            if sub is not None and sub.order() == len(cent):
                 break
             c = tuple(row.tolist())
-            if not sub.contains(c):
-                gens.append(c)
-                sub = build_chain(gens, self.degree)
+            if c == ident if sub is None else sub.contains(c):
+                continue
+            gens.append(c)
+            # every kept c lies in C_G(x), which has len(cent) elements
+            sub = build_chain(gens, self.degree, within=len(cent))
         return gens
 
 

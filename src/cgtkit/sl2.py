@@ -15,9 +15,9 @@ from math import gcd
 from .fflinalg import FFMatrix
 from .finitefield import FiniteField
 from .perms import Permutation
-# not used here: the layer spans of perfbench/tracing.py patch this name on
-# this module
-from .permgroup import build_chain  # noqa: F401
+# build_chain is not used here: the layer spans of perfbench/tracing.py patch
+# this name on this module
+from .permgroup import build_chain, orbit  # noqa: F401
 from .zsigmondy import is_prime_power
 
 __all__ = ["gf", "sl2_generators", "projective_line_rep", "trace_image",
@@ -71,53 +71,36 @@ def trace2(m: FFMatrix) -> int:
     return F.add(m.data[0][0], m.data[1][1])
 
 
-def projective_points(q: int):
-    """PG(1, q) as normalized row vectors: (1, 0) = infinity first, then
-    (x, 1) by ascending field code."""
+def _point_action(q: int, projective: bool = False):
+    """Permutation images of `sl2_generators(q)` acting on row vectors,
+    v -> v m: on the q^2 - 1 nonzero vectors of GF(q)^2, (a, b) in
+    ascending order; or, when `projective`, on PG(1, q) as normalized
+    vectors, (1, 0) = infinity first, then (x, 1) by ascending field code."""
     F = gf(q)
-    return [(1, 0)] + [(x, 1) for x in range(q)]
-
-
-def _point_image(v, m: FFMatrix):
-    F = m.field
-    x, y = v
-    a, b = m.data[0]
-    c, d = m.data[1]
-    nx = F.add(F.mul(x, a), F.mul(y, c))
-    ny = F.add(F.mul(x, b), F.mul(y, d))
-    if ny != 0:
-        return (F.mul(nx, F.inv(ny)), 1)
-    return (1, 0)
+    if projective:
+        pts = [(1, 0)] + [(x, 1) for x in range(q)]
+    else:
+        pts = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
+    index = {v: i for i, v in enumerate(pts)}
+    perms = []
+    for m in sl2_generators(q):
+        (a, b), (c, d) = m.data
+        images = []
+        for x, y in pts:
+            nx = F.add(F.mul(x, a), F.mul(y, c))
+            ny = F.add(F.mul(x, b), F.mul(y, d))
+            if projective:
+                nx, ny = (F.mul(nx, F.inv(ny)), 1) if ny else (1, 0)
+            images.append(index[nx, ny])
+        perms.append(Permutation(images))
+    return perms
 
 
 def projective_line_rep(q: int):
     """Permutation generators of L2(q) acting on the q+1 projective points."""
     if q > MAX_Q:
         raise ValueError(f"q = {q} beyond the q <= {MAX_Q} budget")
-    pts = projective_points(q)
-    index = {v: i for i, v in enumerate(pts)}
-    perms = []
-    for m in sl2_generators(q):
-        images = [index[_point_image(v, m)] for v in pts]
-        perms.append(Permutation(images))
-    return perms
-
-
-def _conjugation_orbit(x: FFMatrix, gens):
-    """Orbit of x under conjugation by the group generated by gens."""
-    seen = {x.data: x}
-    frontier = [x]
-    invs = [g.inverse() for g in gens]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g, gi in zip(gens, invs):
-                c = gi * m * g
-                if c.data not in seen:
-                    seen[c.data] = c
-                    nxt.append(c)
-        frontier = nxt
-    return list(seen.values())
+    return _point_action(q, projective=True)
 
 
 def trace_image(q: int):
@@ -129,11 +112,11 @@ def trace_image(q: int):
     F = gf(q)
     g = F.gen_code
     x = FFMatrix(F, [[g, 0], [0, F.inv(g)]])
-    gens = sl2_generators(q)
-    orbit = _conjugation_orbit(x, gens)
-    if len(orbit) != q * (q + 1):
+    pairs = [(s, s.inverse()) for s in sl2_generators(q)]
+    conjugates = orbit(x, pairs, lambda s, m: s[1] * m * s[0])
+    if len(conjugates) != q * (q + 1):
         raise AssertionError("unexpected class size for the split torus class")
-    return {trace2(x * y) for y in orbit}
+    return {trace2(x * y) for y in conjugates}
 
 
 @dataclass

@@ -287,3 +287,23 @@ def test_average_fixed_dim_bound_instances():
                     total += (cur - ident).nullity()
                     cur = cur * m
                 assert Fr(total, q + 1) <= Fr(m.rows, 3)
+
+
+@pytest.mark.parametrize("name", ["A5", "A4", "L2(7)"])
+def test_diagonal_fixed_dim_is_the_convolution_of_eigenspace_dims(name):
+    # h acts on the m-fold tensor power with eigenvalue zeta_o^(l_1+...+l_m)
+    # on the product of the l_t-eigenspaces, so the fixed dimension is the
+    # m-fold cyclic convolution of the multiplicities, read at exponent 0
+    t = catalog.character_table(name)
+    for i in range(t.n_classes):
+        for j, c in enumerate(t.classes):
+            o = c.rep_order
+            dims = [0] * o
+            for l, mult in eigdims_from_character(t, i, j):
+                dims[l] = mult
+            power = [1] + [0] * (o - 1)
+            for m in range(1, 6):
+                power = [sum(power[a] * dims[(s - a) % o] for a in range(o))
+                         for s in range(o)]
+                assert diagonal_tuple_fixed_dim(t, i, c.name, m) == power[0], \
+                    (i, c.name, m)

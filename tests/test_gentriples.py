@@ -294,3 +294,16 @@ def test_class_specs_agree_as_name_int_and_numpy_int(name, cname):
     want = answers(cname)
     assert answers(k) == want
     assert answers(np.int64(k)) == want
+
+
+def test_all_conjugate_sets_count_the_index_of_each_maximal():
+    from cgtkit.gentriples import _all_conjugate_sets, _subgroup_elements
+    # a maximal subgroup M of the simple group A5 is self-normalizing, so
+    # it has |A5 : M| conjugates
+    chain = catalog.load_group("A5")[1]
+    for name, gens in catalog.maximal_subgroup_generators("A5").items():
+        base, order = _subgroup_elements(chain, gens)
+        conjugates = _all_conjugate_sets(chain, base)
+        assert conjugates[0] == base
+        assert len(set(conjugates)) == len(conjugates) == 60 // order, name
+        assert all(len(s) == order for s in conjugates)

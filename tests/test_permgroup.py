@@ -527,3 +527,60 @@ def test_group_classes_centralizer_generators_are_few_and_generate_it(name):
         assert build_chain(cent, chain.degree).order() == order
         assert len(cent) <= order.bit_length() - 1
         assert all(x * Permutation(g) == Permutation(g) * x for g in cent)
+
+
+@pytest.mark.parametrize("name", ["M11", "A8"])
+def test_centralizer_generators_build_one_chain_per_kept_generator(name, monkeypatch):
+    from cgtkit import permgroup
+    gc = catalog.class_system(name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_chain(*args, **kwargs)
+
+    monkeypatch.setattr(permgroup, "build_chain", counting)
+    for c in gc.classes:
+        calls.clear()
+        cent = gc.centralizer_generators(c.representative.images)
+        assert len(calls) == len(cent), c.name
+
+
+def test_orbit_lists_the_seed_first_in_fifo_order():
+    from cgtkit.permgroup import orbit
+    # Z/7 under +1 and +3: breadth first from 0 reaches 1, 3 (one step),
+    # then 2, 4 from 1 and 6 from 3 (two steps), then 5; a stack would
+    # give 0, 1, 3, 4, 6, 2, 5
+    assert orbit(0, [1, 3], lambda s, p: (p + s) % 7) == [0, 1, 3, 2, 4, 6, 5]
+    assert orbit(4, [], lambda s, p: p) == [4]
+    g = parse_perm("(1,2)(3,4,5)", 6).images
+    assert orbit(2, [g], lambda h, b: h[b]) == [2, 3, 4]
+    assert orbit(5, [g], lambda h, b: h[b]) == [5]
+
+
+def test_orbits_match_a_union_find_partition():
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randrange(1, 13)
+        gens = []
+        for _ in range(rng.randrange(0, 4)):
+            moved = rng.sample(range(n), rng.randrange(0, n + 1))
+            images = list(range(n))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                images[a] = b
+            gens.append(tuple(images))
+        parent = list(range(n))
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+
+        for g in gens:
+            for a in range(n):
+                ra, rb = find(a), find(g[a])
+                parent[max(ra, rb)] = min(ra, rb)
+        blocks: dict = {}
+        for a in range(n):
+            blocks.setdefault(find(a), []).append(a)
+        assert orbits(gens, n) == sorted(blocks.values()), (n, gens)

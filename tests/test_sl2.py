@@ -109,3 +109,24 @@ def test_projective_line_order_formula_up_to_64():
             continue
         ch = build_chain(projective_line_rep(q))
         assert ch.degree == q + 1 and ch.order() == l2_order(q), q
+
+
+@pytest.mark.parametrize("q", [4, 5, 8, 9])
+def test_point_action_is_the_row_vector_product(q):
+    from cgtkit.sl2 import _point_action, sl2_generators
+    F = gf(q)
+    vectors = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
+    line = [(1, 0)] + [(x, 1) for x in range(q)]
+
+    def normalized(v):
+        # the projective point of v: scaled to last entry 1, or (1, 0)
+        return (F.mul(v[0], F.inv(v[1])), 1) if v[1] else (1, 0)
+
+    gens = sl2_generators(q)
+    for m, on_vectors, on_line in zip(gens, _point_action(q),
+                                      _point_action(q, projective=True)):
+        images = [(FFMatrix(F, [v]) * m).data[0] for v in vectors]
+        assert on_vectors.images == tuple(vectors.index(w) for w in images)
+        images = [normalized((FFMatrix(F, [v]) * m).data[0]) for v in line]
+        assert on_line.images == tuple(line.index(w) for w in images)
+    assert projective_line_rep(q) == _point_action(q, projective=True)
