@@ -170,6 +170,7 @@ class StabilizerChain:
             if len(g) != self.degree:
                 raise ValueError("generators of mixed degree")
         self.generators = [Permutation(g) for g in gens]
+        self._orbits = None  # filled by `orbits` on first use
         self._identity = tuple(range(self.degree))
         self.levels: list[_Level] = []
         moving = [g for g in gens if g != self._identity]
@@ -374,13 +375,18 @@ def orbit(seed, gens, act) -> list:
 
 
 def orbits(chain_or_gens, degree: int | None = None):
+    """The orbits of a chain's group or of generators, each sorted, in the
+    order of their least points.  A chain's generators are set once, in
+    `_seed`, so its orbits are walked once and kept on it; each caller gets
+    its own copy."""
     if isinstance(chain_or_gens, StabilizerChain):
-        gens = [g.images for g in chain_or_gens.generators]
-        degree = chain_or_gens.degree
-    else:
-        gens = [g.images if isinstance(g, Permutation) else tuple(g) for g in chain_or_gens]
-        if degree is None:
-            degree = len(gens[0])
+        chain = chain_or_gens
+        if chain._orbits is None:
+            chain._orbits = orbits(chain.generators, chain.degree)
+        return [list(o) for o in chain._orbits]
+    gens = [g.images if isinstance(g, Permutation) else tuple(g) for g in chain_or_gens]
+    if degree is None:
+        degree = len(gens[0])
     seen: set = set()
     out = []
     for start in range(degree):

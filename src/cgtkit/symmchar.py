@@ -35,6 +35,15 @@ letter iff the product of (t/m) over the parts is 1.  Class elements come
 as int8 row chunks (_type_rows): each chunk's flat cycle tuples are made in
 C by itertools.permutations for the last cycle and scattered into image
 rows in one numpy step, so no class is ever held whole.
+
+The brute-force scan for products x*y in a target class (of type mu) is a
+sieve on the fixed points of powers: P has type mu iff, for j = 1..max(mu),
+P^j fixes as many points as the parts of mu that divide j add up to
+(Moebius inversion turns these counts into the number of d-cycles for each
+d <= max(mu), and they already cover all n points).  The first power is
+checked on the int8 product rows, which drops most of them; the rows left
+become flat indices into the raveled rows once, each later power is one
+take, and the rows that fail are dropped at every j.
 """
 
 from __future__ import annotations
@@ -199,21 +208,34 @@ def align_sign(perm: Permutation, mu: tuple) -> int:
     return sigma.sign()
 
 
-def _point_cycle_lengths(rows: np.ndarray) -> np.ndarray:
-    """Row by row, the length of the cycle through each point.
+def _flat_images(rows: np.ndarray) -> np.ndarray:
+    """Image rows as intp indices into the raveled rows: point i of row r
+    is r*n + i.  Then row r of P^j is the take of row r of P^(j-1) from
+    the raveled P, one gather for all rows, with no index conversion."""
+    return rows + np.arange(0, rows.size, rows.shape[1])[:, None]
 
-    Row i of P^j comes from row i of P^(j-1) by one gather; a point's cycle
-    length is the first j at which P^j fixes it.
-    """
-    points = np.arange(rows.shape[1])
-    lengths = np.zeros(rows.shape, dtype=np.int8)
-    power = rows
+
+def _power_fixed_points(mu: tuple) -> list:
+    """For P of cycle type mu, the number of points P^j fixes for j = 1..max(mu):
+    the sum of the parts that divide j.  These counts tell mu from every
+    other type: by Moebius inversion they give the number of d-cycles for
+    each d <= max(mu), and those points already add up to n."""
+    return [sum(m for m in mu if j % m == 0) for j in range(1, mu[0] + 1)]
+
+
+def _point_cycle_lengths(rows: np.ndarray) -> np.ndarray:
+    """Row by row, the length of the cycle through each point: the first
+    j at which P^j fixes it."""
+    flat = _flat_images(rows).ravel()
+    points = np.arange(flat.size)
+    lengths = np.zeros(flat.size, dtype=np.int8)
+    power = flat
     for j in range(1, rows.shape[1] + 1):
         lengths[(power == points) & (lengths == 0)] = j
         if lengths.all():
             break
-        power = np.take_along_axis(rows, power, axis=1)
-    return lengths
+        power = flat.take(power)
+    return lengths.reshape(rows.shape)
 
 
 def _aligns_evenly(rows: np.ndarray, mu: tuple) -> np.ndarray:
@@ -359,20 +381,29 @@ class AnClassSystem(ClassSystem):
         return self.class_of(Permutation(images))
 
     def iter_class_images_with_product(self, k: int, x_images, target: int):
-        # the products x*y (images y[x[i]]) of a chunk are classified at
-        # once: cycle type by the sorted cycle lengths of the points (a
-        # cycle of length m shows up m times), then the half of a split type
+        # the products x*y (images y[x[i]]) of a chunk are sieved by the
+        # fixed points of their powers (see the module docstring): j = 1 on
+        # the int8 products drops most rows; the rows left become flat
+        # indices once, each later power is one take, and the rows that
+        # fail go at each j.  Then the half of a split type.
         c = self.classes[target]
-        parts = sorted(c.cycle_type)
-        want = np.repeat(parts, parts)
+        mu = c.cycle_type
+        fixed = _power_fixed_points(mu)
         x = np.asarray(x_images, dtype=np.intp)
+        points = np.arange(self.n, dtype=np.int8)
         for rows in self._class_chunks(k):
             products = rows[:, x]
-            hit = (np.sort(_point_cycle_lengths(products), axis=1) == want).all(axis=1)
+            live = np.flatnonzero((products == points).sum(axis=1) == fixed[0])
+            power = _flat_images(products[live])
+            flat = power.ravel()
+            ident = np.arange(flat.size).reshape(power.shape)
+            for f in fixed[1:]:
+                power = flat.take(power)
+                keep = (power == ident).sum(axis=1) == f
+                live, power, ident = live[keep], power[keep], ident[keep]
             if c.split_letter:
-                hit[hit] = (_aligns_evenly(products[hit], c.cycle_type)
-                            == (c.split_letter == "a"))
-            yield from map(tuple, rows[hit].tolist())
+                live = live[_aligns_evenly(products[live], mu) == (c.split_letter == "a")]
+            yield from map(tuple, rows[live].tolist())
 
     def centralizer_generators(self, x_images) -> list:
         """Image tuples generating C_{A_n}(x), read off x's cycle type.

@@ -6,7 +6,7 @@ from math import factorial, gcd
 import numpy as np
 import pytest
 
-from cgtkit import catalog
+from cgtkit import catalog, permgroup
 from cgtkit.chartab import _class_sum_matrix_modp, dixon_prime, dixon_table
 from cgtkit.gentriples import build_lemma42, build_lemma43
 from cgtkit.perms import Permutation, _mul, parse_perm
@@ -56,6 +56,16 @@ def test_transitivity_and_primitivity():
     intrans = build_chain([parse_perm("(1,2,3)", 5)])
     assert not is_transitive(intrans)
     assert orbits(intrans) == [[0, 1, 2], [3], [4]]
+
+
+def test_chain_orbits_are_walked_once_and_handed_out_as_copies(monkeypatch):
+    chain = build_chain([parse_perm("(1,2,3)", 5), parse_perm("(4,5)", 5)])
+    orbs = orbits(chain)
+    assert orbs == orbits(chain.generators, 5) == [[0, 1, 2], [3, 4]]
+    orbs[0].append(4)
+    orbs.pop()
+    monkeypatch.setattr(permgroup, "orbit", None)  # a second walk would fail
+    assert orbits(chain) == [[0, 1, 2], [3, 4]]
 
 
 def test_s3_classes():

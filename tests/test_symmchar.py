@@ -13,7 +13,7 @@ from cgtkit.perms import Permutation, _mul
 from cgtkit.permgroup import build_chain, conjugacy_classes
 from cgtkit import catalog, symmchar
 from cgtkit.symmchar import (AnClassSystem, SnClassSystem, _aligns_evenly, _jacobi,
-                             _type_rows, align_sign, an_pair_covers, an_table,
+                             _power_fixed_points, _type_rows, align_sign, an_pair_covers, an_table,
                              class_size_sn, hook_degree, mn_value, partitions, sn_table,
                              splits_in_an)
 
@@ -287,6 +287,42 @@ def test_batched_products_with_an_arbitrary_x():
     for target in range(len(cs.classes)):
         assert (list(cs.iter_class_images_with_product(k, x, target))
                 == [y for y, t in classified if t == target])
+
+
+def test_power_fixed_points_tell_every_cycle_type():
+    # the premise of the product sieve: over the powers it checks, no other
+    # cycle type has the target type's fixed-point counts
+    for n in range(1, 13):
+        counts = {}
+        for nu in partitions(n):
+            p = power = np.array(symmchar.canonical_rep(nu, n).images)
+            counts[nu] = []
+            for _ in range(n):
+                counts[nu].append(int((power == np.arange(n)).sum()))
+                power = p[power]
+        for mu in partitions(n):
+            profile = _power_fixed_points(mu)
+            assert profile == counts[mu][:len(profile)], mu
+            for nu in partitions(n):
+                if nu != mu:
+                    assert counts[nu][:len(profile)] != profile, (mu, nu)
+
+
+@pytest.mark.parametrize("x_cycles", [None, [[0, 3], [1, 8, 5, 2], [4, 9, 7]]])
+def test_a10_7a_products_match_per_element_filter(monkeypatch, x_cycles):
+    # every 13th chunk of 37 rows: about 6 600 elements spread over the class
+    monkeypatch.setattr(symmchar, "_CHUNK_ROWS", 37)
+    cs = AnClassSystem(10)
+    k = cs.class_named("7a")
+    x = (cs.classes[k].representative if x_cycles is None
+         else Permutation.from_cycles(10, x_cycles)).images
+    chunks = cs._class_chunks
+    monkeypatch.setattr(cs, "_class_chunks",
+                        lambda k: itertools.islice(chunks(k), 0, None, 13))
+    ys = list(cs.iter_class_images(k))
+    want = [y for y in ys if cs.class_of_images(_mul(x, y)) == k]
+    assert len(ys) > 6000 and len(want) > 100
+    assert list(cs.iter_class_images_with_product(k, x, k)) == want
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
