@@ -4,8 +4,9 @@
 Tables are computed by the appropriate engine (combinatorial for A_n/S_n,
 class-algebra method otherwise), fully verified, and written in the JSON
 wire format.  catalog.character_table() picks them up on load (and
-re-verifies all orthogonality invariants then, so a corrupted cache can
-never go unnoticed).
+re-runs CharacterTable.verify then: the exact invariants and the column
+orthogonality relations, which imply the row relations, so a corrupted
+cache can never go unnoticed).
 
 Usage: python scripts/build_tables.py [NAME ...]
        default: every group the verification suites touch

@@ -87,7 +87,6 @@ SL32_POINT_STABILIZERS = [
 @dataclass
 class GroupSpec:
     name: str
-    family: str  # alternating | symmetric | psl2 | sl2 | sporadic | classical-small
     degree: int
     generators: list
     declared_order: int
@@ -138,7 +137,7 @@ def _load_group(name: str, directory: Path):
             cyc = "(" + ",".join(str(i) for i in range(1, n + 1)) + ")" if n % 2 \
                 else "(" + ",".join(str(i) for i in range(2, n + 1)) + ")"
             gens.append(parse_perm(cyc, n))
-        spec = GroupSpec(name, "alternating", n, gens, factorial(n) // 2,
+        spec = GroupSpec(name, n, gens, factorial(n) // 2,
                          MAXIMAL_SUBGROUPS.get(name, {}))
         return _verified(spec)
     m = re.fullmatch(r"S(\d+)", name)
@@ -149,7 +148,7 @@ def _load_group(name: str, directory: Path):
         gens = [parse_perm("(1,2)", n)]
         if n > 2:
             gens.append(parse_perm("(" + ",".join(str(i) for i in range(1, n + 1)) + ")", n))
-        spec = GroupSpec(name, "symmetric", n, gens, factorial(n))
+        spec = GroupSpec(name, n, gens, factorial(n))
         return _verified(spec)
     m = re.fullmatch(r"L2\((\d+)\)", name)
     if m:
@@ -157,7 +156,7 @@ def _load_group(name: str, directory: Path):
         if q > 32 or q < 4:
             raise KeyError(f"L2({q}) outside the catalog range (4 <= q <= 32)")
         gens = projective_line_rep(q)
-        spec = GroupSpec(name, "psl2", q + 1, gens, l2_order(q),
+        spec = GroupSpec(name, q + 1, gens, l2_order(q),
                          MAXIMAL_SUBGROUPS.get(name, {}))
         return _verified(spec)
     m = re.fullmatch(r"SL2\((\d+)\)", name)
@@ -166,14 +165,12 @@ def _load_group(name: str, directory: Path):
         if q > 32 or q < 4:
             raise KeyError(f"SL2({q}) outside the catalog range (4 <= q <= 32)")
         gens = _point_action(q)
-        spec = GroupSpec(name, "sl2", q * q - 1, gens, sl2_order(q))
+        spec = GroupSpec(name, q * q - 1, gens, sl2_order(q))
         return _verified(spec)
     if name in STORED_GROUPS:
         fname, order, nclasses = STORED_GROUPS[name]
         degree, gens = parse_perm_file((directory / "groups" / fname).read_text())
-        family = "sporadic" if name in ("M11", "M12", "M22", "J1", "J2") \
-            else "classical-small"
-        spec = GroupSpec(name, family, degree, gens, order,
+        spec = GroupSpec(name, degree, gens, order,
                          MAXIMAL_SUBGROUPS.get(name, {}), nclasses)
         return _verified(spec)
     raise KeyError(f"unknown group {name!r}; known: {', '.join(catalog_names())}")

@@ -26,17 +26,27 @@ __all__ = ["triple_count", "triple_counts_all_k", "n_a", "eps_a", "covers",
 def triple_count(table: CharacterTable, i, j, k) -> int:
     """#{(y,z) in C_j x C_k : xyz = 1} for fixed x in C_i (exact integer)."""
     i, j, k = table.class_index(i), table.class_index(j), table.class_index(k)
-    ic = table._identity_col()
-    terms = [(row[i] * row[j], row[k], Fraction(1, row[ic].integer()))
-             for row in table.values
-             if not (row[i].is_zero() or row[j].is_zero() or row[k].is_zero())]
-    total = sum_of_products(_conductor(table, i, j, k), terms)
+    [total] = _character_sums(table, i, j, [k], table.values)
     return _scale_count(table, j, k, total)
 
 
-def _conductor(table: CharacterTable, *cols) -> int:
-    """A conductor holding every value of the given columns."""
-    return lcm(*(table.classes[c].rep_order for c in cols))
+def triple_counts_all_k(table: CharacterTable, i, j) -> list:
+    """[triple_count(i, j, k) for all k], sharing the chi(i)chi(j)/deg part."""
+    i, j = table.class_index(i), table.class_index(j)
+    totals = _character_sums(table, i, j, range(table.n_classes), table.values)
+    return [_scale_count(table, j, k, total) for k, total in enumerate(totals)]
+
+
+def _character_sums(table: CharacterTable, i: int, j: int, ks, rows) -> list:
+    """[sum over rows of chi(i) chi(j) chi(k) / chi(1) for k in ks], exact,
+    each chi(i) chi(j) formed once per row."""
+    ic = table._identity_col()
+    partial = [(row[i] * row[j], Fraction(1, row[ic].integer()), row)
+               for row in rows if not (row[i].is_zero() or row[j].is_zero())]
+    o_ij = lcm(table.classes[i].rep_order, table.classes[j].rep_order)
+    return [sum_of_products(lcm(o_ij, table.classes[k].rep_order),
+                            ((pij, row[k], scale) for pij, scale, row in partial))
+            for k in ks]
 
 
 def _scale_count(table: CharacterTable, j: int, k: int, total: Cyclotomic) -> int:
@@ -49,21 +59,6 @@ def _scale_count(table: CharacterTable, j: int, k: int, total: Cyclotomic) -> in
         raise TableInvariantError(
             f"structure constant is not a nonnegative integer: {count}")
     return int(count)
-
-
-def triple_counts_all_k(table: CharacterTable, i, j) -> list:
-    """[triple_count(i, j, k) for all k], sharing the chi(i)chi(j)/deg part."""
-    i, j = table.class_index(i), table.class_index(j)
-    ic = table._identity_col()
-    partial = [(row[i] * row[j], Fraction(1, row[ic].integer()), row)
-               for row in table.values
-               if not (row[i].is_zero() or row[j].is_zero())]
-    out = []
-    for k in range(table.n_classes):
-        total = sum_of_products(_conductor(table, i, j, k),
-                                ((pij, row[k], scale) for pij, scale, row in partial))
-        out.append(_scale_count(table, j, k, total))
-    return out
 
 
 def na_slot(a: int) -> int:
@@ -94,19 +89,14 @@ def eps_a(table: CharacterTable, c, a: int) -> Fraction:
     i = table.class_index(c)
     k = table.power_class(i, na_slot(a))
     linear = table.linear_characters()
-    ic = table._identity_col()
     one = Cyclotomic.one()
     for li in linear:
         if table.values[li][i] != one:
             raise ValueError(
                 "class is not inside the derived subgroup "
                 "(a linear character is nontrivial on it)")
-    terms = [(row[i] * row[i], row[k], Fraction(1, row[ic].integer()))
-             for idx, row in enumerate(table.values)
-             if idx not in linear and not (row[i].is_zero() or row[k].is_zero())]
-    total = sum_of_products(_conductor(table, i, k), terms)
-    if not total.is_real():
-        raise TableInvariantError(f"eps_a value is not real: {total}")
+    nonlinear = [row for idx, row in enumerate(table.values) if idx not in linear]
+    [total] = _character_sums(table, i, i, [k], nonlinear)
     if not total.is_rational():
         raise TableInvariantError(
             f"eps_a is irrational for this table: {total}")

@@ -328,7 +328,7 @@ def cmd_verify(args) -> int:
         else:
             print(f"suite {rep.suite} (seed {rep.seed}):")
             for c in rep.checks:
-                mark = {"pass": "PASS", "fail": "FAIL"}.get(c.status, "SKIP")
+                mark = c.status.upper()
                 line = f"  [{mark}] {c.check_id}: got {c.got}"
                 if c.status == "fail":
                     line += f"  (expected {c.expected})"

@@ -53,17 +53,14 @@ class ModuleRep:
         """Orders of words must agree between matrices and permutations:
         every generator and generator pair, plus random words."""
         rng = random.Random(seed)
-        gens = self.chain.generators
-        k = len(gens)
+        k = len(self.chain.generators)
         words = [[i] for i in range(k)]
         words += [[i, j] for i in range(k) for j in range(k)]
         words += [[rng.randrange(k) for _ in range(rng.randrange(2, 8))]
                   for _ in range(samples)]
         ident = FFMatrix.identity(self.field, self.dim)
         for word in words:
-            p = Permutation.identity(self.chain.degree)
-            for i in word:
-                p = p * gens[i]
+            p = self.perm_of_word(word)
             m = self.matrix_of_word(word)
             if m ** p.order() != ident:
                 raise ValueError("matrix assignment violates a relation "
@@ -142,11 +139,7 @@ def scott_check(rep: ModuleRep, words) -> dict:
     lhs = sum dim[g_i, V]; rhs = dim V - dim V^T + dim [T, V], computed
     from the tuple's own matrices (T = subgroup generated by the tuple).
     """
-    perms = [rep.perm_of_word(w) for w in words]
-    prod = Permutation.identity(rep.chain.degree)
-    for p in perms:
-        prod = prod * p
-    if not prod.is_identity():
+    if not rep.perm_of_word([i for w in words for i in w]).is_identity():
         raise ValueError("tuple product is not the identity")
     mats = [rep.matrix_of_word(w) for w in words]
     ident = FFMatrix.identity(rep.field, rep.dim)
@@ -162,8 +155,10 @@ def scott_check(rep: ModuleRep, words) -> dict:
     return {"lhs": lhs, "rhs": rhs, "ok": lhs >= rhs}
 
 
-def random_scott_tuples(rep: ModuleRep, count: int, r: int = 3,
-                        seed: int = 0, max_word: int = 8):
+MAX_WORD = 8  # random words have 1 to MAX_WORD - 1 letters
+
+
+def random_scott_tuples(rep: ModuleRep, count: int, r: int = 3, seed: int = 0):
     """Random generating r-tuples of words with product 1 (as word lists)."""
     rng = random.Random(seed)
     gens = rep.chain.generators
@@ -172,16 +167,12 @@ def random_scott_tuples(rep: ModuleRep, count: int, r: int = 3,
     guard = 0
     while len(out) < count and guard < count * 200:
         guard += 1
-        words = [[rng.randrange(len(gens)) for _ in range(rng.randrange(1, max_word))]
+        words = [[rng.randrange(len(gens)) for _ in range(rng.randrange(1, MAX_WORD))]
                  for _ in range(r - 1)]
-        perms = [rep.perm_of_word(w) for w in words]
-        prod = Permutation.identity(rep.chain.degree)
-        for p in perms:
-            prod = prod * p
         # last word = inverse of the product, spelled backwards
         last = [-(i + 1) for w in reversed(words) for i in reversed(w)]
         tup = words + [last]
-        images = [p.images for p in perms]
+        images = [rep.perm_of_word(w).images for w in words]
         sub = build_chain(images, rep.chain.degree,
                           within=known_order(images, rep.chain))
         if sub.order() != order:
@@ -255,16 +246,18 @@ def _multisets(k: int, m: int):
     return rec(0, m)
 
 
-def tensor_power_min_ratio(table: CharacterTable, char_index: int, m: int,
-                           max_m: int = 6) -> dict:
+MAX_M = 6  # largest tensor power the tuple scan takes
+
+
+def tensor_power_min_ratio(table: CharacterTable, char_index: int, m: int) -> dict:
     """Minimum of fixed-dim/dim over nontrivial class tuples for the m-fold
     tensor power of the given character row (one class per direct factor).
 
     Each tuple's fixed dimension comes from `_tuple_fixed_dim`; symmetry
     over the factors reduces tuples to multisets.
     """
-    if m > max_m:
-        raise ValueError(f"m = {m} beyond the tuple-scan budget {max_m}")
+    if m > MAX_M:
+        raise ValueError(f"m = {m} beyond the tuple-scan budget {MAX_M}")
     deg = table.degrees[char_index]
     row = table.values[char_index]
     k = table.n_classes

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from math import factorial, gcd
 
 from .perms import Permutation, _inv, _mul
-from .permgroup import (StabilizerChain, build_chain, conjugacy_classes,
-                        known_order, orbit, orbits)
+from .permgroup import StabilizerChain, build_chain, known_order, orbit, orbits
 
 __all__ = ["TripleReport", "enumerate_triples", "search_triple",
            "build_lemma42", "build_lemma43", "translation_search",
@@ -385,7 +384,7 @@ def two_subgroup_cover(chain: StabilizerChain, cs, class_spec,
 
 # -- Beauville structures --------------------------------------------------------
 
-def beauville_search(chain: StabilizerChain, cs=None):
+def beauville_search(chain: StabilizerChain, cs):
     """Unmixed Beauville structure by exhaustive order-triple scan.
 
     Scans generating pairs (x, y) with x a class representative (every
@@ -398,8 +397,6 @@ def beauville_search(chain: StabilizerChain, cs=None):
     order = chain.order()
     if order > BEAUVILLE_BOUND:
         raise ValueError(f"group order exceeds Beauville bound {BEAUVILLE_BOUND}")
-    if cs is None:
-        cs = conjugacy_classes(chain)
     nontrivial = [k for k, cls in enumerate(cs.classes) if cls.rep_order > 1]
     triples: dict = {}
     for k in nontrivial:

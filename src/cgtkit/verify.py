@@ -36,7 +36,7 @@ class CheckResult:
     check_id: str
     expected: str
     got: str
-    status: str  # pass | fail | skipped-with-reason
+    status: str  # pass | fail
     elapsed: float
 
     def to_json(self):
@@ -56,10 +56,6 @@ class VerifyReport:
         status = "pass" if expected_s == got_s else "fail"
         self.checks.append(CheckResult(check_id, expected_s, got_s, status,
                                        time.perf_counter() - t0))
-
-    def skip(self, check_id: str, reason: str):
-        self.checks.append(CheckResult(check_id, "", reason,
-                                       "skipped-with-reason", 0.0))
 
     @property
     def ok(self) -> bool:

@@ -1,8 +1,9 @@
+import dataclasses
 import itertools
 import json
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from cgtkit import catalog, chartab
 from cgtkit.chartab import (CharacterTable, TableInvariantError,
                             class_mult_coeff, dixon_table, indicator,
                             tables_equivalent)
-from cgtkit.cyclotomic import Cyclotomic, sqrt_int, zeta
+from cgtkit.cyclotomic import Cyclotomic, sqrt_int, sum_of_products, zeta
 from cgtkit.fflinalg import SplitFailure
 from cgtkit.perms import parse_perm
 from cgtkit.permgroup import build_chain, conjugacy_classes
@@ -253,6 +254,23 @@ def _corrupt_power_map(blob, name, change):
     return obj
 
 
+def _a5_with_sizes(sizes: dict) -> dict:
+    obj = catalog.character_table("A5").to_json()
+    for c in obj["classes"]:
+        c["size"] = sizes.get(c["name"], c["size"])
+    return obj
+
+
+def test_non_positive_class_size_is_refused():
+    # the sizes still sum to 60, so only the size check can see it
+    obj = _a5_with_sizes({"2+2+1": 0, "3+1+1": 35})
+    with pytest.raises(TableInvariantError, match=r"class 2\+2\+1 has non-positive size 0"):
+        CharacterTable.from_json(obj)
+    obj = _a5_with_sizes({"2+2+1": -5, "3+1+1": 40})
+    with pytest.raises(TableInvariantError, match="non-positive size -5"):
+        CharacterTable.from_json(obj)
+
+
 def test_corrupt_stored_power_maps_are_refused():
     # a missing entry would surface later as a KeyError, and a wrong class of
     # the right kind as silently wrong eigenspace multiplicities
@@ -266,7 +284,7 @@ def test_corrupt_stored_power_maps_are_refused():
             CharacterTable.from_json(_corrupt_power_map(blob, name, change))
 
 
-def test_irrational_corruption_caught_by_both_orthogonality_paths():
+def test_irrational_corruption_caught_by_the_column_pass():
     # zeta5 - zeta5^2 keeps the value in Q(zeta_5), the field of its 5-class,
     # and leaves every degree alone, so only orthogonality can see it
     good = catalog.character_table("A5")
@@ -275,13 +293,114 @@ def test_irrational_corruption_caught_by_both_orthogonality_paths():
     i = next(i for i, row in enumerate(values) if row[j].e == 5)
     values[i][j] = values[i][j] + zeta(5) - zeta(5, 2)
     bad = CharacterTable("A5", good.order, good.classes, values, verify=False)
-    conj_rows = [[v.conj() for v in row] for row in bad.values]
-    with pytest.raises(TableInvariantError, match="row orthogonality"):
-        bad._row_orthogonality(conj_rows)
     with pytest.raises(TableInvariantError, match="column orthogonality"):
-        bad._column_orthogonality(conj_rows)
+        bad._column_orthogonality()
     with pytest.raises(TableInvariantError):
         bad.verify()
+
+
+def _row_orthogonality(table) -> bool:
+    """Row orthogonality, sum_t chi_i(t) conj(chi_j(t)) |C_t| = |G| delta_ij:
+    the pass verify() leaves out because its column pass implies it, kept
+    here as the reference."""
+    e = table.exponent()
+    sizes = [c.size for c in table.classes]
+    conj_rows = [[v.conj() for v in row] for row in table.values]
+    try:
+        return all(sum_of_products(e, zip(row, conj_rows[j], sizes))
+                   == Cyclotomic.from_rational(table.order if i == j else 0)
+                   for i, row in enumerate(table.values)
+                   for j in range(i, len(table.values)))
+    except ValueError:  # a value outside Q(zeta_exponent)
+        return False
+
+
+def _unit(o: int) -> int:
+    """The least a > 1 prime to o: sigma_a moves zeta_o unless o <= 2."""
+    return next(a for a in range(2, o + 2) if gcd(a, o) == 1)
+
+
+def _planted_corruptions(t):
+    """(kind, classes, values) variants of t: one value moved inside its
+    class's field, a value replaced by its conjugate or a Galois twist, two
+    values of a row swapped, a row doubled, two class sizes swapped, and
+    whole rows or columns moved by a Galois automorphism."""
+    k, ic = t.n_classes, t._identity_col()
+    cols = [c for c in range(k) if c != ic]
+
+    def edit(cells):
+        values = [list(row) for row in t.values]
+        for (i, j), v in cells.items():
+            values[i][j] = v
+        return values
+
+    out = []
+    for i in range(1, k):
+        row = t.values[i]
+        for j in cols:
+            o = t.classes[j].rep_order
+            out.append(("perturb", t.classes, edit({(i, j): row[j] + zeta(o) - zeta(o, 2)})))
+            out.append(("perturb", t.classes, edit({(i, j): row[j] + 1})))
+            if row[j] != row[j].conj():
+                out.append(("conjugate", t.classes, edit({(i, j): row[j].conj()})))
+            twist = row[j].galois(_unit(o))
+            if twist != row[j]:
+                out.append(("galois-entry", t.classes, edit({(i, j): twist})))
+        for a, b in itertools.combinations(cols, 2):
+            if row[a] != row[b]:
+                out.append(("swap", t.classes, edit({(i, a): row[b], (i, b): row[a]})))
+        for i2 in range(1, k):
+            if i2 != i and t.degrees[i2] == t.degrees[i]:
+                out.append(("double-row", t.classes, edit({(i, j): t.values[i2][j]
+                                                           for j in range(k)})))
+        out.append(("conjugate-row", t.classes, edit({(i, j): row[j].conj()
+                                                      for j in range(k)})))
+    for i in range(1, k):
+        a = _unit(t.exponent())
+        out.append(("galois-row", t.classes, edit({(i, j): t.values[i][j].galois(a)
+                                                   for j in range(k)})))
+    for j in cols:
+        a = _unit(t.classes[j].rep_order)
+        out.append(("galois-column", t.classes, edit({(i, j): t.values[i][j].galois(a)
+                                                      for i in range(k)})))
+    for a, b in itertools.combinations(cols, 2):
+        if t.classes[a].size != t.classes[b].size:
+            classes = list(t.classes)
+            classes[a] = dataclasses.replace(t.classes[a], size=t.classes[b].size)
+            classes[b] = dataclasses.replace(t.classes[b], size=t.classes[a].size)
+            out.append(("swap-sizes", classes, [list(row) for row in t.values]))
+    return out
+
+
+def _refused(table) -> bool:
+    try:
+        table.verify()
+    except TableInvariantError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["A5", "A6", "L2(7)", "L2(8)", "S5", "M11"])
+def test_column_pass_refuses_every_table_the_row_pass_refused(name, monkeypatch):
+    """The row pass is gone from verify(): over planted corruptions, every
+    table it refuses is still refused, and where the earlier checks all
+    pass the two passes give the same verdict."""
+    good = catalog.character_table(name)
+    assert _row_orthogonality(good) and not _refused(good)
+    decided = {True: set(), False: set()}
+    for kind, classes, values in _planted_corruptions(good):
+        bad = CharacterTable(name, good.order, classes, values, verify=False)
+        refused = _refused(bad)
+        by_reference = not _row_orthogonality(bad)
+        assert refused or not by_reference, kind
+        with monkeypatch.context() as m:
+            m.setattr(CharacterTable, "_column_orthogonality", lambda self: None)
+            if _refused(bad):
+                continue
+        # every earlier check passed: the orthogonality pass decides
+        assert refused == by_reference, kind
+        decided[refused].add(kind)
+    assert {"perturb", "swap", "double-row", "swap-sizes"} <= decided[True]
 
 
 def test_table_values_are_algebraic_integers():

@@ -7,8 +7,9 @@ import pytest
 from cgtkit import catalog
 from cgtkit.chartab import class_mult_coeff, dixon_table
 from cgtkit.classalg import (covers, eps_a, n_a, thompson_check, triple_count,
-                             two_mth_powers)
+                             triple_counts_all_k, two_mth_powers)
 from cgtkit.permgroup import build_chain, conjugacy_classes
+from cgtkit.symmchar import an_table
 
 
 def test_forced_solution_patterns():
@@ -62,6 +63,16 @@ def test_brute_force_equivalence_random_triples():
             gc = conjugacy_classes(sub)
             _check_random_triples(gc, dixon_table(gc), rng)
             proper += sub.order() < chain.order()
+
+
+@pytest.mark.parametrize("name", ["A5", "L2(7)", "M11", "A7"])
+def test_triple_counts_all_k_is_triple_count_for_every_k(name):
+    t = an_table(7) if name == "A7" else catalog.character_table(name)
+    k = t.n_classes
+    for i in range(k):
+        for j in range(k):
+            assert triple_counts_all_k(t, i, j) == [triple_count(t, i, j, kk)
+                                                    for kk in range(k)]
 
 
 def test_na_reference_value_m11():

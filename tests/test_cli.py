@@ -140,6 +140,19 @@ def test_unknown_group_exit_code(capsys):
     assert code == 2
 
 
+def test_zero_class_size_in_a_table_file_exit_code(capsys, tmp_path):
+    obj = catalog.character_table("A5").to_json()
+    for c in obj["classes"]:
+        c["size"] = {"2+2+1": 0, "3+1+1": 35}.get(c["name"], c["size"])
+    (tmp_path / "tables").mkdir()
+    (tmp_path / "tables" / catalog._table_filename("A5")).write_text(json.dumps(obj))
+    code = main(["na", "--group", "A5", "--class", "5a", "--a", "1",
+                 "--data-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: class 2+2+1 has non-positive size 0")
+
+
 @pytest.mark.parametrize("before", [None, "/no/such/dir"])
 def test_data_dir_applies_to_one_command(capsys, tmp_path, monkeypatch, before):
     shutil.copytree(catalog.data_dir() / "groups", tmp_path / "groups")
