@@ -1,11 +1,13 @@
 """Built-in group data: generators, orders, maximal subgroups, tables.
 
-Groups are loaded by name: A5..A20 and S3..S18 (standard generators),
-L2(q) and SL2(q) for prime powers q <= 32 (constructed from matrices),
-and the stored sporadic/classical permutation groups M11, M12, M22, J1,
-J2, U3(3), Sz(8), SL3(2) (read from data/groups/NAME.perm).  Every load
-verifies the declared order; conjugacy-class counts of the stored groups
-are integrity metadata checked by verify_integrity.
+Groups are loaded by name: A3..A20 and S2..S18 (standard generators),
+L2(q) and SL2(q) for prime powers 4 <= q <= 32 (constructed from
+matrices), and the stored sporadic/classical permutation groups M11, M12,
+M22, J1, J2, U3(3), Sz(8), SL3(2) (read from data/groups/NAME.perm); any
+other name is a KeyError, and catalog_names lists exactly these.  Every
+load verifies the declared order and the listed maximal subgroups;
+conjugacy-class counts of the stored groups are integrity metadata checked
+by verify_integrity.
 
 The data directory defaults to the packaged data/ tree and can be
 overridden per call or with the CGT_DATA_DIR environment variable.  The
@@ -90,7 +92,7 @@ class GroupSpec:
     degree: int
     generators: list
     declared_order: int
-    maximal_subgroups: dict = field(default_factory=dict)
+    maximal_subgroups: dict = field(default_factory=dict)  # name -> [Permutation]
     known_class_count: int | None = None
 
 
@@ -103,13 +105,36 @@ def data_dir(override: str | os.PathLike | None = None) -> Path:
     return _PACKAGE_DATA
 
 
+def _alternating(n: int):
+    gens = [parse_perm("(1,2,3)", n)]
+    if n > 3:  # the n-cycle for odd n, an (n-1)-cycle fixing 1 for even n
+        gens.append(parse_perm("(" + ",".join(map(str, range(2 - n % 2, n + 1))) + ")", n))
+    return n, gens, factorial(n) // 2
+
+
+def _symmetric(n: int):
+    gens = [parse_perm("(1,2)", n)]
+    if n > 2:
+        gens.append(parse_perm("(" + ",".join(map(str, range(1, n + 1))) + ")", n))
+    return n, gens, factorial(n)
+
+
+_PRIME_POWERS = [q for q in range(4, 33) if is_prime_power(q)]
+
+# the families, each declared once: name pattern, parameters, and the
+# (degree, generators, order) of a member
+_FAMILIES = [
+    ("A{}", range(3, 21), _alternating),
+    ("S{}", range(2, 19), _symmetric),
+    ("L2({})", _PRIME_POWERS, lambda q: (q + 1, projective_line_rep(q), l2_order(q))),
+    ("SL2({})", _PRIME_POWERS, lambda q: (q * q - 1, _point_action(q), sl2_order(q))),
+]
+_MEMBERS = {pattern.format(k): (make, k)
+            for pattern, ks, make in _FAMILIES for k in ks}
+
+
 def catalog_names():
-    names = [f"A{n}" for n in range(5, 21)] + [f"S{n}" for n in range(3, 19)]
-    qs = [q for q in range(4, 33) if is_prime_power(q)]
-    names += [f"L2({q})" for q in qs]
-    names += [f"SL2({q})" for q in qs]
-    names += list(STORED_GROUPS)
-    return names
+    return list(_MEMBERS) + list(STORED_GROUPS)
 
 
 def _normalize(name: str) -> str:
@@ -127,53 +152,18 @@ def load_group(name: str, data: str | os.PathLike | None = None):
 
 @lru_cache(maxsize=None)
 def _load_group(name: str, directory: Path):
-    m = re.fullmatch(r"A(\d+)", name)
-    if m:
-        n = int(m.group(1))
-        if not 3 <= n <= 20:
-            raise KeyError(f"A{n} outside the catalog range (n <= 20)")
-        gens = [parse_perm("(1,2,3)", n)]
-        if n > 3:
-            cyc = "(" + ",".join(str(i) for i in range(1, n + 1)) + ")" if n % 2 \
-                else "(" + ",".join(str(i) for i in range(2, n + 1)) + ")"
-            gens.append(parse_perm(cyc, n))
-        spec = GroupSpec(name, n, gens, factorial(n) // 2,
-                         MAXIMAL_SUBGROUPS.get(name, {}))
-        return _verified(spec)
-    m = re.fullmatch(r"S(\d+)", name)
-    if m:
-        n = int(m.group(1))
-        if not 2 <= n <= 18:
-            raise KeyError(f"S{n} outside the catalog range (n <= 18)")
-        gens = [parse_perm("(1,2)", n)]
-        if n > 2:
-            gens.append(parse_perm("(" + ",".join(str(i) for i in range(1, n + 1)) + ")", n))
-        spec = GroupSpec(name, n, gens, factorial(n))
-        return _verified(spec)
-    m = re.fullmatch(r"L2\((\d+)\)", name)
-    if m:
-        q = int(m.group(1))
-        if q > 32 or q < 4:
-            raise KeyError(f"L2({q}) outside the catalog range (4 <= q <= 32)")
-        gens = projective_line_rep(q)
-        spec = GroupSpec(name, q + 1, gens, l2_order(q),
-                         MAXIMAL_SUBGROUPS.get(name, {}))
-        return _verified(spec)
-    m = re.fullmatch(r"SL2\((\d+)\)", name)
-    if m:
-        q = int(m.group(1))
-        if q > 32 or q < 4:
-            raise KeyError(f"SL2({q}) outside the catalog range (4 <= q <= 32)")
-        gens = _point_action(q)
-        spec = GroupSpec(name, q * q - 1, gens, sl2_order(q))
-        return _verified(spec)
-    if name in STORED_GROUPS:
+    if name in _MEMBERS:
+        make, k = _MEMBERS[name]
+        degree, gens, order = make(k)
+        nclasses = None
+    elif name in STORED_GROUPS:
         fname, order, nclasses = STORED_GROUPS[name]
         degree, gens = parse_perm_file((directory / "groups" / fname).read_text())
-        spec = GroupSpec(name, degree, gens, order,
-                         MAXIMAL_SUBGROUPS.get(name, {}), nclasses)
-        return _verified(spec)
-    raise KeyError(f"unknown group {name!r}; known: {', '.join(catalog_names())}")
+    else:
+        raise KeyError(f"unknown group {name!r}; known: {', '.join(catalog_names())}")
+    maximals = {sub: [parse_perm(s, degree) for s in strs]
+                for sub, strs in MAXIMAL_SUBGROUPS.get(name, {}).items()}
+    return _verified(GroupSpec(name, degree, gens, order, maximals, nclasses))
 
 
 def _verified(spec: GroupSpec):
@@ -182,8 +172,7 @@ def _verified(spec: GroupSpec):
         raise AssertionError(
             f"{spec.name}: computed order {chain.order()} != declared "
             f"{spec.declared_order} (corrupt data)")
-    for sub_name, strs in spec.maximal_subgroups.items():
-        gens = [parse_perm(s, spec.degree) for s in strs]
+    for sub_name, gens in spec.maximal_subgroups.items():
         sub = build_chain(gens)
         if sub.order() >= chain.order() or chain.order() % sub.order():
             raise AssertionError(
@@ -281,14 +270,10 @@ def load_table(path) -> CharacterTable:
 
 def maximal_subgroup_generators(name: str):
     """Verified maximal-subgroup generators for the tiny catalog groups."""
-    name = _normalize(name)
-    spec, chain = load_group(name)
+    spec = load_group(name)[0]
     if not spec.maximal_subgroups:
-        raise KeyError(f"no maximal subgroup data stored for {name}")
-    out = {}
-    for sub_name, strs in spec.maximal_subgroups.items():
-        out[sub_name] = [parse_perm(s, spec.degree) for s in strs]
-    return out
+        raise KeyError(f"no maximal subgroup data stored for {spec.name}")
+    return dict(spec.maximal_subgroups)
 
 
 def sl32_transvection_cover_subgroups():

@@ -131,6 +131,8 @@ class CharacterTable(ClassSystem):
             if self.order % c.size:
                 raise TableInvariantError("class size does not divide the group order")
             o, pm = c.rep_order, c.power_map
+            if o < 1:
+                raise TableInvariantError(f"class {c.name} has non-positive order {o}")
             if sorted(pm) != list(range(o)):
                 raise TableInvariantError(f"power map of {c.name} is not keyed 0..{o - 1}")
             if pm[0] != ic or pm[1 % o] != j:

@@ -15,6 +15,7 @@ order of the group of `chain` when the pair lies in it and has its orbits
 (permgroup.known_order).  For c in C_G(x), <x, y^c> = <x, y>^c, and y^c and
 x*y^c = (xy)^c keep the orders of y and xy, so each search returns what a
 scan over every y returns: the first hit in scan order opens its own orbit.
+search_triple and translation_search prove generation the same way.
 
 Class systems are duck-typed: both permgroup.GroupClasses (element-indexed
 small groups) and symmchar.AnClassSystem (combinatorial A_n classes) work;
@@ -167,7 +168,8 @@ def search_triple(chain: StabilizerChain, cs, class_spec, a: int,
         xy = x * y
         if cs.class_of_images(xy.images) != target:
             continue
-        sub = build_chain([x.images, y.images], chain.degree)
+        gens = [x.images, y.images]
+        sub = build_chain(gens, chain.degree, within=known_order(gens, chain))
         if sub.order() == order:
             return (x, y, xy.inverse())
     return None
@@ -185,32 +187,31 @@ class LemmaConstruction:
     chain: StabilizerChain
 
 
-def _lemma_common(n, x, u, shift):
-    # w = "apply x first, then u" = the standard n-cycle
-    w = x * u
-    expected = tuple((i + 1) % n for i in range(n))
-    if w.images != expected:
+def _build_lemma(n: int, x: Permutation, u: Permutation, x_first: bool,
+                 shift: int, moved: int) -> LemmaConstruction:
+    """The construction behind Lemmas 4.2 and 4.3.  w = x*u (x applied
+    first) or u*x must be the standard n-cycle; s = w^shift commutes with w,
+    so for v = u^s and y = x^s the n-cycle is also y*v (or v*y), and since
+    u and v are disjoint products of transpositions, x (vu) y^-1 = 1 (or
+    y^-1 (vu) x = 1).  vu must be an involution moving `moved` points, and
+    x, y, both even, must generate A_n: their chain is proved against n!/2."""
+    w = x * u if x_first else u * x
+    if w.images != tuple((i + 1) % n for i in range(n)):
         raise AssertionError("construction broke: w is not the n-cycle")
     s = w ** shift
-    v = u.conj(s)
-    y = x.conj(s)
-    vu = u * v  # disjoint transposition products commute
-    # y^-1 (vu) x = 1 in apply-order x, then vu, then y^-1
-    t = x * vu * y.inverse()
-    if not t.is_identity():
-        raise AssertionError("construction broke: y^-1 (vu) x != 1")
-    return w, s, v, y, vu
-
-
-def _alternating_chain(n: int, x: Permutation, y: Permutation) -> StabilizerChain:
-    """Chain of <x, y>, checked to be A_n.  Both are even, so <x, y> lies in
-    A_n, and the chain is proved against its order n!/2."""
-    if x.sign() != 1 or y.sign() != 1:
-        raise AssertionError("x or y is an odd permutation")
+    v, y = u.conj(s), x.conj(s)
+    vu = u * v
+    triple = (x, vu, y.inverse()) if x_first else (y.inverse(), vu, x)
+    if not (triple[0] * triple[1] * triple[2]).is_identity():
+        raise AssertionError("construction broke: the triple's product is not 1")
+    if vu.support_size() != moved or not (vu * vu).is_identity():
+        raise AssertionError(f"vu is not an involution moving {moved} points")
+    if x.sign() != 1:  # y = x^s has the sign of x
+        raise AssertionError("x and y are odd permutations")
     chain = build_chain([x, y], within=factorial(n) // 2)
     if chain.order() != factorial(n) // 2:
         raise AssertionError("x, y do not generate the alternating group")
-    return chain
+    return LemmaConstruction(n, x, y, vu, triple, chain)
 
 
 def build_lemma42(n: int) -> LemmaConstruction:
@@ -220,16 +221,7 @@ def build_lemma42(n: int) -> LemmaConstruction:
         raise ValueError("build_lemma42 needs odd n >= 11")
     x = Permutation.from_cycles(n, [[1] + list(range(3, n))])   # (2 4 5 ... n)
     u = Permutation.from_cycles(n, [[0, 1], [2, 3]])            # (1 2)(3 4)
-    w, s, v, y, vu = _lemma_common(n, x, u, 4)
-    if v != Permutation.from_cycles(n, [[4, 5], [6, 7]]):
-        raise AssertionError("v != (5 6)(7 8)")
-    if x.cycle_type()[0] != n - 2 or y.cycle_type()[0] != n - 2:
-        raise AssertionError("x or y is not an (n-2)-cycle")
-    if vu.support_size() != 8 or (vu * vu) != Permutation.identity(n):
-        raise AssertionError("vu is not an involution moving 8 points")
-    chain = _alternating_chain(n, x, y)
-    triple = (x, vu, y.inverse())
-    return LemmaConstruction(n, x, y, vu, triple, chain)
+    return _build_lemma(n, x, u, True, 4, 8)
 
 
 def build_lemma43(n: int) -> LemmaConstruction:
@@ -237,28 +229,9 @@ def build_lemma43(n: int) -> LemmaConstruction:
     (n even, n >= 12)."""
     if n % 2 or n < 12:
         raise ValueError("build_lemma43 needs even n >= 12")
-    u = Permutation.from_cycles(n, [[0, 1], [2, 3], [4, 5]])
-    x = Permutation.from_cycles(n, [[0, 2, 4] + list(range(6, n))])
-    # in this variant the n-cycle is "apply u first, then x"
-    w = u * x
-    expected = tuple((i + 1) % n for i in range(n))
-    if w.images != expected:
-        raise AssertionError("construction broke: w is not the n-cycle")
-    s = w ** 6
-    v = u.conj(s)
-    y = x.conj(s)
-    vu = u * v
-    # here w = u*x and w = v*y (apply-left-first), so y^-1 v u x = 1
-    t = y.inverse() * vu * x
-    if not t.is_identity():
-        raise AssertionError("construction broke: y^-1 (vu) x != 1")
-    if x.cycle_type()[0] != n - 3 or y.cycle_type()[0] != n - 3:
-        raise AssertionError("x or y is not an (n-3)-cycle")
-    if vu.support_size() != 12 or not (vu * vu).is_identity():
-        raise AssertionError("vu is not an involution moving exactly 12 points")
-    chain = _alternating_chain(n, x, y)
-    triple = (y.inverse(), vu, x)
-    return LemmaConstruction(n, x, y, vu, triple, chain)
+    x = Permutation.from_cycles(n, [[0, 2, 4] + list(range(6, n))])  # (1 3 5 7 ... n)
+    u = Permutation.from_cycles(n, [[0, 1], [2, 3], [4, 5]])         # (1 2)(3 4)(5 6)
+    return _build_lemma(n, x, u, False, 6, 12)
 
 
 # -- translation lemma search --------------------------------------------------
@@ -278,8 +251,8 @@ def translation_search(chain: StabilizerChain, x: Permutation, y: Permutation,
         raise ValueError("xyz != 1")
     if d < 1:
         raise ValueError("d must be positive")
-    full = build_chain([x, y, z]).order()
-    if chain.order() != full:
+    gens = [x, y, z]
+    if build_chain(gens, chain.degree, within=known_order(gens, chain)).order() != chain.order():
         raise ValueError("x, y, z do not generate the group of the chain")
     if d == 1:
         return {"conjugators": [Permutation.identity(chain.degree)], "index": 1,
@@ -287,16 +260,18 @@ def translation_search(chain: StabilizerChain, x: Permutation, y: Permutation,
     if budget <= 0:
         return None
 
+    xd, yd = x ** d, y ** d
+    xdyd = xd * yd
+
     def try_conjugators(cs):
         zs = [z.conj(c) for c in cs]
-        prod = x ** d
-        prod = prod * (y ** d)
+        prod = xdyd
         for zi in zs:
             prod = prod * zi
         if not prod.is_identity():
             return None
-        gens = [x ** d, y ** d] + zs
-        sub = build_chain(gens, chain.degree)
+        gens = [xd, yd] + zs
+        sub = build_chain(gens, chain.degree, within=known_order(gens, chain))
         index = chain.order() // sub.order()
         if chain.order() % sub.order() == 0 and index <= d and d % index == 0:
             return {"conjugators": cs, "index": index, "elements": zs}

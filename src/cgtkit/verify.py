@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial, gcd
 
 from . import catalog
 from .classalg import covers, eps_a, n_a, triple_count, two_mth_powers
@@ -18,10 +19,9 @@ from .cyclotomic import sqrt_int
 from .fixspace import (catalog_module_rep, diagonal_tuple_fixed_dim,
                        neumann_scan, random_scott_tuples, scott_check,
                        tensor_power_min_ratio)
-from .gentriples import (beauville_search, build_lemma42, build_lemma43,
-                         enumerate_triples, search_triple, spread_class_check,
-                         two_subgroup_cover, union_cover_check)
-from .permgroup import conjugacy_classes
+from .gentriples import (_subgroup_elements, beauville_search, build_lemma42,
+                         build_lemma43, enumerate_triples, search_triple,
+                         spread_class_check, two_subgroup_cover, union_cover_check)
 from .symmchar import _an_class_system, an_pair_covers, an_table
 from .chartab import dixon_table, tables_equivalent
 from .sl2 import macbeath_cover
@@ -173,7 +173,6 @@ def suite_a10() -> VerifyReport:
 
 def suite_lemmas() -> VerifyReport:
     rep = VerifyReport("lemmas")
-    from math import factorial
     for n in range(11, 30, 2):
         t0 = time.perf_counter()
         c = build_lemma42(n)
@@ -330,10 +329,10 @@ PROP77_ORDERS = {7: (5, 7), 8: (3, 7), 9: (3, 7), 10: (5, 7), 11: (5, 11),
 def suite_crosscheck() -> VerifyReport:
     rep = VerifyReport("crosscheck")
     for n in (5, 6, 7, 8):
-        chain = _chain(f"A{n}")
+        cs = _cs(f"A{n}")
         t0 = time.perf_counter()
         ta = an_table(n)
-        td = dixon_table(conjugacy_classes(chain), f"A{n}")
+        td = dixon_table(cs, f"A{n}")
         rep.add(f"crosscheck.A{n}_tables", True, tables_equivalent(ta, td), t0)
     for n, (o1, o2) in PROP77_ORDERS.items():
         cs = _an_class_system(n)
@@ -409,7 +408,6 @@ def suite_section8(seed: int = DEFAULT_SEED) -> VerifyReport:
     chain, cs = _chain("SL3(2)"), _cs("SL3(2)")
     t0 = time.perf_counter()
     stabs = catalog.sl32_transvection_cover_subgroups()
-    from .gentriples import _subgroup_elements
     sets = [_subgroup_elements(chain, gens)[0] for gens in stabs]
     transvections = cs.class_named("2a")
     covered3 = union_cover_check(cs, transvections, sets)
@@ -428,7 +426,6 @@ def suite_section8(seed: int = DEFAULT_SEED) -> VerifyReport:
         ok = got is not None
         if ok:
             (x1, y1), (x2, y2) = got
-            from math import gcd
             t1 = (x1.order(), y1.order(), (x1 * y1).order())
             t2 = (x2.order(), y2.order(), (x2 * y2).order())
             ok = all(gcd(a, b) == 1 for a in t1 for b in t2)

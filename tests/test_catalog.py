@@ -5,6 +5,7 @@ import pytest
 
 from cgtkit import catalog, symmchar
 from cgtkit.chartab import tables_equivalent
+from cgtkit.perms import parse_perm
 
 
 def test_load_group_reference_orders():
@@ -114,6 +115,49 @@ def test_catalog_names_cover_spec_list():
     for want in ("A5", "A20", "S18", "L2(32)", "SL2(32)", "M11", "M12",
                  "M22", "J1", "J2", "U3(3)", "Sz(8)", "SL3(2)"):
         assert want in names
+
+
+def _loads(name):
+    try:
+        catalog.load_group(name)
+    except KeyError:
+        return False
+    return True
+
+
+def test_catalog_names_are_exactly_the_loadable_groups():
+    # one scan per family, wider than its range on both sides
+    scanned = [f"{family}{k}" for family in ("A", "S") for k in range(25)]
+    scanned += [f"{family}({q})" for family in ("L2", "SL2") for q in range(40)]
+    loadable = [name for name in scanned if _loads(name)]
+    assert loadable + list(catalog.STORED_GROUPS) == catalog.catalog_names()
+    assert {"A3", "A4", "S2"} <= set(loadable)
+
+
+@pytest.mark.parametrize("name", ["L2(6)", "SL2(10)"])
+def test_non_prime_power_q_is_unknown(name):
+    # not a ValueError from the field constructor
+    with pytest.raises(KeyError, match="unknown group"):
+        catalog.load_group(name)
+
+
+def test_maximal_subgroup_generators_are_the_verified_ones(tmp_path, monkeypatch):
+    checked = {}
+    verified = catalog._verified
+
+    def recording(spec):
+        checked[spec.name] = spec.maximal_subgroups
+        return verified(spec)
+
+    monkeypatch.setattr(catalog, "_verified", recording)
+    monkeypatch.setenv("CGT_DATA_DIR", str(tmp_path))  # a fresh session key
+    for name in ("A5", "A6", "L2(7)"):
+        maximals = catalog.maximal_subgroup_generators(name)
+        degree = catalog.load_group(name)[0].degree
+        assert maximals.keys() == catalog.MAXIMAL_SUBGROUPS[name].keys() == checked[name].keys()
+        for sub, gens in maximals.items():
+            assert gens is checked[name][sub]
+            assert gens == [parse_perm(s, degree) for s in catalog.MAXIMAL_SUBGROUPS[name][sub]]
 
 
 @pytest.mark.slow

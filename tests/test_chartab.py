@@ -271,6 +271,18 @@ def test_non_positive_class_size_is_refused():
         CharacterTable.from_json(obj)
 
 
+@pytest.mark.parametrize("order", [0, -3])
+def test_non_positive_class_order_is_refused(order):
+    # refused before the power map is read: with an empty map, range(0)
+    # would pass the keyed-0..o-1 test and then fail at pm[0] with KeyError
+    obj = catalog.character_table("A5").to_json()
+    c = next(c for c in obj["classes"] if c["name"] == "2+2+1")
+    c["rep_order"], c["power_map"] = order, {}
+    with pytest.raises(TableInvariantError,
+                       match=rf"class 2\+2\+1 has non-positive order {order}"):
+        CharacterTable.from_json(obj)
+
+
 def test_corrupt_stored_power_maps_are_refused():
     # a missing entry would surface later as a KeyError, and a wrong class of
     # the right kind as silently wrong eigenspace multiplicities

@@ -153,6 +153,19 @@ def test_zero_class_size_in_a_table_file_exit_code(capsys, tmp_path):
     assert err.startswith("error: class 2+2+1 has non-positive size 0")
 
 
+def test_zero_class_order_in_a_table_file_exit_code(capsys, tmp_path):
+    obj = catalog.character_table("A5").to_json()
+    c = next(c for c in obj["classes"] if c["name"] == "2+2+1")
+    c["rep_order"], c["power_map"] = 0, {}
+    (tmp_path / "tables").mkdir()
+    (tmp_path / "tables" / catalog._table_filename("A5")).write_text(json.dumps(obj))
+    code = main(["na", "--group", "A5", "--class", "5a", "--a", "1",
+                 "--data-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: class 2+2+1 has non-positive order 0")
+
+
 @pytest.mark.parametrize("before", [None, "/no/such/dir"])
 def test_data_dir_applies_to_one_command(capsys, tmp_path, monkeypatch, before):
     shutil.copytree(catalog.data_dir() / "groups", tmp_path / "groups")
