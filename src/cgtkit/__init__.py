@@ -8,8 +8,8 @@ searches, product-of-classes coverage, and fixed-point-space bounds.
 Everything is exact; there are no numerical tolerances anywhere.
 """
 
-from .cyclotomic import BigRational, Cyclotomic, sqrt_int, zeta
-from .finitefield import FFElement, FiniteField, conway_polynomial
+from .cyclotomic import Cyclotomic, sqrt_int, zeta
+from .finitefield import FiniteField, conway_polynomial
 from .fflinalg import FFMatrix, ff_rank, ff_simultaneous_eigenspaces
 from .perms import Permutation, parse_perm
 from .permgroup import (ConjClassData, StabilizerChain, build_chain,

@@ -34,7 +34,7 @@ from .zsigmondy import is_prime_power
 __all__ = ["GroupSpec", "load_group", "character_table", "class_system",
            "save_table", "load_table", "maximal_subgroup_generators",
            "sl32_transvection_cover_subgroups", "known_class_count",
-           "catalog_names", "data_dir"]
+           "verify_integrity", "catalog_names", "data_dir"]
 
 _PACKAGE_DATA = Path(__file__).parent / "data"
 
@@ -137,6 +137,16 @@ def catalog_names():
     return list(_MEMBERS) + list(STORED_GROUPS)
 
 
+def _member(name: str):
+    """(builder, parameter) of a family member, (None, None) for a stored
+    group; any other name is a KeyError."""
+    if name in _MEMBERS:
+        return _MEMBERS[name]
+    if name not in STORED_GROUPS:
+        raise KeyError(f"unknown group {name!r}; known: {', '.join(catalog_names())}")
+    return None, None
+
+
 def _normalize(name: str) -> str:
     s = name.strip()
     key = s.upper().replace(" ", "")
@@ -152,15 +162,13 @@ def load_group(name: str, data: str | os.PathLike | None = None):
 
 @lru_cache(maxsize=None)
 def _load_group(name: str, directory: Path):
-    if name in _MEMBERS:
-        make, k = _MEMBERS[name]
+    make, k = _member(name)
+    if make:
         degree, gens, order = make(k)
         nclasses = None
-    elif name in STORED_GROUPS:
+    else:
         fname, order, nclasses = STORED_GROUPS[name]
         degree, gens = parse_perm_file((directory / "groups" / fname).read_text())
-    else:
-        raise KeyError(f"unknown group {name!r}; known: {', '.join(catalog_names())}")
     maximals = {sub: [parse_perm(s, degree) for s in strs]
                 for sub, strs in MAXIMAL_SUBGROUPS.get(name, {}).items()}
     return _verified(GroupSpec(name, degree, gens, order, maximals, nclasses))
@@ -214,10 +222,10 @@ def class_system(name: str, data=None):
 
 @lru_cache(maxsize=None)
 def _class_system(name: str, directory: Path):
-    m = re.fullmatch(r"A(\d+)", name)
-    if m and int(m.group(1)) >= 9:
+    make, k = _member(name)
+    if make is _alternating and k >= 9:
         from .symmchar import _an_class_system
-        return _an_class_system(int(m.group(1)))
+        return _an_class_system(k)
     return conjugacy_classes(load_group(name, directory)[1])
 
 
@@ -231,20 +239,19 @@ def character_table(name: str, data=None, use_file_cache: bool = True) -> Charac
 
 @lru_cache(maxsize=None)
 def _character_table(name: str, directory: Path, from_file: bool) -> CharacterTable:
+    make, k = _member(name)
     if from_file:
         path = directory / "tables" / _table_filename(name)
         table = load_table(path)
         if table.group_name != name:
             raise AssertionError(f"table file {path} holds {table.group_name}")
         return table
-    m = re.fullmatch(r"A(\d+)", name)
-    if m:
+    if make is _alternating:
         from .symmchar import an_table
-        return an_table(int(m.group(1)))
-    m = re.fullmatch(r"S(\d+)", name)
-    if m:
+        return an_table(k)
+    if make is _symmetric:
         from .symmchar import sn_table
-        return sn_table(int(m.group(1)))
+        return sn_table(k)
     return dixon_table(class_system(name, directory), name)
 
 

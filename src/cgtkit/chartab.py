@@ -79,9 +79,6 @@ class CharacterTable(ClassSystem):
                 return i
         raise TableInvariantError("no identity class present")
 
-    def value(self, char_index: int, class_index: int) -> Cyclotomic:
-        return self.values[char_index][class_index]
-
     def linear_characters(self) -> list:
         ic = self._identity_col()
         return [i for i, row in enumerate(self.values) if row[ic] == Cyclotomic.one()]
@@ -92,8 +89,9 @@ class CharacterTable(ClassSystem):
         """Exact invariants; TableInvariantError if one fails.  A class's stored
         power map must be keyed 0..o-1, o its order, start at the identity and
         the class, and send t to a class of order o / gcd(t, o).  A swap of two
-        classes of one order passes: catching it needs a Galois check on the
-        values, about as costly as Dixon's lift, so it is left out.
+        classes of one order in the power maps passes: no check here ties the
+        power maps to the values, which a Galois check,
+        sigma_a(chi(x)) = chi(x^a), would do.
 
         One orthogonality pass, the column relations, stands for both.  Let X
         be the k x k value matrix (rows the characters, columns the classes)
@@ -235,14 +233,16 @@ def dixon_prime(order: int, exponent: int, skip: int = 0) -> int:
         k += 1
 
 
-def dixon_table(source, group_name: str | None = None,
-                max_prime_retries: int = 4) -> CharacterTable:
+_MAX_PRIME_RETRIES = 4  # Dixon primes tried before dixon_table gives up
+
+
+def dixon_table(source, group_name: str | None = None) -> CharacterTable:
     """Character table of the group behind `source` (chain or GroupClasses)."""
     gc = source if isinstance(source, GroupClasses) else conjugacy_classes(source)
     name = group_name or f"G{gc.order}"
     e = gc.exponent()
     last_err = None
-    for attempt in range(max_prime_retries):
+    for attempt in range(_MAX_PRIME_RETRIES):
         p = dixon_prime(gc.order, e, skip=attempt)
         try:
             return _dixon_with_prime(gc, name, e, p)

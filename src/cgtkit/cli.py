@@ -89,7 +89,6 @@ def build_parser():
     p = sub.add_parser("scott", help="Scott inequality on a generating tuple")
     p.add_argument("--group", required=True)
     p.add_argument("--rep", required=True, help="e.g. std4 or nat")
-    p.add_argument("--triple", default="auto")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
 
@@ -219,9 +218,6 @@ def cmd_lemma(args, builder) -> int:
 
 def cmd_scott(args) -> int:
     module = catalog_module_rep(f"{args.group}:{args.rep}")
-    if args.triple != "auto":
-        print("only --triple auto is supported", file=sys.stderr)
-        return 2
     tup = random_scott_tuples(module, 1, r=3, seed=args.seed)[0]
     res = scott_check(module, tup)
     res["seed"] = args.seed

@@ -34,9 +34,7 @@ from math import gcd, lcm
 
 from ._ntheory import factorize
 
-BigRational = Fraction
-
-__all__ = ["BigRational", "Cyclotomic", "zeta", "sqrt_int", "sum_of_products"]
+__all__ = ["Cyclotomic", "zeta", "sqrt_int", "sum_of_products"]
 
 
 @lru_cache(maxsize=None)
@@ -179,9 +177,6 @@ class Cyclotomic:
         if self.den != 1:
             raise ValueError(f"not an integer: {self}")
         return self.num.get(0, 0)
-
-    def is_real(self) -> bool:
-        return self.conj() == self
 
     # -- arithmetic --------------------------------------------------------
 

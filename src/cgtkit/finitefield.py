@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from ._ntheory import factorize, is_prime, primitive_root
 
-__all__ = ["FiniteField", "FFElement", "conway_polynomial"]
+__all__ = ["FiniteField", "conway_polynomial"]
 
 _LOG_TABLE_LIMIT = 1 << 16
 
@@ -314,74 +314,6 @@ class FiniteField:
     def elements(self):
         return range(self.q)
 
-    def __call__(self, code: int) -> "FFElement":
-        return FFElement(self, code % self.q if code >= 0 else code % self.q)
-
     def __repr__(self):
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
 
-
-class FFElement:
-    """A field element: thin immutable wrapper over (field, code)."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: FiniteField, code: int):
-        self.field = field
-        self.code = code
-
-    def _check(self, other):
-        if isinstance(other, int):
-            return FFElement(self.field, other % self.field.p)
-        if not isinstance(other, FFElement) or other.field is not self.field:
-            raise ValueError("field mismatch")
-        return other
-
-    def __add__(self, other):
-        o = self._check(other)
-        return FFElement(self.field, self.field.add(self.code, o.code))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FFElement(self.field, self.field.neg(self.code))
-
-    def __sub__(self, other):
-        o = self._check(other)
-        return FFElement(self.field, self.field.sub(self.code, o.code))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._check(other)
-        return FFElement(self.field, self.field.mul(self.code, o.code))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._check(other)
-        return FFElement(self.field, self.field.mul(self.code, self.field.inv(o.code)))
-
-    def __pow__(self, n):
-        return FFElement(self.field, self.field.pow(self.code, n))
-
-    def inv(self):
-        return FFElement(self.field, self.field.inv(self.code))
-
-    def frobenius(self):
-        return FFElement(self.field, self.field.frobenius(self.code))
-
-    def is_zero(self):
-        return self.code == 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.code == other % self.field.p and self.field.k >= 1 and (other % self.field.p) == self.code
-        return isinstance(other, FFElement) and other.field is self.field and other.code == self.code
-
-    def __hash__(self):
-        return hash((id(self.field), self.code))
-
-    def __repr__(self):
-        return f"{self.field}({self.code})"

@@ -24,6 +24,9 @@ __all__ = ["ModuleRep", "fixed_dim_ff", "scott_check", "random_scott_tuples",
            "eigdims_from_character", "neumann_scan", "tensor_power_min_ratio",
            "property_e_witness"]
 
+_SPOT_CHECK_WORDS = 12
+_SPOT_CHECK_SEED = 11
+
 
 @dataclass
 class ModuleRep:
@@ -49,15 +52,16 @@ class ModuleRep:
         self._perm_inverses = [g.inverse() for g in self.chain.generators]
         self._matrix_inverses = [m.inverse() for m in self.matrices]
 
-    def _spot_check(self, samples: int = 12, seed: int = 11):
+    def _spot_check(self):
         """Orders of words must agree between matrices and permutations:
-        every generator and generator pair, plus random words."""
-        rng = random.Random(seed)
+        every generator and generator pair, plus _SPOT_CHECK_WORDS random
+        words."""
+        rng = random.Random(_SPOT_CHECK_SEED)
         k = len(self.chain.generators)
         words = [[i] for i in range(k)]
         words += [[i, j] for i in range(k) for j in range(k)]
         words += [[rng.randrange(k) for _ in range(rng.randrange(2, 8))]
-                  for _ in range(samples)]
+                  for _ in range(_SPOT_CHECK_WORDS)]
         ident = FFMatrix.identity(self.field, self.dim)
         for word in words:
             p = self.perm_of_word(word)
@@ -256,6 +260,8 @@ def tensor_power_min_ratio(table: CharacterTable, char_index: int, m: int) -> di
     Each tuple's fixed dimension comes from `_tuple_fixed_dim`; symmetry
     over the factors reduces tuples to multisets.
     """
+    if m < 1:
+        raise ValueError(f"tensor power m = {m} must be at least 1")
     if m > MAX_M:
         raise ValueError(f"m = {m} beyond the tuple-scan budget {MAX_M}")
     deg = table.degrees[char_index]
@@ -283,6 +289,8 @@ def diagonal_tuple_fixed_dim(table: CharacterTable, char_index: int,
                              class_name: str, m: int) -> int:
     """Fixed dimension of the diagonal tuple (h, ..., h) on the m-fold
     tensor power."""
+    if m < 1:
+        raise ValueError(f"tensor power m = {m} must be at least 1")
     j = table.class_named(class_name)
     return _tuple_fixed_dim(table, table.values[char_index], (j,) * m)
 

@@ -237,14 +237,11 @@ def build_lemma43(n: int) -> LemmaConstruction:
 # -- translation lemma search --------------------------------------------------
 
 def translation_search(chain: StabilizerChain, x: Permutation, y: Permutation,
-                       z: Permutation, d: int, seed: int = 0,
-                       budget: int = DEFAULT_BUDGET):
-    """Find conjugates z_1..z_d of z with x^d y^d z_1...z_d = 1 generating a
-    subgroup of index dividing d.
+                       z: Permutation, d: int):
+    """Conjugates z_i = z^(y^(d-i)), i = 1..d, of z with x^d y^d z_1...z_d = 1,
+    when with x^d and y^d they generate a subgroup of index dividing d.
 
-    The deterministic choice z_i = z^(y^(d-i)) always satisfies the product
-    identity; random conjugator tuples are tried afterwards if the index
-    condition fails.  Returns {"conjugators": [...], "index": k} or None
+    Returns {"conjugators": [...], "index": k, "elements": [...]} or None
     (inconclusive).
     """
     if not (x * y * z).is_identity():
@@ -257,40 +254,19 @@ def translation_search(chain: StabilizerChain, x: Permutation, y: Permutation,
     if d == 1:
         return {"conjugators": [Permutation.identity(chain.degree)], "index": 1,
                 "elements": [z]}
-    if budget <= 0:
-        return None
-
     xd, yd = x ** d, y ** d
-    xdyd = xd * yd
-
-    def try_conjugators(cs):
-        zs = [z.conj(c) for c in cs]
-        prod = xdyd
-        for zi in zs:
-            prod = prod * zi
-        if not prod.is_identity():
-            return None
-        gens = [xd, yd] + zs
-        sub = build_chain(gens, chain.degree, within=known_order(gens, chain))
-        index = chain.order() // sub.order()
-        if chain.order() % sub.order() == 0 and index <= d and d % index == 0:
-            return {"conjugators": cs, "index": index, "elements": zs}
+    cs = [y ** (d - i) for i in range(1, d + 1)]
+    zs = [z.conj(c) for c in cs]
+    prod = xd * yd
+    for zi in zs:
+        prod = prod * zi
+    if not prod.is_identity():
         return None
-
-    det = [y ** (d - i) for i in range(1, d + 1)]
-    got = try_conjugators(det)
-    if got:
-        return got
-    rng = random.Random(seed)
-    for _ in range(budget):
-        cs = [chain.random_element(rng) for _ in range(d - 1)]
-        # the product identity needs zs product = (x^d y^d)^-1; c_d is not
-        # solved for: one more random element is drawn, and the whole
-        # tuple is tested as it stands
-        cs.append(chain.random_element(rng))
-        got = try_conjugators(cs)
-        if got:
-            return got
+    gens = [xd, yd] + zs
+    sub = build_chain(gens, chain.degree, within=known_order(gens, chain))
+    index = chain.order() // sub.order()
+    if chain.order() % sub.order() == 0 and index <= d and d % index == 0:
+        return {"conjugators": cs, "index": index, "elements": zs}
     return None
 
 

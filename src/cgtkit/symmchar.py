@@ -186,28 +186,6 @@ def type_name(mu: tuple) -> str:
     return "+".join(str(p) for p in mu)
 
 
-def align_sign(perm: Permutation, mu: tuple) -> int:
-    """Sign of a conjugator carrying canonical_rep(mu) to perm.
-
-    Only valid when mu has pairwise distinct parts (the split situation),
-    where the conjugator's sign is independent of the choices made.
-    """
-    n = perm.degree
-    rep = canonical_rep(mu, n)
-    by_len_perm = {}
-    for c in perm.cycles(include_fixed=True):
-        mn = min(c)
-        i = c.index(mn)
-        by_len_perm[len(c)] = c[i:] + c[:i]
-    images = [0] * n
-    for c in rep.cycles(include_fixed=True):
-        target = by_len_perm[len(c)]
-        for a, b in zip(c, target):
-            images[a] = b
-    sigma = Permutation(images)
-    return sigma.sign()
-
-
 def _flat_images(rows: np.ndarray) -> np.ndarray:
     """Image rows as intp indices into the raveled rows: point i of row r
     is r*n + i.  Then row r of P^j is the take of row r of P^(j-1) from
@@ -239,7 +217,9 @@ def _point_cycle_lengths(rows: np.ndarray) -> np.ndarray:
 
 
 def _aligns_evenly(rows: np.ndarray, mu: tuple) -> np.ndarray:
-    """align_sign(row, mu) == 1, row by row, for rows of a split type mu.
+    """Whether a conjugator carrying canonical_rep(mu) to the row is even,
+    row by row, for rows of a split type mu (the sign does not depend on
+    the conjugator chosen).
 
     The aligning conjugator sends the points of canonical_rep(mu)'s m-cycle
     to the row's m-cycle read from its least point, which is the first
@@ -360,7 +340,8 @@ class AnClassSystem(ClassSystem):
         mu = p.cycle_type()
         if (mu, "") in self._index:
             return self._index[(mu, "")]
-        letter = "a" if align_sign(p, mu) == 1 else "b"
+        even = _aligns_evenly(np.array([p.images], dtype=np.int8), mu)[0]
+        letter = "a" if even else "b"
         return self._index[(mu, letter)]
 
     def _class_chunks(self, k: int):

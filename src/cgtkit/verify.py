@@ -190,15 +190,15 @@ def suite_lemmas() -> VerifyReport:
 
 # -- criterion 5 ---------------------------------------------------------------
 
-def suite_smalln(seed: int = DEFAULT_SEED) -> VerifyReport:
-    rep = VerifyReport("smalln", seed)
+def suite_smalln() -> VerifyReport:
+    rep = VerifyReport("smalln")
     targets = [("A5", "5a"), ("A6", "5a"), ("A7", "7a"), ("A8", "7a"),
                ("A9", "7a"), ("A10", "7a")]
     for name, cname in targets:
         chain, cs = _chain(name), _cs(name)
         t0 = time.perf_counter()
         # a = -1: the witness triple (x, y, (xy)^-1) lies entirely inside C
-        w = search_triple(chain, cs, cname, -1, seed=seed)
+        w = search_triple(chain, cs, cname, -1, seed=DEFAULT_SEED)
         ok = w is not None
         if ok:
             x, y, z = w
@@ -273,8 +273,8 @@ NEUMANN_GROUPS = (
 SCOTT_REPS = ["A5:std4", "SL2(4):nat", "SL2(8):nat", "SL3(2):nat"]
 
 
-def suite_neumann(seed: int = DEFAULT_SEED) -> VerifyReport:
-    rep = VerifyReport("neumann", seed)
+def suite_neumann() -> VerifyReport:
+    rep = VerifyReport("neumann")
     for name in NEUMANN_GROUPS:
         table = _table(name)
         t0 = time.perf_counter()
@@ -284,7 +284,7 @@ def suite_neumann(seed: int = DEFAULT_SEED) -> VerifyReport:
     per_rep = 25
     for spec in SCOTT_REPS:
         module = catalog_module_rep(spec)
-        tuples = random_scott_tuples(module, per_rep, r=3, seed=seed)
+        tuples = random_scott_tuples(module, per_rep, r=3, seed=DEFAULT_SEED)
         for tup in tuples:
             if not scott_check(module, tup)["ok"]:
                 failures += 1
@@ -387,8 +387,8 @@ def suite_powers() -> VerifyReport:
 
 # -- criterion 12 --------------------------------------------------------------
 
-def suite_section8(seed: int = DEFAULT_SEED) -> VerifyReport:
-    rep = VerifyReport("section8", seed)
+def suite_section8() -> VerifyReport:
+    rep = VerifyReport("section8")
     for name, cname in [("A5", "5a"), ("A7", "7a"), ("M11", "11a")]:
         chain, cs = _chain(name), _cs(name)
         t0 = time.perf_counter()

@@ -141,6 +141,14 @@ def test_non_prime_power_q_is_unknown(name):
         catalog.load_group(name)
 
 
+@pytest.mark.parametrize("name", ["A05", "S0", "S1"])
+def test_tables_and_class_systems_refuse_names_outside_the_catalog(name):
+    with pytest.raises(KeyError, match="unknown group"):
+        catalog.character_table(name)
+    with pytest.raises(KeyError, match="unknown group"):
+        catalog.class_system(name)
+
+
 def test_maximal_subgroup_generators_are_the_verified_ones(tmp_path, monkeypatch):
     checked = {}
     verified = catalog._verified

@@ -54,9 +54,17 @@ def test_dixon_retries_with_the_next_prime(monkeypatch):
 
 
 def test_dixon_gives_up_after_max_prime_retries(monkeypatch):
-    monkeypatch.setattr(chartab, "dixon_prime", lambda order, exponent, skip=0: 7)
+    tried = []
+
+    def prime(order, exponent, skip=0):
+        tried.append(skip)
+        return 7
+
+    monkeypatch.setattr(chartab, "dixon_prime", prime)
+    monkeypatch.setattr(chartab, "_MAX_PRIME_RETRIES", 3)
     with pytest.raises(SplitFailure, match="Dixon splitting failed for A5"):
-        dixon_table(_gc("A5"), "A5", max_prime_retries=3)
+        dixon_table(_gc("A5"), "A5")
+    assert tried == list(range(chartab._MAX_PRIME_RETRIES))
 
 
 def _retry_after(monkeypatch, name, corrupt_family=None, corrupt_spaces=None):

@@ -96,6 +96,11 @@ def test_tensorpower(capsys):
     assert json.loads(out)["min_ratio"] == "1/5"
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_tensorpower_below_one_exit_code(capsys, m):
+    assert run(capsys, "tensorpower", "--base", "A5:5dim", "--m", m)[0] == 2
+
+
 def test_macbeath(capsys):
     code, out = run(capsys, "macbeath", "--q", "11", "--order", "5", "--json")
     assert code == 0
@@ -112,8 +117,7 @@ def test_searchtriple_seed_echo(capsys):
 
 
 def test_scott_cli(capsys):
-    code, out = run(capsys, "scott", "--group", "A5", "--rep", "std4",
-                    "--triple", "auto", "--json")
+    code, out = run(capsys, "scott", "--group", "A5", "--rep", "std4", "--json")
     assert code == 0
     obj = json.loads(out)
     assert obj["ok"] and obj["seed"] == 0
@@ -138,6 +142,11 @@ def test_chartab_save(capsys, tmp_path):
 def test_unknown_group_exit_code(capsys):
     code, _ = run(capsys, "na", "--group", "Nope", "--class", "1a", "--a", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["A05", "S0", "S1"])
+def test_chartab_refuses_names_outside_the_catalog(capsys, name):
+    assert run(capsys, "chartab", "--group", name)[0] == 2
 
 
 def test_zero_class_size_in_a_table_file_exit_code(capsys, tmp_path):

@@ -211,6 +211,16 @@ def test_tensor_power_reference_values():
         tensor_power_min_ratio(t, i5, 7)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_tensor_power_below_one_is_refused(m):
+    t = catalog.character_table("A5")
+    i5 = t.degrees.index(5)
+    with pytest.raises(ValueError, match="at least 1"):
+        tensor_power_min_ratio(t, i5, m)
+    with pytest.raises(ValueError, match="at least 1"):
+        diagonal_tuple_fixed_dim(t, i5, "2+2+1", m)
+
+
 def test_property_e_witness():
     t11 = catalog.character_table("M11")
     w = property_e_witness(t11)

@@ -13,8 +13,8 @@ from cgtkit.perms import Permutation, _mul
 from cgtkit.permgroup import build_chain, conjugacy_classes
 from cgtkit import catalog, symmchar
 from cgtkit.symmchar import (AnClassSystem, SnClassSystem, _aligns_evenly, _jacobi,
-                             _power_fixed_points, _type_rows, align_sign, an_pair_covers, an_table,
-                             class_size_sn, hook_degree, mn_value, partitions, sn_table,
+                             _power_fixed_points, _type_rows, an_pair_covers, an_table,
+                             canonical_rep, class_size_sn, hook_degree, mn_value, partitions, sn_table,
                              splits_in_an)
 
 
@@ -204,6 +204,14 @@ def test_an_class_membership_and_split_sign():
     assert cs.power_class(i7a, -1) == i7b
 
 
+@pytest.mark.parametrize("n", range(5, 10))
+def test_every_split_class_element_classifies_back(n):
+    cs = AnClassSystem(n)
+    for k, c in enumerate(cs.classes):
+        if c.split_letter:
+            assert all(cs.class_of_images(y) == k for y in cs.iter_class_images(k)), c.name
+
+
 def test_an_table_equals_dixon_small():
     for n in (5, 6):
         ta = an_table(n)
@@ -336,6 +344,22 @@ def test_centralizer_generators_generate_the_centralizer(n):
             assert g.sign() == 1 and x * g == g * x
         order = build_chain(gens, n).order() if gens else 1
         assert order == cs.group_order // c.size, c.name
+
+
+def align_sign(perm: Permutation, mu: tuple) -> int:
+    """Sign of a conjugator carrying canonical_rep(mu) to perm, for mu with
+    distinct parts (the split case), where it does not depend on the
+    choice: the reference for _aligns_evenly."""
+    n = perm.degree
+    by_len_perm = {}
+    for c in perm.cycles(include_fixed=True):
+        i = c.index(min(c))
+        by_len_perm[len(c)] = c[i:] + c[:i]
+    images = [0] * n
+    for c in canonical_rep(mu, n).cycles(include_fixed=True):
+        for a, b in zip(c, by_len_perm[len(c)]):
+            images[a] = b
+    return Permutation(images).sign()
 
 
 def test_vectorized_split_half_matches_align_sign(monkeypatch):
