@@ -146,10 +146,6 @@ class FFMatrix:
         F = self.field
         return self.map_entries(lambda a: F.pow(a, F.p ** times))
 
-    def change_field(self, big: FiniteField) -> "FFMatrix":
-        F = self.field
-        return FFMatrix(big, [[F.embed(a, big) for a in row] for row in self.data])
-
     # -- elimination -------------------------------------------------------
 
     def rref(self):

@@ -32,9 +32,11 @@ gcd(m, t) cycles of length m / gcd(m, t).  In A_n that type splits only
 when t is prime to the order; then x^t is conjugate to x by i -> t*i on
 each m-cycle, whose sign is the Jacobi symbol (t/m), so x^t keeps its
 letter iff the product of (t/m) over the parts is 1.  Class elements come
-as int8 row chunks (_type_rows): each chunk's flat cycle tuples are made in
-C by itertools.permutations for the last cycle and scattered into image
-rows in one numpy step, so no class is ever held whole.
+as int8 row chunks (_type_rows): their flat cycle tuples are built one
+position at a time on arrays, depth first over blocks of at most
+_BLOCK_ROWS rows (plus one prefix's children), and each finished block
+is scattered into image rows and sliced into chunks, so no class is ever
+held whole.
 
 The brute-force scan for products x*y in a target class (of type mu) is a
 sieve on the fixed points of powers: P has type mu iff, for j = 1..max(mu),
@@ -52,7 +54,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, gcd, prod
 from typing import NamedTuple
-import itertools
 
 import numpy as np
 
@@ -447,53 +448,96 @@ def _jacobi(t: int, m: int) -> int:
     return sign if m == 1 else 0
 
 
-# rows per chunk of _type_rows (A10 7a: 11 chunks of 80 KB)
+# rows per chunk of _type_rows, at most: each finished block is sliced into
+# chunks, so a chunk may be shorter (A10 7a: 14 chunks of 80 KB or less)
 _CHUNK_ROWS = 8192
+# children per working block of _type_rows: a level that would pass it is
+# split, so a block holds at most this many plus one prefix's children
+_BLOCK_ROWS = 8192
 
 
 def _type_rows(n: int, mu: tuple):
     """All elements of cycle type mu (fixed points implied by mu) as int8
     arrays of image rows, at most _CHUNK_ROWS rows each.
 
-    Each cycle is written starting from its minimal point (so the other
-    entries are drawn from larger points only), and cycles of equal length
-    carry increasing starts; both rules kill duplicates.  Python recursion
-    places every cycle but the last; the last comes, for all its choices at
-    once, from itertools.permutations, so each element is one flat tuple of
-    its cycles' points made in C.  Each chunk of those tuples becomes image
-    rows in one numpy scatter.
+    Each element is a flat tuple of its cycles' points.  Each cycle is
+    written starting from its minimal point (so the other entries are drawn
+    from larger points only), and cycles of equal length carry increasing
+    starts; both rules kill duplicates.
+
+    The tuples are built one position at a time on arrays.  A level holds
+    int8 prefixes and a mask of the points each has still free, and
+    extends every prefix by np.nonzero of the points allowed next: inside a
+    cycle, a free point above the cycle's start; at a cycle's start, any
+    free point, above the previous start when the two cycles have the same
+    length.  np.nonzero walks row by row, so the tuples come out in
+    lexicographic order.  The levels run depth first over blocks: a level
+    whose children would pass _BLOCK_ROWS splits its prefixes by the
+    running sum of their child counts and finishes each group in turn.
+    Each finished block becomes image rows (one scatter per column) and is
+    sliced into chunks.
     """
     parts = [p for p in mu if p > 1]
     if not parts:
         yield np.arange(n, dtype=np.int8)[None, :]
         return
-    # column j of a flat cycle tuple is sent to the point in column succ[j]
-    succ = []
-    for m in parts:
-        succ += [len(succ) + j for j in range(1, m)] + [len(succ)]
+    # column j of a flat cycle tuple is sent to the point in column succ[j];
+    # the point in column j must exceed the one in column low[j] (-1: any)
+    succ, low = [], []
+    for i, m in enumerate(parts):
+        first = len(succ)
+        succ += [first + j for j in range(1, m)] + [first]
+        low += [first - m if i and parts[i - 1] == m else -1] + [first] * (m - 1)
+    points = np.arange(n, dtype=np.int8)
+    # groups and extend are functions of their own so that their temporaries
+    # (the counts, np.nonzero's intp indices) are freed before the levels
+    # below run: the stack holds only each level's prefixes and free masks
 
-    def cycle_tuples(prefix, remaining, parts_left, prev_len, prev_start):
-        length = parts_left[0]
-        for start in sorted(remaining):
-            if length == prev_len and start <= prev_start:
-                continue
-            larger = sorted(p for p in remaining if p > start)
-            others = itertools.permutations(larger, length - 1)
-            head = prefix + (start,)
-            if len(parts_left) == 1:
-                yield map(head.__add__, others)
-                continue
-            for rest in others:
-                yield from cycle_tuples(head + rest, remaining - {start, *rest},
-                                        parts_left[1:], length, start)
+    def allowed(prefixes, free):
+        # the points each prefix may take next
+        j = low[prefixes.shape[1]]
+        return free if j < 0 else free & (points > prefixes[:, j, None])
 
-    flat = itertools.chain.from_iterable(cycle_tuples((), set(range(n)), parts, -1, -1))
-    while len(seqs := np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(flat, _CHUNK_ROWS)),
-            dtype=np.int8).reshape(-1, len(succ))):
-        rows = np.tile(np.arange(n, dtype=np.int8), (len(seqs), 1))
-        rows[np.arange(len(seqs))[:, None], seqs] = seqs[:, succ]
-        yield rows
+    def groups(prefixes, free):
+        # prefix i's first child sits at offsets[i], the running sum of the
+        # child counts before it; the prefixes whose first children fall in
+        # one stretch of _BLOCK_ROWS go on together
+        nexts = allowed(prefixes, free)
+        if np.count_nonzero(nexts) <= _BLOCK_ROWS:
+            return [0, len(prefixes)]
+        counts = np.count_nonzero(nexts, axis=1)
+        offsets = np.cumsum(counts) - counts
+        return sorted({*(int(np.count_nonzero(offsets < start))
+                         for start in range(0, int(offsets[-1]) + 1, _BLOCK_ROWS)),
+                       len(prefixes)})
+
+    def extend(prefixes, free):
+        at, p = np.nonzero(allowed(prefixes, free))
+        children = np.empty((len(at), prefixes.shape[1] + 1), dtype=np.int8)
+        children[:, :-1] = prefixes[at]
+        children[:, -1] = p
+        if children.shape[1] == len(succ):
+            return children, None
+        rest = free[at]
+        rest[np.arange(len(at)), p] = False
+        return children, rest
+
+    def blocks(prefixes, free):
+        cuts = groups(prefixes, free)
+        for a, b in zip(cuts, cuts[1:]):
+            children, rest = extend(prefixes[a:b], free[a:b])
+            if rest is None:
+                yield children
+            else:
+                yield from blocks(children, rest)
+
+    for seqs in blocks(np.empty((1, 0), dtype=np.int8), np.ones((1, n), dtype=bool)):
+        rows = np.tile(points, (len(seqs), 1))
+        at = np.arange(len(seqs))
+        for j, k in enumerate(succ):
+            rows[at, seqs[:, j]] = seqs[:, k]
+        for i in range(0, len(rows), _CHUNK_ROWS):
+            yield rows[i:i + _CHUNK_ROWS]
 
 
 # -- tables ---------------------------------------------------------------------

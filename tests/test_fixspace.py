@@ -104,9 +104,8 @@ def test_matrix_vs_character_eigenspace_agreement():
             break
     m = rep.matrix_of_word(word)
     F4 = FiniteField(7, 4)
-    big = m.change_field(F4)
+    big = FFMatrix(F4, m.map_entries(lambda a: m.field.embed(a, F4)).data)
     root = F4.pow(F4.gen_code, (F4.q - 1) // 5)
-    from cgtkit.fflinalg import FFMatrix
     mat_dims = sorted(
         (big - FFMatrix(F4, [[root_pow if a == b else 0 for b in range(4)]
                              for a in range(4)])).nullity()

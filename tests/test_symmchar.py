@@ -173,6 +173,51 @@ def test_type_rows_stream_a_huge_class(monkeypatch):
     assert [tuple(r) for r in rows.tolist()] == want
 
 
+@pytest.mark.parametrize("bound", [1, 7, 50])
+def test_type_rows_split_small_blocks_in_order(monkeypatch, bound):
+    # a small block bound splits the levels from the second position on;
+    # with chunks larger than any block, each chunk is one finished block
+    monkeypatch.setattr(symmchar, "_BLOCK_ROWS", bound)
+    monkeypatch.setattr(symmchar, "_CHUNK_ROWS", 10 ** 6)
+    for mu in [(2, 2, 1, 1, 1, 1), (3, 3, 2), (4, 2, 2), (5, 3), (6, 1, 1), (8,)]:
+        want = np.array(list(_reference_type_elements(8, mu)), dtype=np.int8)
+        chunks = list(_type_rows(8, mu))
+        assert len(chunks) > 1 and all(0 < len(rows) <= bound + 8 for rows in chunks), mu
+        assert np.array_equal(np.concatenate(chunks), want), mu
+
+
+def test_split_class_halves_with_small_blocks(monkeypatch):
+    monkeypatch.setattr(symmchar, "_BLOCK_ROWS", 100)
+    cs = AnClassSystem(9)
+    ref = np.array(list(_reference_type_elements(9, (9,))), dtype=np.int8)
+    even = _aligns_evenly(ref, (9,))
+    for name, half in (("9a", ref[even]), ("9b", ref[~even])):
+        assert list(cs.iter_class_images(cs.class_named(name))) == list(map(tuple, half.tolist()))
+
+
+def test_type_rows_of_four_cycles_in_s10():
+    want = np.array(list(_reference_type_elements(10, (3, 3, 2, 2))), dtype=np.int8)
+    chunks = list(_type_rows(10, (3, 3, 2, 2)))
+    assert len(want) == 25200 and len(chunks) > 1
+    assert all(0 < len(rows) <= symmchar._CHUNK_ROWS for rows in chunks)
+    assert np.array_equal(np.concatenate(chunks), want)
+
+
+def test_products_do_not_depend_on_the_chunk_size(monkeypatch):
+    # products of two involutions of A9 reach the split classes 9a and 9b
+    cs = AnClassSystem(9)
+    k = cs.class_named("2+2+2+2+1")
+    x = cs.classes[k].representative.images
+    seen = {}
+    for chunk in (1, 37, symmchar._CHUNK_ROWS):
+        monkeypatch.setattr(symmchar, "_CHUNK_ROWS", chunk)
+        seen[chunk] = [list(cs.iter_class_images_with_product(k, x, target))
+                       for target in range(len(cs.classes))]
+    assert seen[1] == seen[37] == seen[symmchar._CHUNK_ROWS]
+    assert sum(map(len, seen[1])) == cs.classes[k].size
+    assert seen[1][cs.class_named("9a")] and seen[1][cs.class_named("9b")]
+
+
 def test_jacobi_is_the_sign_of_multiplication():
     for m in range(1, 52, 2):
         for t in range(1, 2 * m + 1):
