@@ -54,14 +54,12 @@ class ClassInfo:
 class CharacterTable(ClassSystem):
     """Matrix of exact character values, rows = irreducibles, cols = classes."""
 
-    def __init__(self, group_name: str, order: int, classes: list,
-                 values: list, verify: bool = True):
+    def __init__(self, group_name: str, order: int, classes: list, values: list):
         self.group_name = group_name
         self.order = order
         self.classes = classes
         self.values = values
-        if verify:
-            self.verify()
+        self.verify()
 
     # -- basic accessors -----------------------------------------------------
 
@@ -177,7 +175,7 @@ class CharacterTable(ClassSystem):
                              {int(t): int(v) for t, v in c["power_map"].items()})
                    for c in obj["classes"]]
         values = [[Cyclotomic.from_json(v) for v in row] for row in obj["characters"]]
-        table = cls(obj["group"], int(obj["order"]), classes, values, verify=True)
+        table = cls(obj["group"], int(obj["order"]), classes, values)
         if "exponent" in obj and int(obj["exponent"]) != table.exponent():
             raise TableInvariantError("stored exponent disagrees with class data")
         return table
@@ -197,7 +195,7 @@ def table_from_rows(name: str, cs: ClassSystem, rows: list) -> CharacterTable:
     infos = [ClassInfo(c.name, c.size, c.rep_order,
                        {t: cs.power_class(k, t) for t in range(c.rep_order)})
              for k, c in enumerate(cs.classes)]
-    return CharacterTable(name, cs.group_order, infos, rows, verify=True)
+    return CharacterTable(name, cs.order, infos, rows)
 
 
 # For x in C_i, z x^-1 runs over w z with w in the inverse class of C_i
@@ -207,7 +205,7 @@ def table_from_rows(name: str, cs: ClassSystem, rows: list) -> CharacterTable:
 
 def class_mult_coeff(gc: GroupClasses, i: int, j: int, k: int) -> int:
     """a_{ijk} = #{(x,y) in C_i x C_j : xy = z} for a fixed z in C_k."""
-    w = gc.base_images_of_class(gc.inverse_class(i))
+    w = gc.elements_of_class(gc.inverse_class(i))[:, gc.base]
     z = np.array(gc.classes[k].representative.images)
     return int(np.count_nonzero(gc.classes_of_base_images(z[w]) == j))
 

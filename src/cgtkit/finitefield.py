@@ -273,26 +273,6 @@ class FiniteField:
             n >>= 1
         return r
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        n = self.q - 1
-        for r, _ in factorize(n):
-            while n % r == 0 and self.pow(a, n // r) == 1:
-                n //= r
-        return n
-
-    def trace(self, a: int) -> int:
-        """Absolute trace to GF(p), returned as an int mod p."""
-        t, b = 0, a
-        for _ in range(self.k):
-            t = self.add(t, b)
-            b = self.frobenius(b)
-        return t
-
     def embed(self, a: int, big: "FiniteField") -> int:
         """Canonical (Conway-compatible) embedding into GF(p^K), k | K."""
         if big.p != self.p or big.k % self.k:
@@ -310,9 +290,6 @@ class FiniteField:
                 out = big.add(out, big.mul(d % self.p, xpow))
             xpow = big.mul(xpow, img_gen)
         return out
-
-    def elements(self):
-        return range(self.q)
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"

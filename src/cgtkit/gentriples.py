@@ -109,7 +109,7 @@ def enumerate_triples(chain: StabilizerChain, cs, class_spec, a: int,
             covered += size
             key = _subgroup_key(sub)
             hist[key] = hist.get(key, 0) + size
-            if sub.order() == cs.group_order:
+            if sub.order() == cs.order:
                 generating += size
                 if witness is None:
                     z_img = _inv(_mul(x_img, y_img))
@@ -160,7 +160,7 @@ def search_triple(chain: StabilizerChain, cs, class_spec, a: int,
     ci = cs.class_index(class_spec)
     cls = cs.classes[ci]
     target = cs.power_class(ci, a)
-    order = cs.group_order
+    order = cs.order
     x = cls.representative
     for _ in range(budget):
         c = chain.random_element(rng)
@@ -277,7 +277,7 @@ def spread_class_check(chain: StabilizerChain, cs, class_spec):
     if chain.order() > SPREAD_BOUND:
         raise ValueError(f"group order exceeds spread bound {SPREAD_BOUND}")
     ci = cs.class_index(class_spec)
-    order = cs.group_order
+    order = cs.order
     failing = []
     for cls in cs.classes:
         if cls.rep_order == 1:

@@ -471,13 +471,15 @@ def _np_dtype(degree: int):
 class ClassSystem:
     """Lookups shared by every class system and character table.
 
-    The contract: subclasses set `self.classes`, a list of class records
-    that carry `name`, `size` and `rep_order`.  A system either gives every
-    record a complete `power_map` (t -> class index for 0 <= t < rep_order)
-    or overrides `power_class`.  Callers read power maps only through
-    `power_class`, and name classes through `class_index`.
+    The contract: subclasses set `self.order`, the group order, and
+    `self.classes`, a list of class records that carry `name`, `size` and
+    `rep_order`.  A system either gives every record a complete
+    `power_map` (t -> class index for 0 <= t < rep_order) or overrides
+    `power_class`.  Callers read power maps only through `power_class`,
+    and name classes through `class_index`.
     """
 
+    order: int
     classes: list
 
     def class_index(self, spec) -> int:
@@ -533,9 +535,10 @@ class GroupClasses(ClassSystem):
     generator needs neither coordinates nor rows.  Classes are the orbits
     of these conjugations, found by min-label propagation through each one
     and its inverse, gathers only, so the label of a row ends as its
-    class's first row.  The tree is dropped once each class's entry, its
-    first element, has been spelled as a word in the generators
-    (`_entry_words`), a shortest one, since the BFS goes level by level.
+    class's first row.  The tree is not kept: the enumeration hands it to
+    class finding, which spells each class's entry, its first element, as a
+    word in the generators (`_entry_words`), a shortest one, since the BFS
+    goes level by level, and the constructor frees it after that stage.
 
     What uses what:
     - the Cayley table: class finding (conjugation) and the class-sum
@@ -546,9 +549,11 @@ class GroupClasses(ClassSystem):
       `iter_class_images_with_product`).  Base images determine an element
       of the group, so these go through `_index`; the public lookups also
       compare the whole row, so a non-member raises KeyError;
-    - rows: the lex-least representatives (one point at a time, keeping
-      the rows that tie with their class's least image so far),
-      `elements_of_class` and `centralizer_generators`.
+    - rows: read only through `_images`, by the lex-least representatives
+      (one point at a time, keeping the rows that tie with their class's
+      least image so far), the row check of `class_of_images`,
+      `elements_of_class` (and the two `iter_class_images*` over it) and
+      `centralizer_generators`.
     """
 
     def __init__(self, chain: StabilizerChain, bound: int = DEFAULT_CLASS_BOUND):
@@ -568,9 +573,11 @@ class GroupClasses(ClassSystem):
             pos[lv.points] = np.arange(len(lv.points))
             inverse = np.array([lv.inverse[b] for b in lv.points], dtype=_np_dtype(n))
             self._levels.append((pos, inverse.ravel()))
-        self._enumerate_elements()
-        self._find_classes()
-        self._order_and_name_classes()
+        tree = self._enumerate_elements()
+        raw_class_of, words = self._find_classes(tree)
+        del tree
+        self._order_and_name_classes(raw_class_of, words)
+        del raw_class_of, words
         self._power_maps()
 
     # -- coordinates ---------------------------------------------------------
@@ -595,6 +602,12 @@ class GroupClasses(ClassSystem):
     def _index(self, base_images) -> np.ndarray:
         """Rows of the index holding the elements with these base images."""
         return self._at[self._coordinates(base_images)]
+
+    def _images(self, idx=slice(None), points=slice(None)) -> np.ndarray:
+        """The images of `points` under the elements in rows `idx`, a view
+        when both are slices.  The only reader of the stored rows; columns
+        are gathered first, which keeps numpy off mixed advanced indexing."""
+        return self._rows[:, points][idx]
 
     # element enumeration: BFS closure under right multiplication, one
     # frontier at a time; candidates come in (x, g) order and the first new
@@ -651,36 +664,38 @@ class GroupClasses(ClassSystem):
         self._at = at
         self._times = times
         # the BFS tree: row x = parent[x] * g_letter[x], level by level
-        self._parent, self._letter, self._tree_levels = parent, letter, levels
+        return parent, letter, levels
 
-    def _left_times(self, g_row: int) -> np.ndarray:
+    def _left_times(self, tree, g_row: int) -> np.ndarray:
         """The rows of g x for every row x, where g is the element in row
         `g_row`: along the tree, x = y g_s gives g x = (g y) g_s, one gather
         per BFS level."""
+        parent, letter, levels = tree
         left = np.empty(self.order, dtype=np.int32)
         left[0] = g_row
-        for new in self._tree_levels:
-            left[new] = self._times[self._letter[new], left[self._parent[new]]]
+        for new in levels:
+            left[new] = self._times[letter[new], left[parent[new]]]
         return left
 
-    def _conjugations(self) -> list:
+    def _conjugations(self, tree) -> list:
         """Conjugation by each generator g, as an index permutation: x ->
         g^-1 x g, the row of (g^-1 x) g.  g^-1 is the one row that g takes
         to the identity, row 0."""
-        return [t[self._left_times(int(t.argmin()))] for t in self._times]
+        return [t[self._left_times(tree, int(t.argmin()))] for t in self._times]
 
-    def _find_classes(self):
-        rows = self._rows
+    def _find_classes(self, tree):
+        """Each row's class, numbered in the order of the classes' first
+        elements, and each class's entry spelled as a word along the tree."""
         # each conjugation and its inverse, so that labels flow both ways
         # along it by gathers alone
         conj = []
-        for c in self._conjugations():
+        for c in self._conjugations(tree):
             inverse = np.empty_like(c)
             inverse[c] = np.arange(len(c), dtype=np.int32)
             conj += [c, inverse]
         # min-label propagation: label[i] stays an element of i's class and
         # at most i, so at the fixed point it is the class's first element
-        label = np.arange(len(rows), dtype=np.int32)
+        label = np.arange(self.order, dtype=np.int32)
         gathered, before = np.empty_like(label), np.empty_like(label)
         while True:
             before[:] = label
@@ -698,43 +713,42 @@ class GroupClasses(ClassSystem):
         raw_class_of = raw_class_of[label]
         del label
         # each class's entry, its first element, spelled along the tree: a
-        # shortest word in the generators, since the BFS goes level by level;
-        # the tree is not needed after this
-        self._raw_words = []
+        # shortest word in the generators, since the BFS goes level by level
+        parent, letter, _ = tree
+        words = []
         for x in entries.tolist():
             word = []
             while x:
-                word.append(int(self._letter[x]))
-                x = int(self._parent[x])
-            self._raw_words.append(tuple(reversed(word)))
-        del self._parent, self._letter, self._tree_levels
-        sizes = np.bincount(raw_class_of)
+                word.append(int(letter[x]))
+                x = int(parent[x])
+            words.append(tuple(reversed(word)))
+        return raw_class_of, words
+
+    def _order_and_name_classes(self, raw_class_of, words):
+        """Each class's lex-least representative; then the classes sorted
+        by representative order, size and representative, and named."""
+        sizes = np.bincount(raw_class_of).tolist()
         # lex-min representative: compare the rows of each class one point
         # at a time and keep only the rows that tie with their class's
         # minimum; rows are distinct, so this ends with one row per class,
         # mostly after the first few points
-        cand, cls = np.arange(len(rows)), raw_class_of
-        for col in rows.T:
+        cand, cls = np.arange(self.order), raw_class_of
+        for c in range(self.degree):
             if len(cand) == len(sizes):
                 break
-            point = col[cand]
-            low = np.full(len(sizes), self.degree - 1, dtype=rows.dtype)
+            point = self._images(cand, c)
+            low = np.full(len(sizes), self.degree - 1, dtype=point.dtype)
             np.minimum.at(low, cls, point)
             tie = point == low[cls]
             cand, cls = cand[tie], cls[tie]
-        self._raw_class_of = raw_class_of
-        self._raw_reps = rows[cand[np.argsort(cls)]]
-        self._raw_sizes = [int(s) for s in sizes]
-
-    def _order_and_name_classes(self):
-        reps = [Permutation(r) for r in self._raw_reps.tolist()]
+        reps = [Permutation(r) for r in self._images(cand[np.argsort(cls)]).tolist()]
         orders = [r.order() for r in reps]
         perm = sorted(range(len(reps)),
-                      key=lambda i: (orders[i], self._raw_sizes[i], reps[i].images))
+                      key=lambda i: (orders[i], sizes[i], reps[i].images))
         remap = np.zeros(len(reps), dtype=np.int32)
         for new, old in enumerate(perm):
             remap[old] = new
-        self.class_of_idx = remap[self._raw_class_of]
+        self.class_of_idx = remap[raw_class_of]
         self.classes = []
         counters: dict[int, int] = {}
         for new, old in enumerate(perm):
@@ -743,12 +757,11 @@ class GroupClasses(ClassSystem):
             counters[o] = k + 1
             self.classes.append(ConjClassData(
                 representative=reps[old],
-                size=self._raw_sizes[old],
+                size=sizes[old],
                 rep_order=o,
                 name=f"{o}{class_letter(k)}",
             ))
-        self._entry_words = [self._raw_words[old] for old in perm]
-        del self._raw_class_of, self._raw_words, self._raw_reps, self._raw_sizes
+        self._entry_words = [words[old] for old in perm]
         total = sum(c.size for c in self.classes)
         if total != self.order:
             raise AssertionError("class sizes do not sum to group order")
@@ -758,7 +771,7 @@ class GroupClasses(ClassSystem):
 
     def _power_maps(self):
         reps = np.array([c.representative.images for c in self.classes],
-                        dtype=self._rows.dtype)
+                        dtype=_np_dtype(self.degree))
         # the base images of each representative's t-th power, x^(t+1)
         # having the images x[x^t[i]]
         images = np.tile(self.base, (len(reps), 1))
@@ -789,13 +802,13 @@ class GroupClasses(ClassSystem):
         row = np.asarray(images)
         if row.shape == (self.degree,) and 0 <= row.min() and row.max() < self.degree:
             i = self._index(row[None, self.base])[0]
-            if np.array_equal(self._rows[i], row):
+            if np.array_equal(self._images(i), row):
                 return int(self.class_of_idx[i])
         raise KeyError("not an element of the group")
 
     def elements_of_class(self, k: int) -> np.ndarray:
         """The elements of class k, one row each, in element order."""
-        return self._rows[self.class_of_idx == k]
+        return self._images(self.class_of_idx == k)
 
     def product_counts(self, k: int) -> np.ndarray:
         """Count matrix, [j, c] = #{x in class k : x z_c in class j}, where
@@ -819,14 +832,6 @@ class GroupClasses(ClassSystem):
             done = word
         return counts
 
-    def base_images_of_class(self, k: int) -> np.ndarray:
-        """Images of the base points under the elements of class k."""
-        return self.elements_of_class(k)[:, self.base]
-
-    @property
-    def group_order(self) -> int:
-        return self.order
-
     def iter_class_images(self, k: int):
         return map(tuple, self.elements_of_class(k).tolist())
 
@@ -844,8 +849,9 @@ class GroupClasses(ClassSystem):
         the walk stops once they generate all of C_G(x), so at most
         log2 |C_G(x)| tuples are made.  One chain is built per kept tuple,
         proved against |C_G(x)| when the tuples generate all of it."""
-        x = np.asarray(x_images, dtype=self._rows.dtype)
-        cent = self._rows[(self._rows[:, x] == x[self._rows]).all(axis=1)]
+        x = np.asarray(x_images, dtype=_np_dtype(self.degree))
+        rows = self._images()
+        cent = rows[(rows[:, x] == x[rows]).all(axis=1)]
         ident = tuple(range(self.degree))
         gens: list[tuple] = []
         sub = None  # the chain of <gens>; the trivial group needs none

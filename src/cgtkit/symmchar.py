@@ -260,7 +260,7 @@ class SnClassSystem(ClassSystem):
         if n > SN_BUDGET:
             raise ValueError(f"n = {n} beyond the n <= {SN_BUDGET} budget")
         self.n = n
-        self.group_order = factorial(n)
+        self.order = factorial(n)
         self.degree = n
         types = sorted(partitions(n),
                        key=lambda mu: (cycle_type_order(mu), class_size_sn(n, mu), mu))
@@ -300,7 +300,7 @@ class AnClassSystem(ClassSystem):
             raise ValueError("A_n class system needs n >= 3")
         self.n = n
         self.degree = n
-        self.group_order = factorial(n) // 2
+        self.order = factorial(n) // 2
         entries = []
         for mu in partitions(n):
             if not is_even_type(mu):
@@ -646,7 +646,7 @@ def an_pair_covers(n: int, name1: str, name2: str):
     cs = _an_class_system(n)
     ci = cs.classes[cs.class_named(name1)]
     cj = cs.classes[cs.class_named(name2)]
-    order = cs.group_order
+    order = cs.order
     live = []
     for row in _an_rows(n):
         ai, bi = _an_value(row, ci)

