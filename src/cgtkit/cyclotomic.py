@@ -83,6 +83,8 @@ def _canonicalize(e: int, num: dict) -> tuple[int, dict]:
     num = _rewrite(e, num)
     if not num:
         return 1, {}
+    if len(num) == 1 and 0 in num:  # rational: 0 is a basis exponent everywhere
+        return 1, num
     while e > 1:
         for p, _, _, _ in _conductor_data(e):
             if not any(j % p for j in num):
@@ -349,10 +351,11 @@ class Cyclotomic:
 def sum_of_products(e: int, terms) -> Cyclotomic:
     """The sum of a * b * scale over (a, b, scale) terms, canonicalized once.
 
-    a and b are Cyclotomics whose conductors divide e; scale is an int or a
-    Fraction.  Raw integer coefficients accumulate at conductor e over one
-    common denominator, so the result equals the operator fold
-    sum(a * b * scale) at the cost of a single canonicalization.
+    a and b are Cyclotomics whose conductors divide e; scale must be an int
+    or a Fraction, since it is not coerced.  Raw integer coefficients
+    accumulate at conductor e over one common denominator, so the result
+    equals the operator fold sum(a * b * scale) at the cost of a single
+    canonicalization.
     """
     out: dict = {}
     den = 1
@@ -363,7 +366,6 @@ def sum_of_products(e: int, terms) -> Cyclotomic:
             raise ValueError(f"conductors {a.e}, {b.e} do not divide {e}")
         d = a.den * b.den
         if type(scale) is not int:
-            scale = Fraction(scale)
             d *= scale.denominator
             scale = scale.numerator
         if d != den:

@@ -40,7 +40,9 @@ N*(n*itemsize + 8 + 4*S) bytes for N elements of degree n and S generators
 (itemsize 1 up to degree 255, else 2): the image rows, an int32 coordinate
 table, an int32 class per element and the int32 Cayley table.  J2 holds
 67 MiB; building it lifts the peak RSS by about 92 MiB (tracemalloc puts
-the build's peak at 90.6 MiB, set by the enumeration).
+the build's peak at 90.6 MiB, set by the enumeration).  Each class whose
+class-sum counts are asked for adds k^2 int64 for k classes, kept with
+the index.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ DEFAULT_CLASS_BOUND = 1 << 21
 _SIFT_SEED = 0
 _SIFT_STATE = 10
 _SIFT_PATIENCE = 16
+
+# GroupClasses.centralizer_generators scans the index in blocks of at most
+# this many rows, so its temporaries stay small beside the stored rows
+_SCAN_ROWS = 1 << 13
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -202,11 +208,13 @@ class StabilizerChain:
         # the orbit is closed under the other generators, so new points
         # come from s first; only then do all of them act on the new points
         t, t_inv = lv.transversal, lv.inverse
-        s_inv = _inv(s)
+        s_inv = None  # made when s first brings a point
         new = []
         for beta in lv.points:
             gamma = s[beta]
             if gamma not in t:
+                if s_inv is None:
+                    s_inv = _inv(s)
                 t[gamma] = _mul(t[beta], s)
                 t_inv[gamma] = _mul(s_inv, t_inv[beta])
                 new.append(gamma)
@@ -544,6 +552,9 @@ class GroupClasses(ClassSystem):
     - the Cayley table: class finding (conjugation) and the class-sum
       counts (`product_counts`), which apply an entry's word to a whole
       class by gathers;
+    - the counts memo `_counts`: each class's count matrix, made on the
+      first `product_counts` call and shared by every later one (Dixon's
+      class sums at each prime it tries, `classalg.two_mth_powers`);
     - coordinates: every lookup of an arbitrary permutation or base image
       (`class_of_images`, `classes_of_base_images`, the power maps and
       `iter_class_images_with_product`).  Base images determine an element
@@ -553,7 +564,8 @@ class GroupClasses(ClassSystem):
       (one point at a time, keeping the rows that tie with their class's
       least image so far), the row check of `class_of_images`,
       `elements_of_class` (and the two `iter_class_images*` over it) and
-      `centralizer_generators`.
+      `centralizer_generators`, which reads them in blocks of at most
+      `_SCAN_ROWS` rows.
     """
 
     def __init__(self, chain: StabilizerChain, bound: int = DEFAULT_CLASS_BOUND):
@@ -579,6 +591,7 @@ class GroupClasses(ClassSystem):
         self._order_and_name_classes(raw_class_of, words)
         del raw_class_of, words
         self._power_maps()
+        self._counts: dict[int, np.ndarray] = {}  # product_counts, by class
 
     # -- coordinates ---------------------------------------------------------
 
@@ -815,7 +828,10 @@ class GroupClasses(ClassSystem):
         z_c is class c's entry (its first element).  Each entry's word is
         applied to all of class k by gathers in the Cayley table; the words
         are taken in sorted order, so a prefix shared with the previous one
-        is not gathered again."""
+        is not gathered again.  The matrix is made once per class and
+        cached, read-only: the index is fixed once the system is built."""
+        if k in self._counts:
+            return self._counts[k]
         n_classes = len(self.classes)
         counts = np.empty((n_classes, n_classes), dtype=np.int64)
         # stack[d] is class k times the first d letters of `done`
@@ -830,6 +846,8 @@ class GroupClasses(ClassSystem):
                 stack.append(self._times[s, stack[-1]])
             counts[:, c] = np.bincount(self.class_of_idx[stack[-1]], minlength=n_classes)
             done = word
+        counts.flags.writeable = False
+        self._counts[k] = counts
         return counts
 
     def iter_class_images(self, k: int):
@@ -843,15 +861,18 @@ class GroupClasses(ClassSystem):
         return map(tuple, rows[hit].tolist())
 
     def centralizer_generators(self, x_images) -> list:
-        """Image tuples generating C_G(x).  One pass over the index finds
-        C_G(x), the rows c with c[x[i]] = x[c[i]]; walking them in element
-        order, c is kept only when the kept ones do not generate it, and
-        the walk stops once they generate all of C_G(x), so at most
-        log2 |C_G(x)| tuples are made.  One chain is built per kept tuple,
+        """Image tuples generating C_G(x).  One pass over the index, in
+        blocks of at most `_SCAN_ROWS` rows, finds C_G(x), the rows c with
+        c[x[i]] = x[c[i]]; walking them in element order, c is kept only
+        when the kept ones do not generate it, and the walk stops once they
+        generate all of C_G(x), so at most log2 |C_G(x)| tuples are made.  One chain is built per kept tuple,
         proved against |C_G(x)| when the tuples generate all of it."""
         x = np.asarray(x_images, dtype=_np_dtype(self.degree))
-        rows = self._images()
-        cent = rows[(rows[:, x] == x[rows]).all(axis=1)]
+        blocks = []
+        for lo in range(0, self.order, _SCAN_ROWS):
+            rows = self._images(slice(lo, lo + _SCAN_ROWS))
+            blocks.append(rows[(rows[:, x] == x[rows]).all(axis=1)])
+        cent = np.concatenate(blocks)
         ident = tuple(range(self.degree))
         gens: list[tuple] = []
         sub = None  # the chain of <gens>; the trivial group needs none

@@ -15,7 +15,7 @@ from cgtkit.chartab import (CharacterTable, TableInvariantError,
 from cgtkit.cyclotomic import Cyclotomic, sqrt_int, sum_of_products, zeta
 from cgtkit.fflinalg import SplitFailure
 from cgtkit.perms import parse_perm
-from cgtkit.permgroup import build_chain, conjugacy_classes
+from cgtkit.permgroup import GroupClasses, build_chain, conjugacy_classes
 
 
 def _gc(name):
@@ -38,19 +38,32 @@ def test_a5_dixon_degrees_and_golden_values():
 
 
 def test_dixon_retries_with_the_next_prime(monkeypatch):
-    gc = _gc("A5")
-    want = dixon_table(gc, "A5").to_json()
-    real = chartab.dixon_prime
-    tried = []
+    want = dixon_table(_gc("A5"), "A5").to_json()
+    # a system of its own, so that no class-sum counts are made yet
+    gc = conjugacy_classes(catalog.load_group("A5")[1])
+    real, real_counts = chartab.dixon_prime, GroupClasses.product_counts
+    tried, counted = [], []
 
     def prime(order, exponent, skip=0):
         tried.append(skip)
         # sqrt(5) is not in GF(7), so the first attempt cannot split
         return 7 if skip == 0 else real(order, exponent, skip)
 
+    def counts(self, k):
+        out = real_counts(self, k)
+        counted.append((len(tried), k, out))
+        return out
+
     monkeypatch.setattr(chartab, "dixon_prime", prime)
+    monkeypatch.setattr(GroupClasses, "product_counts", counts)
     assert dixon_table(gc, "A5").to_json() == want
     assert tried == [0, 1]
+    # the second prime's class sums come from the first attempt's count
+    # arrays: no class's counts are made twice
+    first = {k: a for t, k, a in counted if t == 1}
+    second = [(k, a) for t, k, a in counted if t == 2]
+    assert first and second
+    assert all(a is first[k] for k, a in second)
 
 
 def test_dixon_gives_up_after_max_prime_retries(monkeypatch):

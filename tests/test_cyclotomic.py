@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -176,3 +176,21 @@ def test_operators_and_sum_of_products_match_sympy(a, b, scale):
     assert _residue(a * b, E) == (ra * rb).rem(_phi(E))
     got = sum_of_products(E, [(a, b, scale), (b, b, 1)])
     assert _residue(got, E) == (ra * rb * sympy.Rational(scale) + rb * rb).rem(_phi(E))
+
+
+@given(st.sampled_from([e for e in ORACLE_CONDUCTORS if not sympy.isprime(e) and e > 1]),
+       st.lists(st.tuples(st.integers(0, 23), st.one_of(st.integers(-5, 5), coeffs)),
+                max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_galois_trace_comes_back_rational(E, terms):
+    # the trace over Q(zeta_E), sum of sigma_u(a) for u coprime to E, is
+    # rational whatever a is: one sum_of_products must end at conductor 1
+    a = rand_cyclo(E, terms)
+    units = [u for u in range(1, E) if gcd(u, E) == 1]
+    got = sum_of_products(E, [(a.galois(u), Cyclotomic.one(), 1) for u in units])
+    assert got.e == 1
+    f = _residue(a, E)
+    want = sum((sympy.Poly(f.as_expr().subs(X, X ** u), X, domain="QQ").rem(_phi(E))
+                for u in units), sympy.Poly(0, X, domain="QQ"))
+    assert want.degree() <= 0
+    assert _residue(got, E) == want

@@ -378,6 +378,15 @@ def test_cayley_table_matches_the_coordinate_lookups(name):
         M = _class_sum_matrix_modp(gc, i, p)
         assert M.dtype == np.int64
         assert np.array_equal(M, _batched_lookup_class_sums(gc, i, p))
+    # the counts are made once per class, read-only, and are those of a
+    # system built afresh on the same chain
+    fresh = conjugacy_classes(chain)
+    for k in range(len(gc.classes)):
+        counts = gc.product_counts(k)
+        assert gc.product_counts(k) is counts
+        with pytest.raises(ValueError):
+            counts[0, 0] = 0
+        assert np.array_equal(counts, fresh.product_counts(k))
 
 
 def _reference_index(chain):
@@ -465,7 +474,7 @@ def test_only_images_reads_the_stored_rows():
     assert not deletes
     gc = conjugacy_classes(catalog.load_group("M11")[1])
     assert {a for a in vars(gc) if a.startswith("_")} == \
-        {"_at", "_entry_words", "_levels", "_rows", "_times"}
+        {"_at", "_counts", "_entry_words", "_levels", "_rows", "_times"}
 
 
 @pytest.mark.parametrize("gens, degree", [([], 4), ([(0,)], 1), ([(0, 1, 2)], 3)])
@@ -583,6 +592,34 @@ def test_centralizer_generators_build_one_chain_per_kept_generator(name, monkeyp
         calls.clear()
         cent = gc.centralizer_generators(c.representative.images)
         assert len(calls) == len(cent), c.name
+
+
+def _whole_index_centralizer_generators(gc, x_images):
+    """`centralizer_generators` with C_G(x) found by one scan over all of
+    the stored rows at once."""
+    x = np.asarray(x_images, dtype=gc._images().dtype)
+    rows = gc._images()
+    cent = rows[(rows[:, x] == x[rows]).all(axis=1)]
+    ident = tuple(range(gc.degree))
+    gens, sub = [], None
+    for row in cent:
+        if sub is not None and sub.order() == len(cent):
+            break
+        c = tuple(row.tolist())
+        if c == ident if sub is None else sub.contains(c):
+            continue
+        gens.append(c)
+        sub = build_chain(gens, gc.degree, within=len(cent))
+    return gens
+
+
+@pytest.mark.parametrize("name, cls", [("M12", "2a"), ("M12", "11b"), ("A8", "7a")])
+def test_blocked_centralizer_scan_matches_the_whole_index_scan(name, cls):
+    gc = conjugacy_classes(catalog.load_group(name)[1])
+    # several blocks, the last one short
+    assert gc.order > permgroup._SCAN_ROWS and gc.order % permgroup._SCAN_ROWS
+    x = gc.classes[gc.class_named(cls)].representative.images
+    assert gc.centralizer_generators(x) == _whole_index_centralizer_generators(gc, x)
 
 
 def test_orbit_lists_the_seed_first_in_fifo_order():
