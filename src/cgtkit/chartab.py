@@ -200,7 +200,7 @@ def table_from_rows(name: str, cs: ClassSystem, rows: list) -> CharacterTable:
 
 # For x in C_i, z x^-1 runs over w z with w in the inverse class of C_i
 # (apply w, then z).  class_mult_coeff looks up all those products at once
-# by their base images z[w[base]], on the coordinates: it is the oracle
+# by their base images z[w[base]], in the key table: it is the oracle
 # independent of the Cayley-table gathers of _class_sum_matrix_modp.
 
 def class_mult_coeff(gc: GroupClasses, i: int, j: int, k: int) -> int:

@@ -28,21 +28,28 @@ row one point at a time.  The index also yields complete power maps, and
 the table the class-sum counts of Dixon's class algebra (Dixon 1967;
 Schneider 1990).
 
-Elements are found by their stabilizer-chain coordinates: stripping an
-element's base images level by level gives one orbit position per level,
-and read in mixed radix these are a bijection from the group onto
-[0, order) (Sims 1970; Seress 2003, ch. 4-5).  One int32 table maps a
-coordinate to the element's place in the index.
+Elements are found by their base images, which determine an element of
+the group, packed into a key of a direct-address table.  Stripping an
+element's base images through the first l levels of the chain gives one
+orbit position per level, read in mixed radix (Sims 1970; Seress 2003,
+ch. 4-5); the base images left after them are read in radix n.  For
+orbit lengths r_0, ..., r_(k-1) that gives r_0...r_(l-1) * n^(k-l) keys,
+and l is the least level at which these are at most `_KEY_SLOTS` = 4 per
+element: M11, M12 and the catalog's L2(q) strip nothing, A8 strips 5 of
+its 6 levels, and SL2(q >= 5), J1, J2 and M22 strip every level, where
+the keys are exactly [0, order).  One int32 table maps a key to the
+element's place in the index, -1 where no element lands.
 
 Bound of the index (`GroupTooLargeError` beyond it): at most
 `DEFAULT_CLASS_BOUND` = 2^21 elements, by default.  Memory: about
-N*(n*itemsize + 8 + 4*S) bytes for N elements of degree n and S generators
-(itemsize 1 up to degree 255, else 2): the image rows, an int32 coordinate
-table, an int32 class per element and the int32 Cayley table.  J2 holds
-67 MiB; building it lifts the peak RSS by about 92 MiB (tracemalloc puts
-the build's peak at 90.6 MiB, set by the enumeration).  Each class whose
-class-sum counts are asked for adds k^2 int64 for k classes, kept with
-the index.
+N*(n*itemsize + 4*K + 4 + 4*S) bytes for N elements of degree n and S
+generators (itemsize 1 up to degree 255, else 2) and K <= 4 key slots per
+element (K = 1 when every level is stripped): the image rows, the int32
+key table, an int32 class per element and the int32 Cayley table.  J2
+holds 67 MiB; building it lifts the peak RSS by about 92 MiB (tracemalloc
+puts the build's peak at 90.6 MiB, set by the enumeration).  Each class
+whose class-sum counts are asked for adds k^2 int64 for k classes, kept
+with the index.
 """
 
 from __future__ import annotations
@@ -72,6 +79,11 @@ _SIFT_SEED = 0
 _SIFT_STATE = 10
 _SIFT_PATIENCE = 16
 
+# GroupClasses keeps at most this many key slots per element; it strips an
+# element's base images through the fewest stabilizer-chain levels for which
+# the packed keys fit
+_KEY_SLOTS = 4
+
 # GroupClasses.centralizer_generators scans the index in blocks of at most
 # this many rows, so its temporaries stay small beside the stored rows
 _SCAN_ROWS = 1 << 13
@@ -89,14 +101,19 @@ class GroupTooLargeError(RuntimeError):
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal", "inverse", "points")
+    __slots__ = ("base", "gens", "gen_inverses", "transversal", "inverse", "points")
 
     def __init__(self, base: int):
         self.base = base
         self.gens: list[tuple] = []
+        self.gen_inverses: list[tuple] = []  # gen_inverses[i] = gens[i]^-1
         self.transversal: dict[int, tuple] = {}
         self.inverse: dict[int, tuple] = {}  # beta -> transversal[beta]^-1
         self.points: list[int] = []  # list(transversal), in its order
+
+    def add_gen(self, s: tuple, s_inv: tuple):
+        self.gens.append(s)
+        self.gen_inverses.append(s_inv)
 
 
 class StabilizerChain:
@@ -154,8 +171,9 @@ class StabilizerChain:
                 self._new_level(y)
             # y fixes the base points before level j, and level 0's orbit is
             # already that of every element of <generators>
+            y_inv = _inv(y)
             for l in range(1, j + 1):
-                self._extend_transversal(l, y)
+                self._extend_transversal(l, y, y_inv)
             found = self._orbit_product()
         if found > order:
             raise AssertionError(
@@ -182,7 +200,8 @@ class StabilizerChain:
         moving = [g for g in gens if g != self._identity]
         if moving:
             self._new_level(moving[0])
-            self.levels[0].gens = moving
+            for g in moving:
+                self.levels[0].add_gen(g, _inv(g))
 
     def _orbit_product(self) -> int:
         return prod(len(lv.points) for lv in self.levels)
@@ -197,24 +216,22 @@ class StabilizerChain:
         lv.inverse = {lv.base: self._identity}
         self._close_orbit(lv, [lv.base])
 
-    def _extend_transversal(self, i: int, s: tuple):
-        """Add s to level i's strong generators and the points it brings to
-        the orbit; the entries already made stay as they are."""
+    def _extend_transversal(self, i: int, s: tuple, s_inv: tuple):
+        """Add s, with its inverse, to level i's strong generators and the
+        points it brings to the orbit; the entries already made stay as
+        they are."""
         lv = self.levels[i]
-        lv.gens.append(s)
+        lv.add_gen(s, s_inv)
         if not lv.transversal:  # a new level
             self._recompute_transversal(i)
             return
         # the orbit is closed under the other generators, so new points
         # come from s first; only then do all of them act on the new points
         t, t_inv = lv.transversal, lv.inverse
-        s_inv = None  # made when s first brings a point
         new = []
         for beta in lv.points:
             gamma = s[beta]
             if gamma not in t:
-                if s_inv is None:
-                    s_inv = _inv(s)
                 t[gamma] = _mul(t[beta], s)
                 t_inv[gamma] = _mul(s_inv, t_inv[beta])
                 new.append(gamma)
@@ -225,7 +242,7 @@ class StabilizerChain:
         """Add to lv's transversal, breadth first, every point its strong
         generators reach from the frontier points."""
         t, t_inv = lv.transversal, lv.inverse
-        gens = [(s, _inv(s)) for s in lv.gens]
+        gens = list(zip(lv.gens, lv.gen_inverses))
         while frontier:
             nxt = []
             for beta in frontier:
@@ -265,8 +282,9 @@ class StabilizerChain:
                 if y != self._identity:
                     if j == len(self.levels):
                         self._new_level(y)
+                    y_inv = _inv(y)
                     for l in range(i + 1, j + 1):
-                        self.levels[l].gens.append(y)
+                        self.levels[l].add_gen(y, y_inv)
                     for l in range(j, i, -1):
                         self._build(l)
 
@@ -527,20 +545,20 @@ class GroupClasses(ClassSystem):
 
     The index is one N x n array of element images (`_rows`), in the
     breadth-first order of right multiplication by the generators, plus
-    an int32 table `_at` from each element's stabilizer-chain coordinate
-    to its row, and the S x N int32 Cayley table `_times`: `_times[s, x]`
-    is the row of x g_s, kept from the enumeration, which finds every such
-    product anyway.  Of the candidates x g_s of one BFS level, in (x, s)
-    order, the first one with a coordinate not seen before becomes a new
-    row: every unseen slot of `_at` (-1) takes the least mark of its
-    candidates by one `np.minimum.at`, marks being below -1 and rising
-    with the position, and then its row.  Each new row is filled by a
-    gather through its letter's generator.
+    an int32 table `_at` from each element's key (its packed base images,
+    see the module docstring) to its row, and the S x N int32 Cayley table
+    `_times`: `_times[s, x]` is the row of x g_s, kept from the
+    enumeration, which finds every such product anyway.  Of the candidates
+    x g_s of one BFS level, in (x, s) order, the first one with a key not
+    seen before becomes a new row: every unseen slot of `_at` (-1) takes
+    the least mark of its candidates by one `np.minimum.at`, marks being
+    below -1 and rising with the position, and then its row.  Each new row
+    is filled by a gather through its letter's generator.
 
     The enumeration also records its spanning tree: each row's parent y
     and letter s, with x = y g_s.  Along it, left multiplication by any g
     is one gather per BFS level, g x = (g y) g_s, so conjugation by a
-    generator needs neither coordinates nor rows.  Classes are the orbits
+    generator needs neither keys nor rows.  Classes are the orbits
     of these conjugations, found by min-label propagation through each one
     and its inverse, gathers only, so the label of a row ends as its
     class's first row.  The tree is not kept: the enumeration hands it to
@@ -555,11 +573,14 @@ class GroupClasses(ClassSystem):
     - the counts memo `_counts`: each class's count matrix, made on the
       first `product_counts` call and shared by every later one (Dixon's
       class sums at each prime it tries, `classalg.two_mth_powers`);
-    - coordinates: every lookup of an arbitrary permutation or base image
-      (`class_of_images`, `classes_of_base_images`, the power maps and
-      `iter_class_images_with_product`).  Base images determine an element
-      of the group, so these go through `_index`; the public lookups also
-      compare the whole row, so a non-member raises KeyError;
+    - the key table `_at`: every lookup of an arbitrary permutation or
+      base image (`class_of_images`, `classes_of_base_images`, the power
+      maps and `iter_class_images_with_product`) goes through `_index`.
+      Base images determine an element of the group, so a tuple of points
+      that is no element's base images leaves an orbit of a stripped level
+      or lands on an empty slot, and `_index` raises KeyError for both;
+      `class_of_images` also compares the whole row, so a non-member
+      permutation raises KeyError;
     - rows: read only through `_images`, by the lex-least representatives
       (one point at a time, keeping the rows that tie with their class's
       least image so far), the row check of `class_of_images`,
@@ -577,15 +598,20 @@ class GroupClasses(ClassSystem):
         self.degree = n = chain.degree
         self.order = order
         self.base = np.array(chain.base, dtype=np.intp)
-        # per level: each point's position in the orbit (-1 outside it) and
-        # the images of the inverse transversal entries, flattened
+        # the keys after stripping l levels: r_0...r_(l-1) * n^(k-l) of them;
+        # strip the fewest levels for which that is _KEY_SLOTS per element
+        radii = [len(lv.points) for lv in chain.levels]
+        slots = [prod(radii[:l]) * n ** (len(radii) - l) for l in range(len(radii) + 1)]
+        strip = next(l for l, m in enumerate(slots) if m <= _KEY_SLOTS * order)
+        # per stripped level: each point's position in the orbit (-1 outside
+        # it) and the images of the inverse transversal entries, flattened
         self._levels = []
-        for lv in chain.levels:
+        for lv in chain.levels[:strip]:
             pos = np.full(n, -1, dtype=np.intp)
             pos[lv.points] = np.arange(len(lv.points))
             inverse = np.array([lv.inverse[b] for b in lv.points], dtype=_np_dtype(n))
             self._levels.append((pos, inverse.ravel()))
-        tree = self._enumerate_elements()
+        tree = self._enumerate_elements(slots[strip])
         raw_class_of, words = self._find_classes(tree)
         del tree
         self._order_and_name_classes(raw_class_of, words)
@@ -593,28 +619,39 @@ class GroupClasses(ClassSystem):
         self._power_maps()
         self._counts: dict[int, np.ndarray] = {}  # product_counts, by class
 
-    # -- coordinates ---------------------------------------------------------
+    # -- keys ----------------------------------------------------------------
 
     def _coordinates(self, base_images) -> np.ndarray:
-        """Mixed-radix coordinates, a bijection from the group onto
-        [0, order), of the elements whose images of `self.base` are the
-        rows given.  Level l reads the position p_l of the first remaining
-        image in its orbit and strips u^-1 off the later ones, since
-        (g u^-1)(b) = u^-1[g(b)]."""
+        """Keys in `_at` of the elements whose images of `self.base` are the
+        rows given (rows of points).  Each stripped level reads the position
+        p of the first remaining image in its orbit and strips u^-1 off the
+        later ones, since (g u^-1)(b) = u^-1[g(b)]; the positions are read in
+        mixed radix, then the images left in radix n.  Stripping can be
+        undone, so distinct tuples that stay in the orbits get distinct
+        keys, and a tuple that is no element's base images either leaves an
+        orbit (KeyError) or gets a key that no element has."""
+        n = self.degree
         b = np.asarray(base_images).T  # one row per base point
-        coords = np.zeros(b.shape[1], dtype=np.intp)
+        keys = np.zeros(b.shape[1], dtype=np.intp)
         for pos, inverse in self._levels:
             p = pos[b[0]]
             if (p < 0).any():
                 raise KeyError("a base image leaves its orbit: not an element of the group")
-            coords *= len(inverse) // self.degree
-            coords += p
-            b = inverse.take(b[1:] + p * self.degree)
-        return coords
+            keys *= len(inverse) // n
+            keys += p
+            b = inverse.take(b[1:] + p * n)
+        for images in b:
+            keys *= n
+            keys += images
+        return keys
 
     def _index(self, base_images) -> np.ndarray:
-        """Rows of the index holding the elements with these base images."""
-        return self._at[self._coordinates(base_images)]
+        """Rows of the index holding the elements with these base images;
+        KeyError when a tuple is the base images of no element."""
+        rows = self._at[self._coordinates(base_images)]
+        if (rows < 0).any():
+            raise KeyError("no element has these base images: not an element of the group")
+        return rows
 
     def _images(self, idx=slice(None), points=slice(None)) -> np.ndarray:
         """The images of `points` under the elements in rows `idx`, a view
@@ -624,8 +661,8 @@ class GroupClasses(ClassSystem):
 
     # element enumeration: BFS closure under right multiplication, one
     # frontier at a time; candidates come in (x, g) order and the first new
-    # occurrence of each coordinate is kept, which is the one-at-a-time order
-    def _enumerate_elements(self):
+    # occurrence of each key is kept, which is the one-at-a-time order
+    def _enumerate_elements(self, slots: int):
         n = self.degree
         dtype = _np_dtype(n)
         # a group given by no generators is generated by the identity
@@ -639,7 +676,7 @@ class GroupClasses(ClassSystem):
         # filled level by level; the order is known, so no block is copied
         rows = np.empty((order, n), dtype=dtype)
         rows[0] = np.arange(n)
-        at = np.full(order, -1, dtype=np.int32)
+        at = np.full(slots, -1, dtype=np.int32)
         at[self._coordinates(rows[:1, base])] = 0
         times = np.empty((n_gens, order), dtype=np.int32)
         parent = np.zeros(order, dtype=np.int32)
@@ -649,15 +686,15 @@ class GroupClasses(ClassSystem):
         while lo < hi:
             frontier = rows[lo:hi]
             # candidate j * n_gens + s is gens[s][frontier[j]]
-            coords = np.stack([self._coordinates(g[frontier[:, base]]) for g in gens],
-                              axis=1).ravel()
-            fresh = np.flatnonzero(at[coords] < 0)
+            keys = np.stack([self._coordinates(g[frontier[:, base]]) for g in gens],
+                            axis=1).ravel()
+            fresh = np.flatnonzero(at[keys] < 0)
             # each unseen slot of `at` (-1) takes the least mark of its
             # candidates; marks are below -1 and rise with the position, so
             # the candidate whose mark stays is the first occurrence
-            mark = fresh.astype(np.int32) - np.int32(len(coords) + 1)
-            np.minimum.at(at, coords[fresh], mark)
-            first = fresh[at[coords[fresh]] == mark]
+            mark = fresh.astype(np.int32) - np.int32(len(keys) + 1)
+            np.minimum.at(at, keys[fresh], mark)
+            first = fresh[at[keys[fresh]] == mark]
             j, s = np.divmod(first, n_gens)
             new = slice(hi, hi + len(first))
             for t, g in enumerate(gens):
@@ -666,8 +703,8 @@ class GroupClasses(ClassSystem):
             parent[new] = lo + j
             letter[new] = s
             # every marked slot holds a first occurrence: no mark is left
-            at[coords[first]] = np.arange(hi, hi + len(first))
-            times[:, lo:hi] = at[coords].reshape(hi - lo, n_gens).T
+            at[keys[first]] = np.arange(hi, hi + len(first))
+            times[:, lo:hi] = at[keys].reshape(hi - lo, n_gens).T
             if len(first):
                 levels.append(new)
             lo, hi = hi, hi + len(first)
@@ -801,9 +838,9 @@ class GroupClasses(ClassSystem):
 
     def classes_of_base_images(self, base_images) -> np.ndarray:
         """Classes of the group elements whose images of `self.base` are the
-        rows given.  The rows must come from elements of the group (products
-        of members, say): beyond a KeyError for an image outside its orbit,
-        the base images are not checked further."""
+        rows given, rows of points.  KeyError when a row is the base images
+        of no element: it leaves an orbit of a stripped level or lands on an
+        empty slot of the key table."""
         return self.class_of_idx[self._index(base_images)]
 
     def class_of(self, p: Permutation) -> int:

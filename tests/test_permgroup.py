@@ -3,7 +3,7 @@ import inspect
 import random
 import re
 import time
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ import pytest
 from cgtkit import catalog, permgroup
 from cgtkit.chartab import _class_sum_matrix_modp, dixon_prime, dixon_table
 from cgtkit.gentriples import build_lemma42, build_lemma43
-from cgtkit.perms import Permutation, _mul, parse_perm
+from cgtkit.perms import Permutation, _inv, _mul, parse_perm
 from cgtkit.permgroup import (GroupClasses, GroupTooLargeError, build_chain,
                               class_letter, conjugacy_classes, derived_subgroup,
                               is_primitive, is_transitive, known_order, orbits)
@@ -389,14 +389,32 @@ def test_cayley_table_matches_the_coordinate_lookups(name):
         assert np.array_equal(counts, fresh.product_counts(k))
 
 
+def _key_slots(chain, strip):
+    """Slots of a key table that strips `strip` levels: the orbit lengths
+    of those levels times n per base point left."""
+    radii = [len(lv.points) for lv in chain.levels]
+    return prod(radii[:strip]) * chain.degree ** (len(radii) - strip)
+
+
+def _key_levels(chain):
+    """The least number of levels to strip for which the table has at most
+    `_KEY_SLOTS` slots per element, and its number of slots."""
+    strip = 0
+    while _key_slots(chain, strip) > permgroup._KEY_SLOTS * chain.order():
+        strip += 1
+    return strip, _key_slots(chain, strip)
+
+
 def _reference_index(chain):
     """The element index built one element at a time over image tuples.
     Each product x g_s, x in element order and s in generator order, is
     appended the first time it is met, and spelled as its parent's word
-    plus s.  Coordinates strip one transversal entry per level.  The
+    plus s.  A key strips one transversal entry per level for the first
+    `_key_levels(chain)` levels, reading orbit positions in mixed radix,
+    then reads the images of the remaining base points in radix n.  The
     classes are `_brute_classes`, ordered as GroupClasses orders them: by
     representative order, size and lex-least element.  Returns the rows,
-    the coordinate table, the Cayley table, each element's class and each
+    the key table, the Cayley table, each element's class and each
     class's first element's word."""
     n = chain.degree
     gens = [g.images for g in chain.generators] or [tuple(range(n))]
@@ -413,14 +431,17 @@ def _reference_index(chain):
                 words.append(words[i] + (s,))
             times[s].append(place[y])
         i += 1
-    at = [None] * len(rows)
+    strip, slots = _key_levels(chain)
+    at = [-1] * slots
     for i, x in enumerate(rows):
-        coord = 0
-        for lv in chain.levels:
+        key = 0
+        for lv in chain.levels[:strip]:
             beta = x[lv.base]
-            coord = coord * len(lv.points) + lv.points.index(beta)
+            key = key * len(lv.points) + lv.points.index(beta)
             x = _mul(x, lv.inverse[beta])
-        at[coord] = i
+        for lv in chain.levels[strip:]:
+            key = key * n + x[lv.base]
+        at[key] = i
     classes = sorted(_brute_classes(chain),
                      key=lambda c: (Permutation(min(c)).order(), len(c), min(c)))
     class_of = [None] * len(rows)
@@ -452,6 +473,42 @@ def test_element_index_matches_a_one_at_a_time_bfs(gens, degree):
     assert np.array_equal(gc._times, times)
     assert np.array_equal(gc.class_of_idx, class_of)
     assert gc._entry_words == entry_words
+
+
+@pytest.mark.parametrize("name", CAYLEY_GROUPS)
+def test_key_table_strips_the_fewest_levels_that_fit(name):
+    chain = cayley_chain(name)
+    gc = conjugacy_classes(chain)
+    strip = len(gc._levels)
+    assert gc._at.dtype == np.int32
+    assert np.count_nonzero(gc._at >= 0) == gc.order
+    assert np.array_equal(np.sort(gc._at[gc._at >= 0]), np.arange(gc.order))
+    assert len(gc._at) == _key_slots(chain, strip) <= permgroup._KEY_SLOTS * gc.order
+    # one level fewer would not fit
+    assert strip == 0 or _key_slots(chain, strip - 1) > permgroup._KEY_SLOTS * gc.order
+    # the three regimes: no strip, part of the chain, the whole chain
+    expected = {"M11": 0, "A8": 5, "SL2(7)": len(chain.levels)}
+    if name in expected:
+        assert strip == expected[name]
+
+
+def test_base_images_of_no_element_land_on_an_empty_slot():
+    chain = catalog.load_group("L2(7)")[1]
+    gc = conjugacy_classes(chain)
+    assert len(gc._levels) == 0  # nothing stripped: the key packs the images
+    n, base = gc.degree, list(gc.base)
+    members = {tuple(row) for row in gc._images(points=gc.base).tolist()}
+    # distinct points, each in its level's orbit (the group is 2-transitive),
+    # that are the base images of no element
+    triple = next(t for t in ((base[0], base[1], c) for c in range(n))
+                  if len(set(t)) == 3 and t not in members)
+    key = (triple[0] * n + triple[1]) * n + triple[2]
+    assert gc._at[key] == -1
+    assert gc._coordinates(np.array([triple])).tolist() == [key]
+    with pytest.raises(KeyError):
+        gc.classes_of_base_images(np.array([triple]))
+    with pytest.raises(KeyError):  # one bad tuple among members fails the call
+        gc.classes_of_base_images(np.array([base, triple]))
 
 
 def test_only_images_reads_the_stored_rows():
@@ -492,6 +549,7 @@ def _check_level_caches(chain):
         for beta, u in lv.transversal.items():
             assert _mul(u, lv.inverse[beta]) == identity
             assert _mul(lv.inverse[beta], u) == identity
+        assert lv.gen_inverses == [_inv(s) for s in lv.gens]
 
 
 @pytest.mark.parametrize("name", ["A7", "L2(16)", "M11", "U3(3)", "J1"])
