@@ -21,11 +21,12 @@ from).  Conjugacy classes come from a full element-to-class index, built
 in numpy passes with no sort and no scatter in a loop: breadth-first
 element enumeration one frontier at a time, which keeps the first
 occurrence of each new element and every product x g_s it finds, as a
-Cayley table; conjugation by each generator, and its inverse, as index
-permutations read off that table along the BFS tree; classes as their
-orbits by min-label propagation, gathers only; and each class's lex-least
-row one point at a time.  The index also yields complete power maps, and
-the table the class-sum counts of Dixon's class algebra (Dixon 1967;
+Cayley table; conjugation by each generator as an index permutation read
+off that table along the BFS tree, one flat take per level; classes as
+the orbits of these permutations, by least labels propagated forward
+through each of them, gathers only; and each class's lex-least row one
+point at a time.  The index also yields complete power maps, and the
+table the class-sum counts of Dixon's class algebra (Dixon 1967;
 Schneider 1990).
 
 Elements are found by their base images, which determine an element of
@@ -46,8 +47,9 @@ N*(n*itemsize + 4*K + 4 + 4*S) bytes for N elements of degree n and S
 generators (itemsize 1 up to degree 255, else 2) and K <= 4 key slots per
 element (K = 1 when every level is stripped): the image rows, the int32
 key table, an int32 class per element and the int32 Cayley table.  J2
-holds 67 MiB; building it lifts the peak RSS by about 92 MiB (tracemalloc
-puts the build's peak at 90.6 MiB, set by the enumeration).  Each class
+holds 67 MiB; building it lifts the peak RSS by about 88 MiB.  tracemalloc
+puts the build's peak at 86.0 MiB, in class finding, which holds the S
+conjugations beside the index; the enumeration's is 84.5 MiB.  Each class
 whose class-sum counts are asked for adds k^2 int64 for k classes, kept
 with the index.
 """
@@ -548,23 +550,26 @@ class GroupClasses(ClassSystem):
     an int32 table `_at` from each element's key (its packed base images,
     see the module docstring) to its row, and the S x N int32 Cayley table
     `_times`: `_times[s, x]` is the row of x g_s, kept from the
-    enumeration, which finds every such product anyway.  Of the candidates
-    x g_s of one BFS level, in (x, s) order, the first one with a key not
-    seen before becomes a new row: every unseen slot of `_at` (-1) takes
-    the least mark of its candidates by one `np.minimum.at`, marks being
-    below -1 and rising with the position, and then its row.  Each new row
-    is filled by a gather through its letter's generator.
+    enumeration, which finds every such product anyway.  Each BFS level
+    gathers its frontier's base images once, one row per base point, and
+    makes the keys of every candidate x g_s from them, each looked up in
+    `_at` once.  Of the candidates, in (x, s) order, the first one with a
+    key not seen before becomes a new row: every unseen slot of `_at` (-1)
+    takes the least mark of its candidates by one `np.minimum.at`, marks
+    being below -1 and rising with the position, and then its row.  Each
+    new row is filled by a gather through its letter's generator.
 
     The enumeration also records its spanning tree: each row's parent y
     and letter s, with x = y g_s.  Along it, left multiplication by any g
-    is one gather per BFS level, g x = (g y) g_s, so conjugation by a
-    generator needs neither keys nor rows.  Classes are the orbits
-    of these conjugations, found by min-label propagation through each one
-    and its inverse, gathers only, so the label of a row ends as its
-    class's first row.  The tree is not kept: the enumeration hands it to
-    class finding, which spells each class's entry, its first element, as a
-    word in the generators (`_entry_words`), a shortest one, since the BFS
-    goes level by level, and the constructor frees it after that stage.
+    is one flat take per BFS level, g x = (g y) g_s, so conjugation by a
+    generator needs neither keys nor rows.  Classes are the orbits of these
+    conjugations, found by propagating least labels forward through each
+    one, gathers only, so the label of a row ends as its class's first row
+    (`_find_classes` gives the proof).  The tree is not kept: the
+    enumeration hands it to class finding, which spells each class's
+    entry, its first element, as a word in the generators
+    (`_entry_words`), a shortest one, since the BFS goes level by level,
+    and the constructor frees it after that stage.
 
     What uses what:
     - the Cayley table: class finding (conjugation) and the class-sum
@@ -575,10 +580,12 @@ class GroupClasses(ClassSystem):
       class sums at each prime it tries, `classalg.two_mth_powers`);
     - the key table `_at`: every lookup of an arbitrary permutation or
       base image (`class_of_images`, `classes_of_base_images`, the power
-      maps and `iter_class_images_with_product`) goes through `_index`.
-      Base images determine an element of the group, so a tuple of points
-      that is no element's base images leaves an orbit of a stripped level
-      or lands on an empty slot, and `_index` raises KeyError for both;
+      maps and `iter_class_images_with_product`) goes through `_index`,
+      whose `_coordinates` refuses a value that is not a point with
+      KeyError.  Base images determine an element of the group, so a
+      tuple of points that is no element's base images leaves an orbit of
+      a stripped level or lands on an empty slot, and `_index` raises
+      KeyError for both;
       `class_of_images` also compares the whole row, so a non-member
       permutation raises KeyError;
     - rows: read only through `_images`, by the lex-least representatives
@@ -623,7 +630,17 @@ class GroupClasses(ClassSystem):
 
     def _coordinates(self, base_images) -> np.ndarray:
         """Keys in `_at` of the elements whose images of `self.base` are the
-        rows given (rows of points).  Each stripped level reads the position
+        rows given; KeyError unless every value is a point, 0 <= image < n:
+        packed, an image of n + c would alias the key of one more in the
+        previous place, and a negative one would wrap."""
+        b = np.asarray(base_images).T  # one row per base point
+        if b.size and not (0 <= b.min() and b.max() < self.degree):
+            raise KeyError("a base image is not a point: not an element of the group")
+        return self._keys(b)
+
+    def _keys(self, columns) -> np.ndarray:
+        """Keys of the base-image tuples given as columns, one row per base
+        point, all of them points.  Each stripped level reads the position
         p of the first remaining image in its orbit and strips u^-1 off the
         later ones, since (g u^-1)(b) = u^-1[g(b)]; the positions are read in
         mixed radix, then the images left in radix n.  Stripping can be
@@ -631,16 +648,15 @@ class GroupClasses(ClassSystem):
         keys, and a tuple that is no element's base images either leaves an
         orbit (KeyError) or gets a key that no element has."""
         n = self.degree
-        b = np.asarray(base_images).T  # one row per base point
-        keys = np.zeros(b.shape[1], dtype=np.intp)
+        keys = np.zeros(columns.shape[1], dtype=np.intp)
         for pos, inverse in self._levels:
-            p = pos[b[0]]
+            p = pos[columns[0]]
             if (p < 0).any():
                 raise KeyError("a base image leaves its orbit: not an element of the group")
             keys *= len(inverse) // n
             keys += p
-            b = inverse.take(b[1:] + p * n)
-        for images in b:
+            columns = inverse.take(columns[1:] + p * n)
+        for images in columns:
             keys *= n
             keys += images
         return keys
@@ -685,16 +701,29 @@ class GroupClasses(ClassSystem):
         lo, hi = 0, 1
         while lo < hi:
             frontier = rows[lo:hi]
+            # the frontier's base images, one contiguous row per base point;
             # candidate j * n_gens + s is gens[s][frontier[j]]
-            keys = np.stack([self._coordinates(g[frontier[:, base]]) for g in gens],
-                            axis=1).ravel()
-            fresh = np.flatnonzero(at[keys] < 0)
+            columns = frontier.T[base]
+            keys = np.empty((hi - lo) * n_gens, dtype=np.intp)
+            for s, g in enumerate(gens):
+                keys[s::n_gens] = self._keys(g.take(columns))
+            # one lookup per candidate; only the fresh ones are read again
+            found = at.take(keys)
+            fresh = np.flatnonzero(found < 0)
+            fresh_keys = keys[fresh]
             # each unseen slot of `at` (-1) takes the least mark of its
             # candidates; marks are below -1 and rise with the position, so
             # the candidate whose mark stays is the first occurrence
             mark = fresh.astype(np.int32) - np.int32(len(keys) + 1)
-            np.minimum.at(at, keys[fresh], mark)
-            first = fresh[at[keys[fresh]] == mark]
+            np.minimum.at(at, fresh_keys, mark)
+            won = at.take(fresh_keys) == mark
+            first = fresh[won]
+            # every marked slot holds a first occurrence: no mark is left
+            at[fresh_keys[won]] = np.arange(hi, hi + len(first))
+            found[fresh] = at.take(fresh_keys)
+            times[:, lo:hi] = found.reshape(hi - lo, n_gens).T
+            # the candidates are freed before the new rows are filled
+            del keys, found, fresh, fresh_keys, mark, won
             j, s = np.divmod(first, n_gens)
             new = slice(hi, hi + len(first))
             for t, g in enumerate(gens):
@@ -702,9 +731,6 @@ class GroupClasses(ClassSystem):
                 rows[new][pick] = g[frontier[j[pick]]]
             parent[new] = lo + j
             letter[new] = s
-            # every marked slot holds a first occurrence: no mark is left
-            at[keys[first]] = np.arange(hi, hi + len(first))
-            times[:, lo:hi] = at[keys].reshape(hi - lo, n_gens).T
             if len(first):
                 levels.append(new)
             lo, hi = hi, hi + len(first)
@@ -716,35 +742,44 @@ class GroupClasses(ClassSystem):
         # the BFS tree: row x = parent[x] * g_letter[x], level by level
         return parent, letter, levels
 
-    def _left_times(self, tree, g_row: int) -> np.ndarray:
+    def _left_times(self, steps, g_row: int) -> np.ndarray:
         """The rows of g x for every row x, where g is the element in row
-        `g_row`: along the tree, x = y g_s gives g x = (g y) g_s, one gather
-        per BFS level."""
-        parent, letter, levels = tree
+        `g_row`.  Along the tree, x = y g_s gives g x = (g y) g_s, the entry
+        s * N + (g y) of the flattened Cayley table: one flat take per BFS
+        level, whose steps (the level's rows, their parents and their
+        offsets s * N) are made once and shared by every g."""
         left = np.empty(self.order, dtype=np.int32)
         left[0] = g_row
-        for new in levels:
-            left[new] = self._times[letter[new], left[parent[new]]]
+        flat = self._times.ravel()
+        for new, parent, offset in steps:
+            flat.take(left.take(parent) + offset, out=left[new])
         return left
 
     def _conjugations(self, tree) -> list:
         """Conjugation by each generator g, as an index permutation: x ->
         g^-1 x g, the row of (g^-1 x) g.  g^-1 is the one row that g takes
         to the identity, row 0."""
-        return [t[self._left_times(tree, int(t.argmin()))] for t in self._times]
+        parent, letter, levels = tree
+        # int32 offsets: the enumeration checked order * n_gens < 2^31
+        steps = [(new, parent[new], letter[new] * np.int32(self.order)) for new in levels]
+        return [t.take(self._left_times(steps, int(t.argmin()))) for t in self._times]
 
     def _find_classes(self, tree):
         """Each row's class, numbered in the order of the classes' first
-        elements, and each class's entry spelled as a word along the tree."""
-        # each conjugation and its inverse, so that labels flow both ways
-        # along it by gathers alone
-        conj = []
-        for c in self._conjugations(tree):
-            inverse = np.empty_like(c)
-            inverse[c] = np.arange(len(c), dtype=np.int32)
-            conj += [c, inverse]
-        # min-label propagation: label[i] stays an element of i's class and
-        # at most i, so at the fixed point it is the class's first element
+        elements, and each class's entry spelled as a word along the tree.
+
+        Labels start as label[i] = i and take label = min(label, label[c])
+        through each conjugation c, forward only, then jump pointers,
+        label = label[label], until a sweep changes nothing.  label[i] stays
+        an element of i's class and at most i.  Each step only lowers labels,
+        so after a sweep that changes nothing label[i] <= label[c(i)] for
+        every row i and every c; along a cycle of c that gives label[i] <=
+        label[c(i)] <= ... <= label[i], so labels are equal on each cycle of
+        each c.  They are then constant on each orbit of the group the
+        conjugations generate, which holds conjugation by every element, so
+        on each class; its first element is labelled by itself, so every
+        label is its class's first element.  No inverse map is needed."""
+        conj = self._conjugations(tree)
         label = np.arange(self.order, dtype=np.int32)
         gathered, before = np.empty_like(label), np.empty_like(label)
         while True:
@@ -839,8 +874,8 @@ class GroupClasses(ClassSystem):
     def classes_of_base_images(self, base_images) -> np.ndarray:
         """Classes of the group elements whose images of `self.base` are the
         rows given, rows of points.  KeyError when a row is the base images
-        of no element: it leaves an orbit of a stripped level or lands on an
-        empty slot of the key table."""
+        of no element: it holds a value that is not a point, leaves an orbit
+        of a stripped level or lands on an empty slot of the key table."""
         return self.class_of_idx[self._index(base_images)]
 
     def class_of(self, p: Permutation) -> int:
@@ -850,7 +885,9 @@ class GroupClasses(ClassSystem):
         """Class of one element, given as its image tuple or array; raises
         KeyError unless it is an element of the group."""
         row = np.asarray(images)
-        if row.shape == (self.degree,) and 0 <= row.min() and row.max() < self.degree:
+        # `_index` checks that the base images are points, and the whole
+        # row is compared with the element found
+        if row.shape == (self.degree,):
             i = self._index(row[None, self.base])[0]
             if np.array_equal(self._images(i), row):
                 return int(self.class_of_idx[i])

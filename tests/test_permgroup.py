@@ -511,6 +511,61 @@ def test_base_images_of_no_element_land_on_an_empty_slot():
         gc.classes_of_base_images(np.array([base, triple]))
 
 
+def test_base_images_that_are_not_points_raise_key_error():
+    # L2(7) strips nothing: packed in radix 8, the image 9 = 1 + 8 in the
+    # last place would alias one more in the middle place, the key of the
+    # member [3 2 1]
+    gc = conjugacy_classes(catalog.load_group("L2(7)")[1])
+    assert len(gc._levels) == 0 and gc.degree == 8
+    gc.classes_of_base_images(np.array([[3, 2, 1]]))  # a member
+    with pytest.raises(KeyError):
+        gc.classes_of_base_images(np.array([[3, 1, 9]]))
+    # A8 strips 5 levels: a negative first image would wrap through the
+    # orbit positions of the first level onto a member's key
+    gc = conjugacy_classes(catalog.load_group("A8")[1])
+    assert len(gc._levels) == 5
+    member = gc._images(np.arange(0, gc.order, 997), gc.base).astype(np.int64)
+    gc.classes_of_base_images(member)
+    for row in member[:5]:
+        wrapped = row.copy()
+        wrapped[0] -= gc.degree
+        with pytest.raises(KeyError):
+            gc.classes_of_base_images(wrapped[None])
+    with pytest.raises(KeyError):  # one bad tuple among members fails the call
+        gc.classes_of_base_images(np.vstack([member, wrapped]))
+
+
+@pytest.mark.parametrize("name", CAYLEY_GROUPS)
+def test_forward_labels_give_the_classes_of_a_union_find(name):
+    # labels flow forward through each conjugation only; a union-find over
+    # the same maps gives the same partition, and each class's entry is its
+    # least row
+    gc = _RecordingClasses(cayley_chain(name))
+    root = list(range(gc.order))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for c in gc.conj:
+        for i, j in enumerate(c.tolist()):
+            a, b = find(i), find(j)
+            if a != b:  # the lesser root wins, so a root is its set's least row
+                root[max(a, b)] = min(a, b)
+    least = [find(i) for i in range(gc.order)]
+    class_of_least = {}
+    for r, k in zip(least, gc.class_of_idx.tolist()):
+        assert class_of_least.setdefault(r, k) == k
+    assert sorted(class_of_least.values()) == list(range(len(gc.classes)))
+    for k, word in enumerate(gc._entry_words):
+        x = 0
+        for s in word:
+            x = int(gc._times[s, x])
+        assert least[x] == x and class_of_least[x] == k
+
+
 def test_only_images_reads_the_stored_rows():
     # one reader, so that the rows can be rebuilt instead of stored by
     # changing one method; the stages hand their results on, so none is
