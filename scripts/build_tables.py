@@ -18,13 +18,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cgtkit import catalog
+from cgtkit import catalog, verify
 
-DEFAULT = (
-    [f"A{n}" for n in range(4, 11)]
-    + [f"L2({q})" for q in (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)]
-    + ["M11", "M12", "M22", "J1", "J2", "U3(3)", "Sz(8)", "SL3(2)"]
-)
+# the Neumann suite's groups, and A4, which the tensor suite reads
+DEFAULT = ["A4", *verify.NEUMANN_GROUPS]
 
 
 def main():

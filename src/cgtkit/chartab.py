@@ -36,7 +36,7 @@ from .fflinalg import modp_charpoly, modp_kernel, modp_roots, modp_rref  # noqa:
 from .permgroup import ClassSystem, GroupClasses, conjugacy_classes
 
 __all__ = ["ClassInfo", "CharacterTable", "dixon_table", "class_mult_coeff",
-           "indicator", "tables_equivalent", "table_from_rows", "TableInvariantError"]
+           "indicator", "table_from_rows", "TableInvariantError"]
 
 
 class TableInvariantError(ValueError):
@@ -331,60 +331,3 @@ def indicator(table: CharacterTable, i: int) -> int:
     if not val.is_integer() or val.integer() not in (-1, 0, 1):
         raise TableInvariantError(f"indicator out of range: {val}")
     return val.integer()
-
-
-def tables_equivalent(t1: CharacterTable, t2: CharacterTable) -> bool:
-    """Equality up to simultaneous row/column permutation.
-
-    Class matching must preserve size, representative order and power-map
-    structure; rows are compared as multisets after column alignment.
-    """
-    if (t1.order != t2.order or t1.n_classes != t2.n_classes):
-        return False
-    k = t1.n_classes
-    buckets: dict = {}
-    for j, c in enumerate(t2.classes):
-        buckets.setdefault((c.size, c.rep_order), []).append(j)
-    cands = []
-    for c in t1.classes:
-        lst = buckets.get((c.size, c.rep_order))
-        if not lst:
-            return False
-        cands.append(lst)
-
-    assignment = [-1] * k
-    used = [False] * k
-
-    def rows_match(sigma):
-        r1 = sorted(tuple(v.sort_key() for v in row) for row in t1.values)
-        r2 = sorted(tuple(row[sigma[j]].sort_key() for j in range(k))
-                    for row in t2.values)
-        return r1 == r2
-
-    def power_ok(j1, j2, sigma_partial):
-        o = t1.classes[j1].rep_order
-        if o != t2.classes[j2].rep_order:
-            return False
-        for t in range(o):
-            img = t1.power_class(j1, t)
-            if sigma_partial[img] >= 0 and sigma_partial[img] != t2.power_class(j2, t):
-                return False
-        return True
-
-    def backtrack(pos):
-        if pos == k:
-            return rows_match(assignment)
-        for j2 in cands[pos]:
-            if used[j2]:
-                continue
-            if not power_ok(pos, j2, assignment):
-                continue
-            assignment[pos] = j2
-            used[j2] = True
-            if backtrack(pos + 1):
-                return True
-            assignment[pos] = -1
-            used[j2] = False
-        return False
-
-    return backtrack(0)

@@ -15,7 +15,7 @@ import sys
 
 from . import catalog
 from .classalg import covers, n_a
-from .gentriples import (beauville_search, build_lemma42, build_lemma43,
+from .gentriples import (DEFAULT_BUDGET, beauville_search, build_lemma42, build_lemma43,
                          enumerate_triples, search_triple, spread_class_check)
 from .fixspace import (catalog_module_rep, neumann_scan, random_scott_tuples,
                        scott_check, tensor_power_min_ratio)
@@ -78,7 +78,7 @@ def build_parser():
     p.add_argument("--class", dest="cname", required=True)
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _add_common(p)
 
     for nm in ("lemma42", "lemma43"):

@@ -25,18 +25,21 @@ increasing order.  Membership of the two is decided by the sign of any
 aligning conjugator, which is well defined because the centralizer of such
 an element is even-free.
 
-SnClassSystem and AnClassSystem work from cycle types alone and store no
-power maps: `power_class` reads each power off the cycle type on demand.
-x^t has the type of x^gcd(t, order), in which an m-cycle falls into
-gcd(m, t) cycles of length m / gcd(m, t).  In A_n that type splits only
-when t is prime to the order; then x^t is conjugate to x by i -> t*i on
-each m-cycle, whose sign is the Jacobi symbol (t/m), so x^t keeps its
-letter iff the product of (t/m) over the parts is 1.  Class elements come
-as int8 row chunks (_type_rows): their flat cycle tuples are built one
-position at a time on arrays, depth first over blocks of at most
-_BLOCK_ROWS rows (plus one prefix's children), and each finished block
-is scattered into image rows and sliced into chunks, so no class is ever
-held whole.
+One class system works from cycle types alone: SnClassSystem owns the
+class order, the index from (cycle type, split letter) to class,
+`power_class` and `class_of`, and AnClassSystem, its subclass, gives only
+its classes (the even types, split types as two halves), its order and its
+element scans.  Neither stores power maps: `power_class` reads each power
+off the cycle type on demand.  x^t has the type of x^gcd(t, order), in
+which an m-cycle falls into gcd(m, t) cycles of length m / gcd(m, t).  In
+A_n that type splits only when t is prime to the order; then x^t is
+conjugate to x by i -> t*i on each m-cycle, whose sign is the Jacobi
+symbol (t/m), so x^t keeps its letter iff the product of (t/m) over the
+parts is 1.  Class elements come as int8 row chunks (_type_rows): their
+flat cycle tuples are built one position at a time on arrays, depth first
+over blocks of at most _BLOCK_ROWS rows (plus one prefix's children), and
+each finished block is scattered into image rows as one chunk, so no
+class is ever held whole.
 
 The brute-force scan for products x*y in a target class (of type mu) is a
 sieve on the fixed points of powers: P has type mu iff, for j = 1..max(mu),
@@ -256,71 +259,25 @@ class CombClass:
 
 
 class SnClassSystem(ClassSystem):
+    """Conjugacy classes of S_n by cycle type, and the parts AnClassSystem
+    shares: classes sorted by (order, size, representative), one index
+    from (cycle type, split letter) to class, power_class and class_of.
+    Subclasses give their own class records through _entries."""
+
     def __init__(self, n: int):
         if n > SN_BUDGET:
             raise ValueError(f"n = {n} beyond the n <= {SN_BUDGET} budget")
         self.n = n
+        self.degree = n
         self.order = factorial(n)
-        self.degree = n
-        types = sorted(partitions(n),
-                       key=lambda mu: (cycle_type_order(mu), class_size_sn(n, mu), mu))
-        self.classes = []
-        self._type_index = {}
-        for mu in types:
-            self._type_index[mu] = len(self.classes)
-            self.classes.append(CombClass(
-                name=type_name(mu), cycle_type=mu,
-                representative=canonical_rep(mu, n),
-                size=class_size_sn(n, mu),
-                rep_order=cycle_type_order(mu)))
+        self.classes = sorted(self._entries(),
+                              key=lambda c: (c.rep_order, c.size, c.representative.images))
+        self._index = {(c.cycle_type, c.split_letter): i for i, c in enumerate(self.classes)}
 
-    def power_class(self, k: int, a: int) -> int:
-        return self._type_index[_power_type(self.classes[k].cycle_type, a)]
-
-    def class_of(self, p: Permutation) -> int:
-        return self._type_index[p.cycle_type()]
-
-
-def _power_type(mu: tuple, t: int) -> tuple:
-    """The cycle type of x^t for x of type mu, for any integer t."""
-    out = []
-    for part in mu:
-        g = gcd(part, t)
-        out.extend([part // g] * g)
-    return tuple(sorted(out, reverse=True))
-
-
-class AnClassSystem(ClassSystem):
-    """Conjugacy classes of A_n described by cycle types with splitting."""
-
-    def __init__(self, n: int):
-        if n > SN_BUDGET:
-            raise ValueError(f"n = {n} beyond the n <= {SN_BUDGET} budget")
-        if n < 3:
-            raise ValueError("A_n class system needs n >= 3")
-        self.n = n
-        self.degree = n
-        self.order = factorial(n) // 2
-        entries = []
-        for mu in partitions(n):
-            if not is_even_type(mu):
-                continue
-            rep = canonical_rep(mu, n)
-            size = class_size_sn(n, mu)
-            if splits_in_an(mu):
-                entries.append(CombClass(type_name(mu) + "a", mu, rep,
-                                         size // 2, cycle_type_order(mu), "a"))
-                entries.append(CombClass(type_name(mu) + "b", mu,
-                                         rep.conj(Permutation.from_cycles(n, [[0, 1]])),
-                                         size // 2, cycle_type_order(mu), "b"))
-            else:
-                entries.append(CombClass(type_name(mu), mu, rep, size,
-                                         cycle_type_order(mu), ""))
-        entries.sort(key=lambda c: (c.rep_order, c.size, c.representative.images))
-        self.classes = entries
-        self._index = {}
-        for i, c in enumerate(entries):
-            self._index[(c.cycle_type, c.split_letter)] = i
+    def _entries(self):
+        for mu in partitions(self.n):
+            yield CombClass(type_name(mu), mu, canonical_rep(mu, self.n),
+                            class_size_sn(self.n, mu), cycle_type_order(mu))
 
     def power_class(self, k: int, a: int) -> int:
         """The class of x^a for x in class k: x^a has cycle type
@@ -338,12 +295,48 @@ class AnClassSystem(ClassSystem):
         return self._index[(_power_type(c.cycle_type, d), "")]
 
     def class_of(self, p: Permutation) -> int:
+        """p's class: its cycle type and, for a split type, the letter the
+        sign of an aligning conjugator gives."""
         mu = p.cycle_type()
         if (mu, "") in self._index:
             return self._index[(mu, "")]
         even = _aligns_evenly(np.array([p.images], dtype=np.int8), mu)[0]
         letter = "a" if even else "b"
         return self._index[(mu, letter)]
+
+
+def _power_type(mu: tuple, t: int) -> tuple:
+    """The cycle type of x^t for x of type mu, for any integer t."""
+    out = []
+    for part in mu:
+        g = gcd(part, t)
+        out.extend([part // g] * g)
+    return tuple(sorted(out, reverse=True))
+
+
+class AnClassSystem(SnClassSystem):
+    """Conjugacy classes of A_n: the even cycle types, each split type as
+    two halves."""
+
+    def __init__(self, n: int):
+        if n < 3:
+            raise ValueError("A_n class system needs n >= 3")
+        super().__init__(n)
+        self.order = factorial(n) // 2
+
+    def _entries(self):
+        n = self.n
+        for mu in partitions(n):
+            if not is_even_type(mu):
+                continue
+            rep, size, order = canonical_rep(mu, n), class_size_sn(n, mu), cycle_type_order(mu)
+            if splits_in_an(mu):
+                yield CombClass(type_name(mu) + "a", mu, rep, size // 2, order, "a")
+                yield CombClass(type_name(mu) + "b", mu,
+                                rep.conj(Permutation.from_cycles(n, [[0, 1]])),
+                                size // 2, order, "b")
+            else:
+                yield CombClass(type_name(mu), mu, rep, size, order)
 
     def _class_chunks(self, k: int):
         """Class k as int8 row chunks in the order of _type_rows; split
@@ -448,17 +441,15 @@ def _jacobi(t: int, m: int) -> int:
     return sign if m == 1 else 0
 
 
-# rows per chunk of _type_rows, at most: each finished block is sliced into
-# chunks, so a chunk may be shorter (A10 7a: 14 chunks of 80 KB or less)
-_CHUNK_ROWS = 8192
-# children per working block of _type_rows: a level that would pass it is
-# split, so a block holds at most this many plus one prefix's children
+# children per working block of _type_rows, and so rows per chunk: a level
+# that would pass it is split, so a block holds at most this many plus one
+# prefix's children
 _BLOCK_ROWS = 8192
 
 
 def _type_rows(n: int, mu: tuple):
     """All elements of cycle type mu (fixed points implied by mu) as int8
-    arrays of image rows, at most _CHUNK_ROWS rows each.
+    arrays of image rows, one chunk per finished block.
 
     Each element is a flat tuple of its cycles' points.  Each cycle is
     written starting from its minimal point (so the other entries are drawn
@@ -474,8 +465,8 @@ def _type_rows(n: int, mu: tuple):
     lexicographic order.  The levels run depth first over blocks: a level
     whose children would pass _BLOCK_ROWS splits its prefixes by the
     running sum of their child counts and finishes each group in turn.
-    Each finished block becomes image rows (one scatter per column) and is
-    sliced into chunks.
+    Each finished block becomes one chunk of image rows (one scatter per
+    column).
     """
     parts = [p for p in mu if p > 1]
     if not parts:
@@ -526,6 +517,8 @@ def _type_rows(n: int, mu: tuple):
         cuts = groups(prefixes, free)
         for a, b in zip(cuts, cuts[1:]):
             children, rest = extend(prefixes[a:b], free[a:b])
+            if not len(children):
+                continue  # a group of prefixes that cannot go on
             if rest is None:
                 yield children
             else:
@@ -536,8 +529,7 @@ def _type_rows(n: int, mu: tuple):
         at = np.arange(len(seqs))
         for j, k in enumerate(succ):
             rows[at, seqs[:, j]] = seqs[:, k]
-        for i in range(0, len(rows), _CHUNK_ROWS):
-            yield rows[i:i + _CHUNK_ROWS]
+        yield rows
 
 
 # -- tables ---------------------------------------------------------------------
@@ -545,9 +537,8 @@ def _type_rows(n: int, mu: tuple):
 def sn_table(n: int) -> CharacterTable:
     """Full integral character table of S_n."""
     cs = SnClassSystem(n)
-    lams = sorted(partitions(n), key=lambda l: (hook_degree(l), l))
     rows = [[Cyclotomic.from_rational(mn_value(lam, c.cycle_type)) for c in cs.classes]
-            for lam in lams]
+            for lam in partitions(n)]
     return table_from_rows(f"S{n}", cs, rows)
 
 

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from cgtkit import verify
+from cgtkit.symmchar import AnClassSystem
 from cgtkit.verify import SUITES, run_suite
 
 CRITERIA = [
@@ -73,3 +74,20 @@ def test_check_elapsed_excludes_loading(monkeypatch, suite):
     checks = [c for rep in run_suite(suite) for c in rep.checks]
     assert clock[0] > 0
     assert [c.check_id for c in checks if c.elapsed] == []
+
+
+def test_crosscheck_reads_a_misclassified_class_as_false(monkeypatch):
+    """The A_n table cross-check maps each element-index class to a
+    cycle-type class through AnClassSystem.class_of: when that sends A6's
+    4+2 to the class of 2+2+1+1, the map is no bijection, and the check
+    reads False without raising."""
+    class_of = AnClassSystem.class_of
+
+    def misclassify(self, p):
+        k = class_of(self, p)
+        return self.class_named("2+2+1+1") if self.classes[k].name == "4+2" else k
+
+    monkeypatch.setattr(AnClassSystem, "class_of", misclassify)
+    got = {c.check_id: c.got for c in verify.suite_crosscheck().checks}
+    assert got["crosscheck.A6_tables"] == "False"
+    assert got["crosscheck.A5_tables"] == got["crosscheck.A7_tables"] == "True"

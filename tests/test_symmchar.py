@@ -6,12 +6,12 @@ from math import factorial, gcd
 import numpy as np
 import pytest
 
-from cgtkit.chartab import class_mult_coeff, dixon_table, tables_equivalent
+from cgtkit.chartab import class_mult_coeff, dixon_table
 from cgtkit.classalg import covers
 from cgtkit.cyclotomic import sqrt_int
 from cgtkit.perms import Permutation, _mul
 from cgtkit.permgroup import build_chain, conjugacy_classes
-from cgtkit import catalog, symmchar
+from cgtkit import catalog, symmchar, verify
 from cgtkit.symmchar import (AnClassSystem, SnClassSystem, _aligns_evenly, _jacobi,
                              _power_fixed_points, _type_rows, an_pair_covers, an_table,
                              canonical_rep, class_size_sn, hook_degree, mn_value, partitions, sn_table,
@@ -153,32 +153,36 @@ def _reference_type_elements(n, mu):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_type_rows_match_the_reference_recursion(n, monkeypatch):
+    # at bound 1 every prefix is a block of its own, a few numpy calls per
+    # element: all of S9 takes about 18 s (2-core machine), so n = 9 starts
+    # at 37 and n <= 8 covers bound 1
+    bounds = (37, symmchar._BLOCK_ROWS) if n == 9 else (1, 37, symmchar._BLOCK_ROWS)
     for mu in partitions(n):
         want = np.array(list(_reference_type_elements(n, mu)), dtype=np.int8)
-        for chunk in (1, 37, symmchar._CHUNK_ROWS):
-            monkeypatch.setattr(symmchar, "_CHUNK_ROWS", chunk)
+        for bound in bounds:
+            monkeypatch.setattr(symmchar, "_BLOCK_ROWS", bound)
             chunks = list(_type_rows(n, mu))
-            assert all(rows.dtype == np.int8 and 0 < len(rows) <= chunk
-                       for rows in chunks), (mu, chunk)
-            assert np.array_equal(np.concatenate(chunks), want), (mu, chunk)
+            assert all(rows.dtype == np.int8 and 0 < len(rows) <= bound + n
+                       for rows in chunks), (mu, bound)
+            assert np.array_equal(np.concatenate(chunks), want), (mu, bound)
 
 
 def test_type_rows_stream_a_huge_class(monkeypatch):
     # 17+1 in S18 has 18!/17 elements; the first chunk must not need them all
-    monkeypatch.setattr(symmchar, "_CHUNK_ROWS", 3000)
+    monkeypatch.setattr(symmchar, "_BLOCK_ROWS", 3000)
     t0 = time.perf_counter()
     rows = next(_type_rows(18, (17, 1)))
     assert time.perf_counter() - t0 < 5
-    want = list(itertools.islice(_reference_type_elements(18, (17, 1)), 3000))
+    assert 0 < len(rows) <= 3000 + 18
+    want = list(itertools.islice(_reference_type_elements(18, (17, 1)), len(rows)))
     assert [tuple(r) for r in rows.tolist()] == want
 
 
 @pytest.mark.parametrize("bound", [1, 7, 50])
 def test_type_rows_split_small_blocks_in_order(monkeypatch, bound):
     # a small block bound splits the levels from the second position on;
-    # with chunks larger than any block, each chunk is one finished block
+    # each chunk is one finished block
     monkeypatch.setattr(symmchar, "_BLOCK_ROWS", bound)
-    monkeypatch.setattr(symmchar, "_CHUNK_ROWS", 10 ** 6)
     for mu in [(2, 2, 1, 1, 1, 1), (3, 3, 2), (4, 2, 2), (5, 3), (6, 1, 1), (8,)]:
         want = np.array(list(_reference_type_elements(8, mu)), dtype=np.int8)
         chunks = list(_type_rows(8, mu))
@@ -199,7 +203,7 @@ def test_type_rows_of_four_cycles_in_s10():
     want = np.array(list(_reference_type_elements(10, (3, 3, 2, 2))), dtype=np.int8)
     chunks = list(_type_rows(10, (3, 3, 2, 2)))
     assert len(want) == 25200 and len(chunks) > 1
-    assert all(0 < len(rows) <= symmchar._CHUNK_ROWS for rows in chunks)
+    assert all(0 < len(rows) <= symmchar._BLOCK_ROWS + 10 for rows in chunks)
     assert np.array_equal(np.concatenate(chunks), want)
 
 
@@ -209,11 +213,11 @@ def test_products_do_not_depend_on_the_chunk_size(monkeypatch):
     k = cs.class_named("2+2+2+2+1")
     x = cs.classes[k].representative.images
     seen = {}
-    for chunk in (1, 37, symmchar._CHUNK_ROWS):
-        monkeypatch.setattr(symmchar, "_CHUNK_ROWS", chunk)
-        seen[chunk] = [list(cs.iter_class_images_with_product(k, x, target))
+    for bound in (1, 37, symmchar._BLOCK_ROWS):
+        monkeypatch.setattr(symmchar, "_BLOCK_ROWS", bound)
+        seen[bound] = [list(cs.iter_class_images_with_product(k, x, target))
                        for target in range(len(cs.classes))]
-    assert seen[1] == seen[37] == seen[symmchar._CHUNK_ROWS]
+    assert seen[1] == seen[37] == seen[symmchar._BLOCK_ROWS]
     assert sum(map(len, seen[1])) == cs.classes[k].size
     assert seen[1][cs.class_named("9a")] and seen[1][cs.class_named("9b")]
 
@@ -258,10 +262,12 @@ def test_every_split_class_element_classifies_back(n):
 
 
 def test_an_table_equals_dixon_small():
+    # through the class map: each element-index class to the cycle-type
+    # class of its representative
     for n in (5, 6):
-        ta = an_table(n)
-        td = dixon_table(catalog.class_system(f"A{n}"), f"A{n}")
-        assert tables_equivalent(ta, td)
+        gc = catalog.class_system(f"A{n}")
+        td = dixon_table(gc, f"A{n}")
+        assert verify._mn_matches_dixon(AnClassSystem(n), gc, td)
 
 
 def test_an_pair_covers_a5():
@@ -328,7 +334,7 @@ def test_batched_products_match_per_element_filter(n):
 
 
 def test_batched_products_across_chunk_boundaries(monkeypatch):
-    monkeypatch.setattr(symmchar, "_CHUNK_ROWS", 37)
+    monkeypatch.setattr(symmchar, "_BLOCK_ROWS", 37)
     _check_batched_products(7)
 
 
@@ -363,8 +369,8 @@ def test_power_fixed_points_tell_every_cycle_type():
 
 @pytest.mark.parametrize("x_cycles", [None, [[0, 3], [1, 8, 5, 2], [4, 9, 7]]])
 def test_a10_7a_products_match_per_element_filter(monkeypatch, x_cycles):
-    # every 13th chunk of 37 rows: about 6 600 elements spread over the class
-    monkeypatch.setattr(symmchar, "_CHUNK_ROWS", 37)
+    # every 13th block of about 37 rows: over 6 000 elements spread over the class
+    monkeypatch.setattr(symmchar, "_BLOCK_ROWS", 37)
     cs = AnClassSystem(10)
     k = cs.class_named("7a")
     x = (cs.classes[k].representative if x_cycles is None
@@ -408,7 +414,7 @@ def align_sign(perm: Permutation, mu: tuple) -> int:
 
 
 def test_vectorized_split_half_matches_align_sign(monkeypatch):
-    monkeypatch.setattr(symmchar, "_CHUNK_ROWS", 3000)
+    monkeypatch.setattr(symmchar, "_BLOCK_ROWS", 3000)
     for n in (5, 6, 7, 8, 11):
         for mu in partitions(n):
             if not splits_in_an(mu):
