@@ -1,4 +1,5 @@
-"""Small-integer number theory: primality, factoring, primitive roots.
+"""Small-integer number theory: primality, factoring, primitive roots,
+and the toolkit's one square-and-multiply loop.
 
 Every number factored here is small (an extension degree, a field order
 q - 1, a Dixon p - 1, a conductor), so trial division is enough.  Primality
@@ -6,9 +7,16 @@ is a deterministic Miller-Rabin below ``MR_BOUND``; only numbers from
 outside (``cgtkit zsigmondy --q``) reach the ``sympy.isprime`` fallback
 above it.  Nothing here is cached, so there is no state for a session
 reset to miss.
+
+``_power`` raises anything with an associative product to a power
+n >= 0: permutations, cyclotomic numbers, matrices and codes over a finite
+field, and polynomials modulo another.  Each caller keeps its own rule for
+n < 0 (invert first, or refuse).
 """
 
 from __future__ import annotations
+
+import operator
 
 __all__ = ["MR_BOUND", "is_prime", "factorize", "primitive_root", "is_prime_power"]
 
@@ -45,6 +53,21 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _power(x, n: int, one, mul=operator.mul):
+    """x^n for n >= 0 by square-and-multiply, with `one` the identity and
+    `mul` the product; a negative n is refused."""
+    if n < 0:
+        raise ValueError(f"negative power {n}")
+    r = one
+    while n:
+        if n & 1:
+            r = mul(r, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return r
 
 
 def factorize(n: int) -> list:

@@ -20,7 +20,7 @@ from .gentriples import (DEFAULT_BUDGET, beauville_search, build_lemma42, build_
 from .fixspace import (catalog_module_rep, neumann_scan, random_scott_tuples,
                        scott_check, tensor_power_min_ratio)
 from .sl2 import macbeath_cover, trace_image
-from .zsigmondy import ZsigmondyReport, _categorize, phi_star, scan_reports
+from .zsigmondy import ZsigmondyReport, scan_reports
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 
@@ -136,10 +136,9 @@ def cmd_zsigmondy(args) -> int:
     if args.q is None or args.e is None:
         print("zsigmondy needs --q and --e (or --scan)", file=sys.stderr)
         return 2
-    val = phi_star(args.q, args.e)
-    r = ZsigmondyReport(args.q, args.e, val, _categorize(val, args.e))
+    r = ZsigmondyReport.of(args.q, args.e)
     _emit(args, r.to_json(),
-          f"phi_star({args.q}, {args.e}) = {val}  [{r.category}]")
+          f"phi_star({args.q}, {args.e}) = {r.phi_star}  [{r.category}]")
     return 0
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from ._ntheory import factorize
+from ._ntheory import _power, factorize
 
 __all__ = ["Cyclotomic", "zeta", "sqrt_int", "sum_of_products"]
 
@@ -235,14 +235,7 @@ class Cyclotomic:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        r = Cyclotomic.one()
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return _power(self, n, Cyclotomic.one())
 
     def galois(self, a: int) -> "Cyclotomic":
         """Apply the automorphism zeta_e -> zeta_e^a (a coprime to e)."""

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._ntheory import _power
 from .finitefield import FiniteField, _pgcd, _pmul, _ptrim
 
 __all__ = ["FFMatrix", "ff_rank", "ff_simultaneous_eigenspaces"]
@@ -114,16 +115,8 @@ class FFMatrix:
     def __pow__(self, n: int):
         if self.rows != self.cols:
             raise ValueError("power of non-square matrix")
-        if n < 0:
-            raise ValueError("negative matrix powers not supported")
-        r = FFMatrix.identity(self.field, self.rows)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        # no inverse is taken: _power refuses n < 0
+        return _power(self, n, FFMatrix.identity(self.field, self.rows))
 
     def transpose(self) -> "FFMatrix":
         return FFMatrix(self.field, list(zip(*self.data)))

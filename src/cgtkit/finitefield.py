@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._ntheory import factorize, is_prime, primitive_root
+from ._ntheory import _power, factorize, is_prime, primitive_root
 
 __all__ = ["FiniteField", "conway_polynomial"]
 
@@ -62,15 +62,9 @@ def _pdivmod(F, f, g):
     return q, _ptrim(f)
 
 def _ppowmod(F, f, n, mod):
-    """f^n reduced mod `mod`."""
-    r = [1]
-    b = _pdivmod(F, f, mod)[1]
-    while n:
-        if n & 1:
-            r = _pdivmod(F, _pmul(F, r, b), mod)[1]
-        b = _pdivmod(F, _pmul(F, b, b), mod)[1]
-        n >>= 1
-    return r
+    """f^n reduced mod `mod`, for n >= 0."""
+    return _power(_pdivmod(F, f, mod)[1], n, [1],
+                  lambda a, b: _pdivmod(F, _pmul(F, a, b), mod)[1])
 
 def _pgcd(F, f, g):
     """Monic gcd of f and g ([] when both are zero)."""
@@ -263,15 +257,11 @@ class FiniteField:
         n = int(n)
         if n < 0:
             return self.pow(self.inv(a), -n)
-        if self._log is not None and a != 0 and self.k > 1:
+        if self.k == 1:
+            return pow(a, n, self.p)
+        if self._log is not None and a != 0:
             return self._exp[(self._log[a] * n) % (self.q - 1)]
-        r = 1
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
+        return _power(a, n, 1, self.mul)
 
     def embed(self, a: int, big: "FiniteField") -> int:
         """Canonical (Conway-compatible) embedding into GF(p^K), k | K."""

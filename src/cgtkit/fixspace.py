@@ -2,9 +2,14 @@
 
 Finite-field side: ModuleRep carries a permutation group together with a
 matrix assignment for its generators; fixed spaces are exact nullities.
-Character side: eigenspace multiplicities of a class representative are
-recovered from character values on its powers via the discrete Fourier
-transform on the cyclic group it generates.
+Character side: one exact Fourier sum, `_eigenspace_dims`, gives every
+dimension read off characters.  For classes h_1..h_m of lcm order d, the
+zeta_d^l-eigenspace of h_1 x ... x h_m on the m-fold tensor power of chi has
+dimension (1/d) sum_{j<d} prod_t chi(h_t^j) zeta_d^(-lj), the discrete
+Fourier transform on the cyclic group of order d (Isaacs, Character Theory
+of Finite Groups, 1976).  m = 1 and every l gives the eigenvalue
+multiplicities of `eigdims_from_character`, behind the Neumann scan and
+property (E); l = 0 gives the fixed dimensions of the tensor-power scans.
 """
 
 from __future__ import annotations
@@ -189,30 +194,49 @@ def random_scott_tuples(rep: ModuleRep, count: int, r: int = 3, seed: int = 0):
 
 # -- character-side eigenspace bookkeeping ------------------------------------
 
+def _eigenspace_dims(table: CharacterTable, row, tup, ls) -> list:
+    """Dimension of the zeta_d^l-eigenspace of h_1 x ... x h_m on the m-fold
+    tensor power of the character `row`, for each l of `ls`, with h_t in
+    class tup[t] and d the lcm of their orders:
+    (1/d) sum_{j<d} prod_t chi(h_t^j) zeta_d^(-lj), one sum_of_products per l."""
+    d = lcm(*(table.classes[t].rep_order for t in tup))
+    first, *rest = tup
+    products = []
+    for j in range(d):
+        p = row[table.power_class(first, j)]
+        for t in rest:
+            p = p * row[table.power_class(t, j)]
+        products.append(p)
+    # exponent 0 reads only zeta_d^0
+    roots = [zeta(d, -s) for s in range(d if any(ls) else 1)]
+    scale = Fraction(1, d)
+    out = []
+    for l in ls:
+        m = sum_of_products(d, ((products[j], roots[l * j % d], scale)
+                                for j in range(d)))
+        if not m.is_integer() or m.integer() < 0:
+            raise TableInvariantError(
+                f"non-integral eigenspace dimension {m} (corrupt table)")
+        out.append(m.integer())
+    return out
+
+
 def eigdims_from_character(table: CharacterTable, char_index: int,
                            class_index: int):
     """Multiplicities (exponent l, m_l) of the eigenvalues zeta_o^l."""
     o = table.classes[class_index].rep_order
-    deg = table.degrees[char_index]
-    if o == 1:
-        return [(0, deg)]
-    values = [table.values[char_index][table.power_class(class_index, t)]
-              for t in range(o)]
-    roots = [zeta(o, s) for s in range(o)]
-    scale = Fraction(1, o)
-    out = []
-    total = 0
-    for l in range(o):
-        m = sum_of_products(o, ((values[t], roots[-l * t % o], scale)
-                                for t in range(o)))
-        if not m.is_integer() or m.integer() < 0:
-            raise TableInvariantError(
-                f"non-integral eigenvalue multiplicity {m} (corrupt table)")
-        out.append((l, m.integer()))
-        total += m.integer()
-    if total != deg:
+    dims = _eigenspace_dims(table, table.values[char_index], (class_index,), range(o))
+    if sum(dims) != table.degrees[char_index]:
         raise TableInvariantError("eigenvalue multiplicities do not sum to degree")
-    return out
+    return list(enumerate(dims))
+
+
+def _eigenspaces_within_a_third(table: CharacterTable, char_index: int,
+                                class_index: int, deg: int) -> bool:
+    """Whether every eigenspace of the class on the character has
+    dimension at most deg/3."""
+    return all(3 * m <= deg for _, m in
+               eigdims_from_character(table, char_index, class_index))
 
 
 def neumann_scan(table: CharacterTable) -> dict:
@@ -227,10 +251,7 @@ def neumann_scan(table: CharacterTable) -> dict:
             continue  # trivial character
         found = None
         for j, c in enumerate(table.classes):
-            if c.rep_order == 1:
-                continue
-            dims = eigdims_from_character(table, i, j)
-            if all(3 * m <= deg for _, m in dims):
+            if c.rep_order != 1 and _eigenspaces_within_a_third(table, i, j, deg):
                 found = c.name
                 break
         if found is None:
@@ -257,7 +278,7 @@ def tensor_power_min_ratio(table: CharacterTable, char_index: int, m: int) -> di
     """Minimum of fixed-dim/dim over nontrivial class tuples for the m-fold
     tensor power of the given character row (one class per direct factor).
 
-    Each tuple's fixed dimension comes from `_tuple_fixed_dim`; symmetry
+    Each tuple's fixed dimension is its eigenspace at exponent 0; symmetry
     over the factors reduces tuples to multisets.
     """
     if m < 1:
@@ -274,7 +295,7 @@ def tensor_power_min_ratio(table: CharacterTable, char_index: int, m: int) -> di
     for tup in _multisets(k, m):
         if all(t == ident for t in tup):
             continue
-        fix = _tuple_fixed_dim(table, row, tup)
+        fix = _eigenspace_dims(table, row, tup, (0,))[0]
         ratio = Fraction(fix) / dim_total
         names = tuple(table.classes[t].name for t in tup)
         if best is None or ratio < best:
@@ -292,26 +313,7 @@ def diagonal_tuple_fixed_dim(table: CharacterTable, char_index: int,
     if m < 1:
         raise ValueError(f"tensor power m = {m} must be at least 1")
     j = table.class_named(class_name)
-    return _tuple_fixed_dim(table, table.values[char_index], (j,) * m)
-
-
-def _tuple_fixed_dim(table: CharacterTable, row, tup) -> int:
-    """Fixed dimension of the class tuple (h_1..h_m) on the m-fold tensor
-    power of the character `row`: (1/d) sum_{j<d} prod_t chi(h_t^j), d the
-    lcm of the orders of the h_t."""
-    d = lcm(*(table.classes[t].rep_order for t in tup))
-    total = Cyclotomic.zero()
-    for j in range(d):
-        prod = Cyclotomic.one()
-        for t in tup:
-            prod = prod * row[table.power_class(t, j)]
-            if prod.is_zero():
-                break
-        total = total + prod
-    fix = total / d
-    if not fix.is_integer() or fix.integer() < 0:
-        raise TableInvariantError(f"non-integral fixed dimension {fix}")
-    return fix.integer()
+    return _eigenspace_dims(table, table.values[char_index], (j,) * m, (0,))[0]
 
 
 def property_e_witness(table: CharacterTable):
@@ -324,6 +326,7 @@ def property_e_witness(table: CharacterTable):
     if len(table.linear_characters()) > 1:
         return None
     ident = table._identity_col()
+    degs = [row[ident].integer() for row in table.values]
     order = sorted(range(table.n_classes),
                    key=lambda j: (-table.classes[j].rep_order,
                                   table.classes[j].name))
@@ -333,15 +336,7 @@ def property_e_witness(table: CharacterTable):
             continue
         if n_a(table, j, -2) <= 0:
             continue
-        good = True
-        for i, row in enumerate(table.values):
-            deg = row[ident].integer()
-            if deg == 1:
-                continue
-            dims = eigdims_from_character(table, i, j)
-            if any(3 * mult > deg for _, mult in dims):
-                good = False
-                break
-        if good:
+        if all(_eigenspaces_within_a_third(table, i, j, deg)
+               for i, deg in enumerate(degs) if deg != 1):
             return c.name
     return None

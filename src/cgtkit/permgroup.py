@@ -521,10 +521,13 @@ class ClassSystem:
         if name in self._name_index:
             return self._name_index[name]
         # order-letter fallback ("7a" = first class of representative order
-        # 7 in canonical order), so both naming schemes resolve everywhere
-        m = re.fullmatch(r"(\d+)([a-z])", name)
+        # 7 in canonical order), so both naming schemes resolve everywhere;
+        # the letters are class_letter's bijective base 26 ("aa" = 26)
+        m = re.fullmatch(r"(\d+)([a-z]+)", name)
         if m:
-            order, pos = int(m.group(1)), ord(m.group(2)) - ord("a")
+            order, pos = int(m.group(1)), -1
+            for ch in m.group(2):
+                pos = 26 * (pos + 1) + _LETTERS.index(ch)
             idx = [i for i, c in enumerate(self.classes) if c.rep_order == order]
             if pos < len(idx):
                 return idx[pos]

@@ -9,8 +9,10 @@ Cycle notation I/O is 1-based, e.g. "(1,2)(3,4)".  Conjugation p.conj(s)
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import lcm
 from operator import itemgetter
+
+from ._ntheory import _power
 
 __all__ = ["Permutation", "parse_perm", "parse_perm_file", "format_perm"]
 
@@ -77,14 +79,7 @@ class Permutation:
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
             return self.inverse() ** (-n)
-        r = Permutation.identity(len(self.images))
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return _power(self, n, Permutation.identity(len(self.images)))
 
     def conj(self, s: "Permutation") -> "Permutation":
         """s^-1 * self * s (the relabel-by-s conjugate)."""
@@ -126,10 +121,7 @@ class Permutation:
         return tuple(lengths)
 
     def order(self) -> int:
-        o = 1
-        for c in self.cycles():
-            o = o * len(c) // gcd(o, len(c))
-        return o
+        return lcm(*map(len, self.cycles()))
 
     def sign(self) -> int:
         return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -150,13 +150,6 @@ def mn_value(lam: tuple, mu: tuple) -> int:
     if n != sum(mu):
         raise ValueError("partition sizes differ")
     return _mn(_beads(tuple(part for part in lam if part), n), mu)
-
-
-def cycle_type_order(mu: tuple) -> int:
-    o = 1
-    for part in mu:
-        o = o * part // gcd(o, part)
-    return o
 
 
 def class_size_sn(n: int, mu: tuple) -> int:
@@ -277,7 +270,7 @@ class SnClassSystem(ClassSystem):
     def _entries(self):
         for mu in partitions(self.n):
             yield CombClass(type_name(mu), mu, canonical_rep(mu, self.n),
-                            class_size_sn(self.n, mu), cycle_type_order(mu))
+                            class_size_sn(self.n, mu), lcm(*mu))
 
     def power_class(self, k: int, a: int) -> int:
         """The class of x^a for x in class k: x^a has cycle type
@@ -296,10 +289,15 @@ class SnClassSystem(ClassSystem):
 
     def class_of(self, p: Permutation) -> int:
         """p's class: its cycle type and, for a split type, the letter the
-        sign of an aligning conjugator gives."""
+        sign of an aligning conjugator gives.  Raises KeyError unless p is
+        an element of the group."""
+        if sorted(p.images) != list(range(self.n)):
+            raise KeyError("not an element of the group")
         mu = p.cycle_type()
         if (mu, "") in self._index:
             return self._index[(mu, "")]
+        if (mu, "a") not in self._index:
+            raise KeyError("not an element of the group")
         even = _aligns_evenly(np.array([p.images], dtype=np.int8), mu)[0]
         letter = "a" if even else "b"
         return self._index[(mu, letter)]
@@ -329,7 +327,7 @@ class AnClassSystem(SnClassSystem):
         for mu in partitions(n):
             if not is_even_type(mu):
                 continue
-            rep, size, order = canonical_rep(mu, n), class_size_sn(n, mu), cycle_type_order(mu)
+            rep, size, order = canonical_rep(mu, n), class_size_sn(n, mu), lcm(*mu)
             if splits_in_an(mu):
                 yield CombClass(type_name(mu) + "a", mu, rep, size // 2, order, "a")
                 yield CombClass(type_name(mu) + "b", mu,

@@ -42,6 +42,13 @@ class ZsigmondyReport:
     phi_star: int
     category: str  # generic | one | e_plus_1 | two_e_plus_1
 
+    @classmethod
+    def of(cls, q: int, e: int) -> "ZsigmondyReport":
+        """The report for one (q, e): phi_star(q, e) and its category."""
+        value = phi_star(q, e)
+        category = {1: "one", e + 1: "e_plus_1", 2 * e + 1: "two_e_plus_1"}
+        return cls(q, e, value, category.get(value, "generic"))
+
     def to_json(self) -> dict:
         return {"q": self.q, "e": self.e, "phi_star": str(self.phi_star),
                 "category": self.category}
@@ -63,16 +70,6 @@ def phi_star(q: int, e: int) -> int:
     return g
 
 
-def _categorize(value: int, e: int) -> str:
-    if value == 1:
-        return "one"
-    if value == e + 1:
-        return "e_plus_1"
-    if value == 2 * e + 1:
-        return "two_e_plus_1"
-    return "generic"
-
-
 def _grid_reports(q_max: int, e_max: int, qe_bound: int):
     """Reports for prime powers q <= q_max and 3 <= e <= e_max with
     q^e - 1 <= qe_bound, q ascending, then e ascending."""
@@ -82,8 +79,7 @@ def _grid_reports(q_max: int, e_max: int, qe_bound: int):
         for e in range(3, e_max + 1):
             if q ** e - 1 > qe_bound:
                 break
-            val = phi_star(q, e)
-            yield ZsigmondyReport(q, e, val, _categorize(val, e))
+            yield ZsigmondyReport.of(q, e)
 
 
 def classify_small_zsigmondy(q_max: int, e_max: int, qe_bound: int = FACTORIZATION_BOUND):

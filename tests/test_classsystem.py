@@ -7,7 +7,7 @@ import pytest
 
 from cgtkit import catalog
 from cgtkit.chartab import ClassInfo
-from cgtkit.permgroup import ClassSystem
+from cgtkit.permgroup import ClassSystem, class_letter
 from cgtkit.symmchar import AnClassSystem, SnClassSystem, an_table
 
 # name -> (builder, exponent)
@@ -53,6 +53,21 @@ def test_class_named_with_order_letter_fallback(kind):
         cs.class_named(f"{max(by_order)}{chr(ord('a') + len(cs.classes))}")
     with pytest.raises(KeyError):
         cs.class_named("no such class")
+
+
+def test_multi_letter_order_names_resolve():
+    # S_18 has 48 classes of order 6 and 54 of order 12, so its order-letter
+    # names run past "z" into class_letter's "aa", "ab", ...
+    cs = SnClassSystem(18)
+    by_order: dict = {}
+    for i, c in enumerate(cs.classes):
+        by_order.setdefault(c.rep_order, []).append(i)
+    assert len(by_order[6]) == 48 and len(by_order[12]) == 54
+    for order, idx in by_order.items():
+        for pos, i in enumerate(idx):
+            assert cs.class_named(f"{order}{class_letter(pos)}") == i
+    with pytest.raises(KeyError):
+        cs.class_named(f"6{class_letter(48)}")
 
 
 @pytest.mark.parametrize("kind", list(SYSTEMS))

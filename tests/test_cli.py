@@ -37,6 +37,18 @@ def test_zsigmondy_scan_lines(capsys):
     assert {"q": 2, "e": 4, "phi_star": "5", "category": "e_plus_1"} in lines
 
 
+def test_zsigmondy_single_pair_matches_its_scan_line(capsys):
+    # one report constructor serves --q/--e and --scan alike
+    code, out = run(capsys, "zsigmondy", "--scan", "9", "8")
+    assert code == 0
+    for want in map(json.loads, out.splitlines()):
+        code, got = run(capsys, "zsigmondy", "--q", str(want["q"]), "--e", str(want["e"]),
+                        "--json")
+        assert code == 0 and json.loads(got) == want
+    code, out = run(capsys, "zsigmondy", "--q", "2", "--e", "4")
+    assert code == 0 and out == "phi_star(2, 4) = 5  [e_plus_1]"
+
+
 def test_na_m11(capsys):
     code, out = run(capsys, "na", "--group", "M11", "--class", "11a",
                     "--a", "1", "--json")

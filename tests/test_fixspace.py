@@ -5,7 +5,7 @@ import pytest
 from cgtkit import catalog
 from cgtkit._ntheory import primitive_root
 from cgtkit.chartab import dixon_prime, dixon_table
-from cgtkit.cyclotomic import Cyclotomic
+from cgtkit.cyclotomic import Cyclotomic, zeta
 from cgtkit.fflinalg import FFMatrix
 from cgtkit.finitefield import FiniteField
 from cgtkit.fixspace import (catalog_module_rep, deleted_permutation_rep,
@@ -91,6 +91,19 @@ def test_eigdims_sum_to_degree():
         for j in range(t.n_classes):
             dims = eigdims_from_character(t, i, j)
             assert sum(m for _, m in dims) == t.degrees[i]
+
+
+@pytest.mark.parametrize("name", ["L2(7)", "M11"])
+def test_eigenvalues_add_up_to_the_character_value(name):
+    # the trace of x is the sum of its eigenvalues, chi(x) = sum_l m_l zeta_o^l,
+    # which tells zeta_o^l from zeta_o^-l wherever chi(x) is not real
+    t = catalog.character_table(name)
+    assert any(v.conj() != v for row in t.values for v in row)
+    for i, row in enumerate(t.values):
+        for j, c in enumerate(t.classes):
+            dims = eigdims_from_character(t, i, j)
+            assert sum((zeta(c.rep_order, l) * m for l, m in dims),
+                       Cyclotomic.zero()) == row[j], (i, c.name)
 
 
 def test_matrix_vs_character_eigenspace_agreement():

@@ -1,17 +1,22 @@
-"""The number-theory kit against sympy's own functions, and the exact paths
-that run on it without loading sympy."""
+"""The number-theory kit against sympy's own functions, the exact paths
+that run on it without loading sympy, and its one square-and-multiply loop
+through every caller against repeated products."""
 
+import operator
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import prod
 
 import pytest
 import sympy
 
 from cgtkit._ntheory import MR_BOUND, factorize, is_prime, is_prime_power, primitive_root
-from cgtkit.cyclotomic import _conductor_data
-from cgtkit.finitefield import FiniteField
+from cgtkit.cyclotomic import Cyclotomic, _conductor_data, zeta
+from cgtkit.fflinalg import FFMatrix
+from cgtkit.finitefield import FiniteField, _pdivmod, _pmul, _ppowmod
+from cgtkit.perms import Permutation
 
 # 2^61 - 1, 2^89 - 1 and 2^127 - 1 are prime; the rest are powers or near misses
 LARGE = [2**61 - 1, (2**61 - 1)**2, 3**40, 2**89 - 1, (2**89 - 1)**3, 2**127, 2**127 - 1,
@@ -95,3 +100,62 @@ def test_exact_paths_run_without_sympy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+# -- the one square-and-multiply loop, through each of its callers -------------
+
+POWERS = range(41)
+
+
+def _products(x, one, mul=operator.mul):
+    """x^0, x^1, ... x^40 as n-fold products."""
+    out = [one]
+    for _ in POWERS[1:]:
+        out.append(mul(out[-1], x))
+    return out
+
+
+def test_permutation_powers_are_repeated_products():
+    p = Permutation((3, 0, 4, 1, 2, 6, 5, 8, 9, 7))  # cycle type 5 + 3 + 2
+    ident = Permutation.identity(10)
+    assert [p ** n for n in POWERS] == _products(p, ident)
+    assert [p ** -n for n in POWERS] == _products(p.inverse(), ident)
+
+
+def test_cyclotomic_powers_are_repeated_products():
+    x = zeta(12) + Cyclotomic.from_rational(Fraction(1, 2))
+    assert [x ** n for n in POWERS] == _products(x, Cyclotomic.one())
+    assert [x ** -n for n in POWERS] == _products(x.inv(), Cyclotomic.one())
+    assert all(zeta(7, 3) ** n == zeta(7, 3 * n) for n in range(-40, 41))
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (2, 3)])
+def test_matrix_powers_are_repeated_products_and_refuse_negatives(p, k):
+    F = FiniteField(p, k)
+    m = FFMatrix(F, [[1, 1, 0], [0, F.gen_code, 1], [1, 0, 1]])
+    assert [m ** n for n in POWERS] == _products(m, FFMatrix.identity(F, 3))
+    with pytest.raises(ValueError):
+        m ** -1
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (2, 3), (2, 17)])
+def test_field_powers_are_repeated_products(p, k):
+    # GF(7) by the built-in pow, GF(8) by its log table, GF(2^17) (too big
+    # for one) by square-and-multiply
+    F = FiniteField(p, k)
+    for a in (F.gen_code, F.q - 1, 0):
+        assert [F.pow(a, n) for n in POWERS] == _products(a, 1, F.mul)
+        if a:
+            assert [F.pow(a, -n) for n in POWERS] == _products(F.inv(a), 1, F.mul)
+
+
+def test_polynomial_powers_mod_are_repeated_products():
+    F = FiniteField(3)
+    mod = [2, 1, 0, 1]  # x^3 + x + 2
+    f = [1, 2, 0, 1, 1]
+
+    def mulmod(a, b):
+        return _pdivmod(F, _pmul(F, a, b), mod)[1]
+
+    assert [_ppowmod(F, f, n, mod) for n in POWERS] == \
+        _products(_pdivmod(F, f, mod)[1], [1], mulmod)

@@ -253,6 +253,23 @@ def test_an_class_membership_and_split_sign():
     assert cs.power_class(i7a, -1) == i7b
 
 
+@pytest.mark.parametrize("system", [AnClassSystem, SnClassSystem])
+def test_class_of_refuses_what_is_not_an_element(system):
+    # as the element index does: a wrong degree, repeated images (whose
+    # cycle walk would never end) and, in A_5, an odd permutation
+    cs = system(5)
+    for images in [(1, 2, 0, 3, 4, 5), (0, 0, 1, 2, 3)]:
+        with pytest.raises(KeyError, match="not an element of the group"):
+            cs.class_of(Permutation(images))
+    transposition = Permutation((1, 0, 2, 3, 4))
+    if system is AnClassSystem:
+        for images in [(1, 2, 0, 3, 4, 5), (0, 0, 1, 2, 3), transposition.images]:
+            with pytest.raises(KeyError, match="not an element of the group"):
+                cs.class_of_images(images)
+    else:
+        assert cs.classes[cs.class_of(transposition)].cycle_type == (2, 1, 1, 1)
+
+
 @pytest.mark.parametrize("n", range(5, 10))
 def test_every_split_class_element_classifies_back(n):
     cs = AnClassSystem(n)
