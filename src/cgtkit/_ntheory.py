@@ -3,10 +3,14 @@ and the toolkit's one square-and-multiply loop.
 
 Every number factored here is small (an extension degree, a field order
 q - 1, a Dixon p - 1, a conductor), so trial division is enough.  Primality
-is a deterministic Miller-Rabin below ``MR_BOUND``; only numbers from
-outside (``cgtkit zsigmondy --q``) reach the ``sympy.isprime`` fallback
-above it.  Nothing here is cached, so there is no state for a session
-reset to miss.
+is a deterministic Miller-Rabin below ``MR_BOUND`` that stops after the
+first k prime bases once n < psi_k, the least strong pseudoprime to those
+k bases (Jaeschke, Math. Comp. 61, 1993, for k <= 8; Jiang and Deng, Math.
+Comp. 83, 2014, for k = 9..11; Sorenson and Webster, Math. Comp. 86, 2017,
+for k = 12); so a prime below 2^32 costs at most 4 bases.  Only
+numbers from outside (``cgtkit zsigmondy --q``) reach the
+``sympy.isprime`` fallback above ``MR_BOUND``.  Nothing here is cached,
+so there is no state for a session reset to miss.
 
 ``_power`` raises anything with an associative product to a power
 n >= 0: permutations, cyclotomic numbers, matrices and codes over a finite
@@ -21,15 +25,21 @@ import operator
 __all__ = ["MR_BOUND", "is_prime", "factorize", "primitive_root", "is_prime_power"]
 
 MR_BOUND = 1 << 64
-# The first 12 primes.  No composite below 318665857834031151167461
-# (about 3.2e23 > 2^64) is a strong pseudoprime to all of them (Sorenson
-# and Webster, Math. Comp. 86, 2017).
+# The first 12 primes, and psi_k (OEIS A014233): the least composite that
+# is a strong pseudoprime to each of the first k of them.  psi_12, about
+# 3.2e23, exceeds 2^64, so the 12 bases decide every n below MR_BOUND.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+           3474749660383, 341550071728321, 341550071728321,
+           3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin on ``_MR_BASES`` below ``MR_BOUND``,
-    ``sympy.isprime`` from there up."""
+    """Deterministic Miller-Rabin below ``MR_BOUND``, ``sympy.isprime``
+    from there up.  The bases of ``_MR_BASES`` run in order, and n is
+    prime once it passes the first k with n < psi_k: by the definition of
+    psi_k, a composite below it fails one of those k bases."""
     if n >= MR_BOUND:
         import sympy
         return sympy.isprime(n)
@@ -42,17 +52,17 @@ def is_prime(n: int) -> bool:
         return True
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for a in _MR_BASES:
+    for a, psi in zip(_MR_BASES, _MR_PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:  # psi_12 > MR_BOUND: the 12th base always ends here
+            return True
 
 
 def _power(x, n: int, one, mul=operator.mul):

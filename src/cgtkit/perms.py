@@ -99,6 +99,8 @@ class Permutation:
         return all(i == j for i, j in enumerate(self.images))
 
     def cycles(self, include_fixed: bool = False):
+        """Disjoint cycles, each from its least point; images that repeat a
+        point raise ``ValueError`` rather than walk forever."""
         seen = [False] * len(self.images)
         out = []
         for i in range(len(self.images)):
@@ -108,6 +110,8 @@ class Permutation:
             seen[i] = True
             j = self.images[i]
             while j != i:
+                if seen[j]:
+                    raise ValueError("not a permutation")
                 cyc.append(j)
                 seen[j] = True
                 j = self.images[j]

@@ -2,7 +2,8 @@
 
 phi_star(q, e) is the largest divisor of q^e - 1 coprime to q^m - 1 for
 all 1 <= m < e.  It is computed factorization-free by iterated gcd
-stripping; only the (small) result is ever factored.
+stripping against q^(e/r) - 1 for the primes r | e; only the (small)
+result is ever factored.
 
 The factorizations of phi_star on the verify-paper grid (prime powers
 q <= 64, 3 <= e <= 30, q^e - 1 <= 2^128) ship in ``data/zsigmondy.json``,
@@ -55,14 +56,20 @@ class ZsigmondyReport:
 
 
 def phi_star(q: int, e: int) -> int:
-    """Largest divisor of q^e - 1 coprime to every q^m - 1, m < e."""
+    """Largest divisor of q^e - 1 coprime to every q^m - 1, m < e.
+
+    Only the q^(e/r) - 1 for the primes r | e are stripped:
+    gcd(q^e - 1, q^m - 1) = q^gcd(e, m) - 1, and gcd(e, m) is a proper
+    divisor of e, so it divides some e/r; a prime of q^e - 1 that divides
+    q^m - 1 therefore divides q^(e/r) - 1, and each e/r is itself an m < e.
+    For e = 1 nothing is stripped and the value is q - 1."""
     if e < 1:
         raise ValueError("e must be positive")
     if is_prime_power(q) is None:
         raise ValueError(f"q = {q} is not a prime power")
     g = q ** e - 1
-    for m in range(1, e):
-        other = q ** m - 1
+    for r, _ in factorize(e):
+        other = q ** (e // r) - 1
         d = gcd(g, other)
         while d > 1:
             g //= d
@@ -72,7 +79,10 @@ def phi_star(q: int, e: int) -> int:
 
 def _grid_reports(q_max: int, e_max: int, qe_bound: int):
     """Reports for prime powers q <= q_max and 3 <= e <= e_max with
-    q^e - 1 <= qe_bound, q ascending, then e ascending."""
+    q^e - 1 <= qe_bound, q ascending, then e ascending; an e_max below 3
+    is refused, not answered with an empty grid."""
+    if e_max < 3:
+        raise ValueError("e_max must be at least 3")
     for q in range(2, q_max + 1):
         if is_prime_power(q) is None:
             continue
@@ -85,8 +95,6 @@ def _grid_reports(q_max: int, e_max: int, qe_bound: int):
 def classify_small_zsigmondy(q_max: int, e_max: int, qe_bound: int = FACTORIZATION_BOUND):
     """Scan prime powers q <= q_max, 3 <= e <= e_max; report the exceptional
     (q, e) with phi_star in {1, e+1, 2e+1}."""
-    if e_max < 3:
-        raise ValueError("e_max must be at least 3")
     return [r for r in _grid_reports(q_max, e_max, qe_bound) if r.category != "generic"]
 
 

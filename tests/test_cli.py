@@ -37,6 +37,13 @@ def test_zsigmondy_scan_lines(capsys):
     assert {"q": 2, "e": 4, "phi_star": "5", "category": "e_plus_1"} in lines
 
 
+def test_zsigmondy_scan_refuses_e_max_below_3(capsys):
+    assert main(["zsigmondy", "--scan", "4", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: e_max must be at least 3"
+
+
 def test_zsigmondy_single_pair_matches_its_scan_line(capsys):
     # one report constructor serves --q/--e and --scan alike
     code, out = run(capsys, "zsigmondy", "--scan", "9", "8")

@@ -4,6 +4,7 @@ through every caller against repeated products."""
 
 import operator
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,8 @@ from math import prod
 import pytest
 import sympy
 
-from cgtkit._ntheory import MR_BOUND, factorize, is_prime, is_prime_power, primitive_root
+from cgtkit._ntheory import (_MR_BASES, _MR_PSI, MR_BOUND, factorize, is_prime,
+                             is_prime_power, primitive_root)
 from cgtkit.cyclotomic import Cyclotomic, _conductor_data, zeta
 from cgtkit.fflinalg import FFMatrix
 from cgtkit.finitefield import FiniteField, _pdivmod, _pmul, _ppowmod
@@ -24,14 +26,40 @@ LARGE = [2**61 - 1, (2**61 - 1)**2, 3**40, 2**89 - 1, (2**89 - 1)**3, 2**127, 2*
 
 
 def test_is_prime_matches_sympy():
-    for n in range(-2, 20000):
+    for n in range(-2, 200000):
         assert is_prime(n) == sympy.isprime(n), n
-    # psi_4, psi_8 and psi_9: the least strong pseudoprimes to the first
-    # 4, 8 and 9 prime bases
-    for n in (3215031751, 341550071728321, 3825123056546413051):
-        assert not is_prime(n)
+    # psi_k is the least composite that passes the first k bases, where the
+    # test stops for n < psi_k; psi_k +- 2 sit on either side of that exit
+    for psi in _MR_PSI[:11]:
+        for n in (psi - 2, psi, psi + 2):
+            assert is_prime(n) == sympy.isprime(n), n
+    rng = random.Random(20170101)
+    for _ in range(10000):
+        n = rng.randrange(MR_BOUND) | 1
+        assert is_prime(n) == sympy.isprime(n), n
     for n in [MR_BOUND - 59, MR_BOUND + 1, MR_BOUND + 13] + LARGE:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """n passes the strong test to base a."""
+    s = 0
+    d = n - 1
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** i, n) == n - 1 for i in range(1, s))
+
+
+def test_each_psi_is_a_composite_strong_pseudoprime_to_its_bases():
+    # a mistyped psi_k that is prime, or that fails one of the first k
+    # bases, is not the least strong pseudoprime to them
+    assert len(_MR_PSI) == len(_MR_BASES) == 12
+    assert list(_MR_PSI) == sorted(_MR_PSI) and _MR_PSI[-1] > MR_BOUND > _MR_PSI[-2]
+    for k, psi in enumerate(_MR_PSI[:11], 1):
+        assert not sympy.isprime(psi), k
+        assert all(_strong_probable_prime(psi, a) for a in _MR_BASES[:k]), k
 
 
 def test_is_prime_around_the_small_prime_exit():

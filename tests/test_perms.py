@@ -105,3 +105,11 @@ def test_product_and_inverse_at_small_degrees(images):
 def test_product_degree_mismatch():
     with pytest.raises(ValueError):
         Permutation((1, 0)) * Permutation((0, 1, 2))
+
+
+@pytest.mark.parametrize("images", [(0, 0, 1, 2, 3), (1, 1, 0), (2, 0, 0)])
+def test_repeated_images_raise_instead_of_hanging(images):
+    p = Permutation(images)
+    for walk in (p.cycles, p.order, p.cycle_type, p.sign, p.__str__):
+        with pytest.raises(ValueError, match="not a permutation"):
+            walk()

@@ -1,4 +1,5 @@
 import json
+from math import gcd
 
 import pytest
 import sympy
@@ -17,6 +18,29 @@ def test_phi_star_reference_values():
     assert phi_star(2, 20) == 41
     assert phi_star(3, 1) == 2
     assert phi_star(2, 10) == 11
+
+
+def _phi_star_by_every_m(q: int, e: int) -> int:
+    """phi_star by its definition: strip q^m - 1 for every m < e."""
+    g = q ** e - 1
+    for m in range(1, e):
+        other = q ** m - 1
+        d = gcd(g, other)
+        while d > 1:
+            g //= d
+            d = gcd(g, other)
+    return g
+
+
+def test_phi_star_strips_only_the_maximal_proper_divisors():
+    reports = scan_reports(TABLE_Q_MAX, TABLE_E_MAX)
+    assert len(reports) == 663
+    for r in reports:
+        assert r.phi_star == _phi_star_by_every_m(r.q, r.e), (r.q, r.e)
+    for q in range(2, 10):
+        if is_prime_power(q):
+            for e in range(1, 61):
+                assert phi_star(q, e) == _phi_star_by_every_m(q, e), (q, e)
 
 
 def test_phi_star_rejects_non_prime_powers():
